@@ -14,20 +14,13 @@ package main
 import (
 	"encoding/json"
 	"fmt"
-	"log"
-	"os"
-	"path/filepath"
 	"sort"
+	"strconv"
 
-	"lvmajority/internal/faultpoint"
-	"lvmajority/internal/ioretry"
+	"lvmajority/internal/durable"
 	"lvmajority/internal/progress"
 	"lvmajority/internal/scenario"
 )
-
-// journalRetry is the backoff policy for journal writes. Deterministic seed,
-// like every other stream in the repository.
-var journalRetry = ioretry.Policy{Seed: 0x10a7a1}
 
 // journalEntry is the persisted view of a live run: exactly the fields needed
 // to re-register it after a restart.
@@ -39,79 +32,13 @@ type journalEntry struct {
 	Started   string        `json:"started,omitempty"`
 }
 
-// journal persists live-run entries under one directory. A nil *journal is
-// the disabled state: record and remove are no-ops, so call sites never
-// branch on whether journaling is configured.
-type journal struct {
-	dir    string
-	logger *log.Logger
-}
-
-func (j *journal) path(id int) string {
-	return filepath.Join(j.dir, fmt.Sprintf("run-%d.json", id))
-}
-
-// record persists (or refreshes) the entry for a live run. Callers hold the
-// server's mu, which serializes writes per run ID. Failures are logged, not
-// returned: journaling degrades, execution does not.
-func (j *journal) record(r *run) {
-	if j == nil {
-		return
-	}
-	data, err := json.MarshalIndent(journalEntry{
+// journalRecord persists (or refreshes) the entry for a live run. Callers
+// hold the server's mu, which serializes writes per run ID.
+func (s *server) journalRecord(r *run) {
+	s.journal.Put(strconv.Itoa(r.ID), journalEntry{
 		ID: r.ID, Status: r.Status, Spec: r.Spec,
 		Submitted: r.Submitted, Started: r.Started,
-	}, "", "  ")
-	if err != nil {
-		j.logger.Printf("journal: marshal run %d: %v", r.ID, err)
-		return
-	}
-	err = ioretry.Do(journalRetry, func() error {
-		if err := faultpoint.Hit(faultpoint.JournalWrite); err != nil {
-			return err
-		}
-		return writeFileAtomic(j.path(r.ID), data)
 	})
-	if err != nil {
-		j.logger.Printf("journal: record run %d: %v (run unaffected)", r.ID, err)
-	}
-}
-
-// remove deletes a run's entry once it reaches a terminal status.
-func (j *journal) remove(id int) {
-	if j == nil {
-		return
-	}
-	if err := os.Remove(j.path(id)); err != nil && !os.IsNotExist(err) {
-		j.logger.Printf("journal: remove run %d: %v", id, err)
-	}
-}
-
-// writeFileAtomic writes data via a temp file in the same directory, fsyncs,
-// and renames over the destination, so readers (and the recovery scan) only
-// ever see complete entries.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // attachJournal enables journaling under dir and replays any entries a
@@ -121,32 +48,24 @@ func writeFileAtomic(path string, data []byte) error {
 // logged, never fatal — a half-written file from a crash mid-write must not
 // keep the server from starting.
 func (s *server) attachJournal(dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("journal: %w", err)
-	}
-	j := &journal{dir: dir, logger: s.logger}
-
-	paths, err := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	j, err := durable.OpenJournal(dir, "run-", s.logger)
 	if err != nil {
-		return fmt.Errorf("journal: %w", err)
+		return err
 	}
 	var entries []journalEntry
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
+	err = j.Replay(func(_ string, data []byte) error {
 		var e journalEntry
-		if err == nil {
-			err = json.Unmarshal(data, &e)
+		if err := json.Unmarshal(data, &e); err != nil {
+			return err
 		}
-		if err == nil && e.ID <= 0 {
-			err = fmt.Errorf("non-positive run id %d", e.ID)
-		}
-		if err != nil {
-			quarantined := path + ".corrupt"
-			os.Rename(path, quarantined)
-			s.logger.Printf("journal: quarantined unreadable entry %s: %v", filepath.Base(path), err)
-			continue
+		if e.ID <= 0 {
+			return fmt.Errorf("non-positive run id %d", e.ID)
 		}
 		entries = append(entries, e)
+		return nil
+	})
+	if err != nil {
+		return err
 	}
 	sort.Slice(entries, func(a, b int) bool { return entries[a].ID < entries[b].ID })
 
@@ -156,7 +75,7 @@ func (s *server) attachJournal(dir string) error {
 	for _, e := range entries {
 		if _, exists := s.runs[e.ID]; exists {
 			s.logger.Printf("journal: entry for run %d collides with a live run; dropping", e.ID)
-			j.remove(e.ID)
+			j.Remove(strconv.Itoa(e.ID))
 			continue
 		}
 		if e.ID >= s.nextID {
@@ -172,7 +91,7 @@ func (s *server) attachJournal(dir string) error {
 			case s.queue <- r:
 				s.runs[r.ID] = r
 				s.order = append(s.order, r.ID)
-				j.record(r)
+				s.journalRecord(r)
 				r.events.Publish(progress.Event{Kind: progress.KindPhase, Scope: runScope(r.ID), Phase: string(statusQueued)})
 				s.logger.Printf("journal: re-enqueued run %d (%s task)", r.ID, r.Spec.Task)
 				continue
@@ -187,7 +106,7 @@ func (s *server) attachJournal(dir string) error {
 			// outcome is failed(interrupted).
 			s.registerInterruptedLocked(r, "interrupted by server restart")
 		}
-		j.remove(r.ID)
+		j.Remove(strconv.Itoa(r.ID))
 	}
 	if n := len(entries); n > 0 {
 		s.logger.Printf("journal: recovered %d entr%s from %s", n, map[bool]string{true: "y", false: "ies"}[n == 1], dir)

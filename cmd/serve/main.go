@@ -40,11 +40,13 @@ import (
 	"os"
 	"os/signal"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
+	"lvmajority/internal/durable"
 	"lvmajority/internal/experiment"
 	"lvmajority/internal/fabric"
 	"lvmajority/internal/progress"
@@ -193,7 +195,7 @@ type server struct {
 	// journal persists queued/running run specs so a crashed or restarted
 	// server can account for them; nil (the default) disables journaling.
 	// Its methods are nil-safe. Guarded by mu wherever runs are mutated.
-	journal *journal
+	journal *durable.Journal
 
 	// heartbeat is the SSE idle-tick interval and throttle the minimum gap
 	// between forwarded trial snapshots per stream; tests shrink both.
@@ -273,7 +275,7 @@ func (s *server) execute(r *run) {
 	r.Started = now()
 	r.cancel = cancel
 	spec := r.Spec
-	s.journal.record(r)
+	s.journalRecord(r)
 	s.mu.Unlock()
 	defer cancel()
 	r.events.Publish(progress.Event{Kind: progress.KindPhase, Scope: runScope(r.ID), Phase: string(statusRunning)})
@@ -300,7 +302,7 @@ func (s *server) execute(r *run) {
 		r.Error = err.Error()
 		r.Detail = scenario.FailureDetail(err)
 	}
-	s.journal.remove(r.ID)
+	s.journal.Remove(strconv.Itoa(r.ID))
 	terminal := progress.Event{Kind: progress.KindPhase, Scope: runScope(r.ID), Phase: string(r.Status), Err: r.Error, Detail: r.Detail}
 	s.durations.Add(elapsed)
 	s.durSum += elapsed
@@ -422,7 +424,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, req *http.Request) {
 	s.nextID++
 	s.runs[r.ID] = r
 	s.order = append(s.order, r.ID)
-	s.journal.record(r)
+	s.journalRecord(r)
 	id := r.ID
 	// Published before the lock is released: a worker that dequeues the run
 	// publishes "running" only after it takes s.mu, so the stream always
@@ -492,7 +494,7 @@ func (s *server) handleCancel(w http.ResponseWriter, req *http.Request) {
 	case statusQueued:
 		r.Status = statusCancelled
 		r.Finished = now()
-		s.journal.remove(r.ID)
+		s.journal.Remove(strconv.Itoa(r.ID))
 		terminal = &progress.Event{Kind: progress.KindPhase, Scope: runScope(r.ID), Phase: string(statusCancelled)}
 		s.evictLocked()
 	case statusRunning:

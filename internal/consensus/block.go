@@ -5,13 +5,12 @@ import (
 
 	"lvmajority/internal/mc"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/stats"
 )
 
 // BlockTrialer is the optional capability of protocols whose engines can
 // advance many trials per call — the lockstep population kernel. When a
 // Protocol also implements BlockTrialer and TrialBlockLanes returns a
-// positive width, the estimators run it on the block pool: each worker
+// positive width, CountWins runs it in blocks (mc.Blocks): each worker
 // builds one block runner via NewTrialBlock and receives contiguous trial
 // ranges of that width. Trial rep of a block must draw only from
 // rng.NewStream(seed, rep) — the same stream the scalar Trial would use —
@@ -27,14 +26,15 @@ type BlockTrialer interface {
 }
 
 // CountWins runs the protocol's trials [lo, hi) and returns the number of
-// consensus wins in that window, dispatching to the block pool when the
-// protocol opts in via BlockTrialer — the same capability check the
-// estimators make, so a window counted here agrees trial-for-trial with the
+// consensus wins in that window, running it in blocks when the protocol
+// opts in via BlockTrialer. It is the window counter behind every
+// local estimate, so a window counted here agrees trial-for-trial with the
 // window an estimator would run. Trial rep draws only from
 // rng.NewStream(opts.Seed, rep): the count is a pure function of (protocol
 // behaviour, n, delta, seed, window), independent of worker count and of
 // which process executes it. This is the unit of work a fabric worker
-// executes for the coordinator.
+// executes for the coordinator. opts.Trials is only the progress total;
+// Z, EarlyStop and Target are ignored.
 func CountWins(p Protocol, n, delta, lo, hi int, opts EstimateOptions) (int, error) {
 	if p == nil {
 		return 0, fmt.Errorf("consensus: nil protocol")
@@ -42,48 +42,23 @@ func CountWins(p Protocol, n, delta, lo, hi int, opts EstimateOptions) (int, err
 	if _, _, err := SplitInitial(n, delta); err != nil {
 		return 0, err
 	}
-	mopts := mc.Options{Workers: opts.Workers, Seed: opts.Seed, Interrupt: opts.Interrupt, Progress: opts.Progress}
+	mopts := mc.Options{Replicates: opts.Trials, Workers: opts.Workers, Seed: opts.Seed, Interrupt: opts.Interrupt, Progress: opts.Progress}
 	if bt, ok := p.(BlockTrialer); ok {
 		if lanes := bt.TrialBlockLanes(); lanes > 0 {
-			wins, err := mc.CountWinsBlocks(lo, hi, mopts, lanes, func() (mc.BlockFunc, error) {
+			wins, err := mc.Blocks(lanes, func() (mc.BlockFunc, error) {
 				return bt.NewTrialBlock(n, delta)
-			})
+			})(lo, hi, mopts)
 			if err != nil {
 				return 0, fmt.Errorf("consensus: trial block failed: %w", err)
 			}
 			return wins, nil
 		}
 	}
-	wins, err := mc.CountWins(lo, hi, mopts, func(_ int, src *rng.Source) (bool, error) {
+	wins, err := mc.Trials(func(_ int, src *rng.Source) (bool, error) {
 		return p.Trial(n, delta, src)
-	})
+	})(lo, hi, mopts)
 	if err != nil {
 		return 0, fmt.Errorf("consensus: trial failed: %w", err)
 	}
 	return wins, nil
-}
-
-// estimateBernoulli runs the protocol's trials under opts, dispatching to
-// the block pool when the protocol opts in via BlockTrialer. Both
-// EstimateWinProbability and EstimateWithEarlyStop funnel through here, so
-// the capability check lives in exactly one place.
-func estimateBernoulli(p Protocol, n, delta int, opts mc.BernoulliOptions) (stats.BernoulliEstimate, error) {
-	if bt, ok := p.(BlockTrialer); ok {
-		if lanes := bt.TrialBlockLanes(); lanes > 0 {
-			est, err := mc.EstimateBernoulliBlocks(opts, lanes, func() (mc.BlockFunc, error) {
-				return bt.NewTrialBlock(n, delta)
-			})
-			if err != nil {
-				return stats.BernoulliEstimate{}, fmt.Errorf("consensus: trial block failed: %w", err)
-			}
-			return est, nil
-		}
-	}
-	est, err := mc.EstimateBernoulli(opts, func(_ int, src *rng.Source) (bool, error) {
-		return p.Trial(n, delta, src)
-	})
-	if err != nil {
-		return stats.BernoulliEstimate{}, fmt.Errorf("consensus: trial failed: %w", err)
-	}
-	return est, nil
 }

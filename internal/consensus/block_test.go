@@ -45,8 +45,8 @@ func (f *fakeBlockTrialer) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi
 }
 
 // TestBlockTrialerDispatch pins the capability protocol: a positive lane
-// width routes the estimators through the block pool, a zero width keeps
-// them on the scalar pool, and both paths return the identical estimate.
+// width routes the estimator through block runners, a zero width keeps it
+// trial-at-a-time, and both paths return the identical estimate.
 func TestBlockTrialerDispatch(t *testing.T) {
 	opts := EstimateOptions{Trials: 2000, Workers: 4, Seed: 7}
 
@@ -72,13 +72,13 @@ func TestBlockTrialerDispatch(t *testing.T) {
 	}
 }
 
-// TestBlockTrialerEarlyStopDispatch covers the second estimator entry
-// point: early stopping must dispatch to blocks and agree with the scalar
+// TestBlockTrialerEarlyStopDispatch covers the sequential estimator:
+// early stopping must dispatch to blocks and agree with the scalar
 // sequential run trial for trial.
 func TestBlockTrialerEarlyStopDispatch(t *testing.T) {
-	opts := EstimateOptions{Trials: 50000, Workers: 4, Seed: 7}
+	opts := EstimateOptions{Trials: 50000, Workers: 4, Seed: 7, EarlyStop: true, Target: 0.5}
 
-	want, err := EstimateWithEarlyStop(&fakeBlockTrialer{lanes: 0}, 100, 80, 0.5, opts)
+	want, err := EstimateWinProbability(&fakeBlockTrialer{lanes: 0}, 100, 80, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestBlockTrialerEarlyStopDispatch(t *testing.T) {
 	}
 
 	blocked := &fakeBlockTrialer{lanes: 64}
-	got, err := EstimateWithEarlyStop(blocked, 100, 80, 0.5, opts)
+	got, err := EstimateWinProbability(blocked, 100, 80, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,24 @@ import (
 )
 
 func TestEarlyStopValidation(t *testing.T) {
-	if _, err := EstimateWithEarlyStop(nil, 100, 10, 0.9, EstimateOptions{}); err == nil {
+	if _, err := EstimateWinProbability(nil, 100, 10, EstimateOptions{EarlyStop: true, Target: 0.9}); err == nil {
 		t.Error("nil protocol accepted")
 	}
-	if _, err := EstimateWithEarlyStop(fixedProtocol{0.5}, 100, 10, 0, EstimateOptions{}); err == nil {
+	if _, err := EstimateWinProbability(fixedProtocol{0.5}, 100, 10, EstimateOptions{EarlyStop: true, Target: 0}); err == nil {
 		t.Error("target 0 accepted")
 	}
-	if _, err := EstimateWithEarlyStop(fixedProtocol{0.5}, 100, 10, 1, EstimateOptions{}); err == nil {
+	if _, err := EstimateWinProbability(fixedProtocol{0.5}, 100, 10, EstimateOptions{EarlyStop: true, Target: 1}); err == nil {
 		t.Error("target 1 accepted")
 	}
 }
 
 func TestEarlyStopStopsEarlyOnClearCases(t *testing.T) {
 	// p = 0.99 vs target 0.5: the first batch should settle it.
-	est, err := EstimateWithEarlyStop(fixedProtocol{0.99}, 100, 10, 0.5, EstimateOptions{
-		Trials: 100000,
-		Seed:   1,
+	est, err := EstimateWinProbability(fixedProtocol{0.99}, 100, 10, EstimateOptions{
+		Trials:    100000,
+		Seed:      1,
+		EarlyStop: true,
+		Target:    0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -36,9 +38,11 @@ func TestEarlyStopStopsEarlyOnClearCases(t *testing.T) {
 	}
 
 	// Symmetric: p = 0.01 vs target 0.5 rejects quickly.
-	est, err = EstimateWithEarlyStop(fixedProtocol{0.01}, 100, 10, 0.5, EstimateOptions{
-		Trials: 100000,
-		Seed:   2,
+	est, err = EstimateWinProbability(fixedProtocol{0.01}, 100, 10, EstimateOptions{
+		Trials:    100000,
+		Seed:      2,
+		EarlyStop: true,
+		Target:    0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -54,9 +58,11 @@ func TestEarlyStopStopsEarlyOnClearCases(t *testing.T) {
 func TestEarlyStopRunsFullBudgetOnBoundaryCases(t *testing.T) {
 	// p exactly at the target: no early stop should trigger reliably, so
 	// the full budget is consumed.
-	est, err := EstimateWithEarlyStop(fixedProtocol{0.5}, 100, 10, 0.5, EstimateOptions{
-		Trials: 3000,
-		Seed:   3,
+	est, err := EstimateWinProbability(fixedProtocol{0.5}, 100, 10, EstimateOptions{
+		Trials:    3000,
+		Seed:      3,
+		EarlyStop: true,
+		Target:    0.5,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -74,12 +80,12 @@ func TestEarlyStopRunsFullBudgetOnBoundaryCases(t *testing.T) {
 }
 
 func TestEarlyStopDeterministic(t *testing.T) {
-	opts := EstimateOptions{Trials: 5000, Seed: 9, Workers: 3}
-	a, err := EstimateWithEarlyStop(fixedProtocol{0.7}, 100, 10, 0.6, opts)
+	opts := EstimateOptions{Trials: 5000, Seed: 9, Workers: 3, EarlyStop: true, Target: 0.6}
+	a, err := EstimateWinProbability(fixedProtocol{0.7}, 100, 10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := EstimateWithEarlyStop(fixedProtocol{0.7}, 100, 10, 0.6, opts)
+	b, err := EstimateWinProbability(fixedProtocol{0.7}, 100, 10, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,7 @@ type ThresholdOptions struct {
 	// EarlyStop probes each gap with the sequential estimator, which
 	// stops as soon as the confidence interval settles the comparison
 	// against the target — often an order of magnitude fewer trials at
-	// gaps far from the threshold. See EstimateWithEarlyStop for the
+	// gaps far from the threshold. See EstimateOptions.EarlyStop for the
 	// sequential-testing caveat.
 	EarlyStop bool
 	// Hint warm-starts the search with a guess for the threshold —
@@ -42,8 +42,7 @@ type ThresholdOptions struct {
 	Hint int
 	// Estimator overrides the per-gap estimator. internal/sweep uses it
 	// to layer memoized and persistent caching over the default
-	// estimators; nil selects EstimateWinProbability, or
-	// EstimateWithEarlyStop when EarlyStop is set. The override must be
+	// estimators; nil selects DefaultEstimator. The override must be
 	// deterministic in its arguments.
 	Estimator ProbeEstimator
 	// Interrupt, when non-nil, is polled between trials of every probe; a
@@ -63,13 +62,11 @@ type ThresholdOptions struct {
 type ProbeEstimator func(delta int, opts EstimateOptions) (stats.BernoulliEstimate, error)
 
 // DefaultEstimator returns the estimator FindThreshold uses when
-// ThresholdOptions.Estimator is nil: the fixed-size estimator, or the
-// sequential early-stopping estimator when earlyStop is set.
+// ThresholdOptions.Estimator is nil: EstimateWinProbability, sequential
+// against target when earlyStop is set.
 func DefaultEstimator(p Protocol, n int, target float64, earlyStop bool) ProbeEstimator {
 	return func(delta int, opts EstimateOptions) (stats.BernoulliEstimate, error) {
-		if earlyStop {
-			return EstimateWithEarlyStop(p, n, delta, target, opts)
-		}
+		opts.EarlyStop, opts.Target = earlyStop, target
 		return EstimateWinProbability(p, n, delta, opts)
 	}
 }

@@ -82,13 +82,13 @@ func runExactSolver(cfg Config) ([]*Table, error) {
 					Seed:       cfg.Seed ^ uint64(st.X0*131+st.X1) ^ uint64(tc.params.Competition),
 				},
 				Z: stats.Z999,
-			}, func(_ int, src *rng.Source) (bool, error) {
+			}, mc.Trials(func(_ int, src *rng.Source) (bool, error) {
 				out, err := lv.Run(tc.params, st, src, lv.RunOptions{})
 				if err != nil {
 					return false, err
 				}
 				return out.Consensus && out.MajorityWon, nil
-			})
+			}))
 			if err != nil {
 				return nil, err
 			}

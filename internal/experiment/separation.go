@@ -115,13 +115,13 @@ func runODEComparison(cfg Config) ([]*Table, error) {
 				Seed:       cfg.Seed + uint64(n)*17,
 			},
 			Z: stats.Z999,
-		}, func(_ int, src *rng.Source) (bool, error) {
+		}, mc.Trials(func(_ int, src *rng.Source) (bool, error) {
 			out, err := lv.Run(params, lv.State{X0: a, X1: b}, src, lv.RunOptions{})
 			if err != nil {
 				return false, err
 			}
 			return out.Consensus && out.MajorityWon, nil
-		})
+		}))
 		if err != nil {
 			return nil, err
 		}

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"lvmajority/internal/consensus"
+	"lvmajority/internal/durable"
 	"lvmajority/internal/faultpoint"
 	"lvmajority/internal/mc"
 	"lvmajority/internal/progress"
@@ -38,8 +39,11 @@ type Config struct {
 	// endpoints' backing store (they answer with an empty set).
 	Cache *sweep.Cache
 	// JournalDir, when non-empty, persists worker registrations
-	// (worker-<id>.json) so a restarted coordinator re-adopts workers that
-	// are still alive instead of waiting for their next heartbeat.
+	// (worker-<id>.json, written on registration and removed on
+	// deregistration and eviction) so a restarted coordinator re-adopts
+	// workers that are still alive instead of waiting for their next
+	// heartbeat. Like the serve run journal it is best-effort: a failed
+	// write is logged and the registration proceeds.
 	JournalDir string
 	// Assign overrides worker selection, for tests that need adversarial
 	// shard placement: it receives the sorted IDs of the live workers and
@@ -81,7 +85,7 @@ type Coordinator struct {
 	logger      *log.Logger
 	client      *http.Client
 	maxBody     int64
-	journal     *workerJournal
+	journal     *durable.Journal
 	// now is the lease clock; tests substitute it to force expiry.
 	now func() time.Time
 
@@ -130,9 +134,27 @@ func New(cfg Config) (*Coordinator, error) {
 		loads:       make(map[string]*workerLoad),
 	}
 	if cfg.JournalDir != "" {
-		j, entries, err := openWorkerJournal(cfg.JournalDir, cfg.Logger)
+		j, err := durable.OpenJournal(cfg.JournalDir, "worker-", cfg.Logger)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("fabric: %w", err)
+		}
+		var entries []WorkerInfo
+		err = j.Replay(func(id string, data []byte) error {
+			var info WorkerInfo
+			if err := json.Unmarshal(data, &info); err != nil {
+				return err
+			}
+			if err := info.validate(); err != nil {
+				return err
+			}
+			if info.ID != id {
+				return fmt.Errorf("entry for worker %q names worker %q", id, info.ID)
+			}
+			entries = append(entries, info)
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("fabric: %w", err)
 		}
 		c.journal = j
 		c.readopt(entries)
@@ -155,7 +177,7 @@ func (c *Coordinator) Register(info WorkerInfo) (fresh bool, err error) {
 	w.info = info
 	w.expires = c.now().Add(c.leaseTTL)
 	c.mu.Unlock()
-	c.journal.record(info)
+	c.journal.Put(info.ID, info)
 	if !known {
 		c.logger.Printf("fabric: worker %s registered (%s, %d cores)", info.ID, info.URL, info.Cores)
 	}
@@ -170,7 +192,7 @@ func (c *Coordinator) Deregister(id string) {
 	delete(c.workers, id)
 	c.mu.Unlock()
 	if known {
-		c.journal.remove(id)
+		c.journal.Remove(id)
 		c.logger.Printf("fabric: worker %s deregistered", id)
 	}
 }
@@ -191,12 +213,12 @@ func (c *Coordinator) readopt(entries []WorkerInfo) {
 				resp.Body.Close()
 			}
 			if err != nil || resp.StatusCode != http.StatusOK {
-				c.journal.remove(info.ID)
+				c.journal.Remove(info.ID)
 				c.logger.Printf("fabric: journaled worker %s (%s) is gone; dropped", info.ID, info.URL)
 				return
 			}
 			if _, err := c.Register(info); err != nil {
-				c.journal.remove(info.ID)
+				c.journal.Remove(info.ID)
 				c.logger.Printf("fabric: journaled worker %s invalid: %v", info.ID, err)
 				return
 			}
@@ -223,7 +245,7 @@ func (c *Coordinator) lease(lo, hi int) *WorkerInfo {
 		if c.workers[id].expires.Before(now) {
 			delete(c.workers, id)
 			c.evictions++
-			c.journal.remove(id)
+			c.journal.Remove(id)
 			c.logger.Printf("fabric: worker %s lease expired; evicted", id)
 			continue
 		}
@@ -294,7 +316,7 @@ func (c *Coordinator) evict(id string, reason error) {
 	}
 	c.reassignments++
 	c.mu.Unlock()
-	c.journal.remove(id)
+	c.journal.Remove(id)
 	c.logger.Printf("fabric: worker %s evicted (%v); shard reassigned", id, reason)
 }
 
@@ -311,32 +333,17 @@ const LocalScope = "fleet-local"
 // Probes returns the probe-estimator factory that runs estimation windows on
 // the fleet: the scenario runner's Runner.Probes seam. The estimator control
 // loop — normalization, batch boundaries, Wilson inspections, early
-// stopping — is mc.EstimateBernoulliCounted, the same code a local run
-// executes, so estimates are byte-identical to local execution for any
-// worker count and any shard assignment.
+// stopping — is consensus.Estimate, the same code a local run executes, and
+// the fleet supplies only the window counter, so estimates are
+// byte-identical to local execution for any worker count and any shard
+// assignment.
 func (c *Coordinator) Probes() scenario.ProbeFactory {
 	return func(model *scenario.Model, p consensus.Protocol, n int, target float64, earlyStop bool) consensus.ProbeEstimator {
 		return func(delta int, opts consensus.EstimateOptions) (stats.BernoulliEstimate, error) {
-			if p == nil {
-				return stats.BernoulliEstimate{}, fmt.Errorf("consensus: nil protocol")
-			}
-			if _, _, err := consensus.SplitInitial(n, delta); err != nil {
-				return stats.BernoulliEstimate{}, err
-			}
-			return mc.EstimateBernoulliCounted(mc.BernoulliOptions{
-				Options: mc.Options{
-					Replicates: opts.Trials,
-					Workers:    opts.Workers,
-					Seed:       opts.Seed,
-					Interrupt:  opts.Interrupt,
-					Progress:   opts.Progress,
-				},
-				Z:         opts.Z,
-				EarlyStop: earlyStop,
-				Target:    target,
-			}, func(lo, hi int, mopts mc.Options) (int, error) {
+			opts.EarlyStop, opts.Target = earlyStop, target
+			return consensus.Estimate(func(lo, hi int, mopts mc.Options) (int, error) {
 				return c.countWindow(model, p, n, delta, lo, hi, mopts)
-			})
+			}, p, n, delta, opts)
 		}
 	}
 }

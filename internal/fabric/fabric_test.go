@@ -63,13 +63,8 @@ func newTestCoordinator(t *testing.T, cfg Config) *Coordinator {
 // estimateLocal is the reference: the exact estimator a non-fleet run uses.
 func estimateLocal(t *testing.T, p consensus.Protocol, n, delta int, earlyStop bool, target float64, opts consensus.EstimateOptions) stats.BernoulliEstimate {
 	t.Helper()
-	var est stats.BernoulliEstimate
-	var err error
-	if earlyStop {
-		est, err = consensus.EstimateWithEarlyStop(p, n, delta, target, opts)
-	} else {
-		est, err = consensus.EstimateWinProbability(p, n, delta, opts)
-	}
+	opts.EarlyStop, opts.Target = earlyStop, target
+	est, err := consensus.EstimateWinProbability(p, n, delta, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

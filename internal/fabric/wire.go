@@ -10,7 +10,7 @@
 // location-independent integer — it does not matter which worker runs it,
 // alongside what, or in which order the results come back, because integer
 // sums are order-independent. The estimator control loop (fixed-size and
-// early-stopping, mc.EstimateBernoulliCounted) runs on the coordinator, so
+// early-stopping, consensus.Estimate) runs on the coordinator, so
 // batch boundaries, Wilson-interval inspections, and stopping decisions are
 // the exact code paths a local run executes; only the window counting is
 // farmed out.
@@ -116,9 +116,9 @@ type ShardResult struct {
 // registerResponse is the coordinator's answer to a registration: the lease
 // TTL tells the worker how often to heartbeat.
 type registerResponse struct {
-	ID            string  `json:"id"`
-	LeaseSeconds  float64 `json:"lease_seconds"`
-	Workers       int     `json:"workers"`
-	Readopted     bool    `json:"readopted,omitempty"`
-	CoordVersion  string  `json:"coordinator_version,omitempty"`
+	ID           string  `json:"id"`
+	LeaseSeconds float64 `json:"lease_seconds"`
+	Workers      int     `json:"workers"`
+	Readopted    bool    `json:"readopted,omitempty"`
+	CoordVersion string  `json:"coordinator_version,omitempty"`
 }

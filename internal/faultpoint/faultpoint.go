@@ -35,7 +35,7 @@ type Site string
 // that pins its behaviour.
 const (
 	// TrialStart fires at the start of every Monte-Carlo replicate (and
-	// every lockstep block) inside the internal/mc pools, inside the
+	// every lockstep block) inside the internal/mc pool, inside the
 	// panic-isolation boundary — an injected panic here is recovered into
 	// a mc.TrialPanicError like any engine panic.
 	TrialStart Site = "trial-start"
@@ -47,8 +47,9 @@ const (
 	CacheRead Site = "cache-read"
 	// CacheWrite fires on every attempt to persist the probe cache.
 	CacheWrite Site = "cache-write"
-	// JournalWrite fires on every attempt to persist a serve run-journal
-	// entry.
+	// JournalWrite fires on every attempt to persist a journal entry
+	// (durable.Journal.Put): the serve run journal and the fabric
+	// coordinator's worker registrations.
 	JournalWrite Site = "journal-write"
 	// ShardDispatch fires when the fabric coordinator is about to send a
 	// trial-block shard to a worker. An injected error simulates a worker

@@ -2,8 +2,6 @@ package mc
 
 import (
 	"fmt"
-	"runtime"
-	"sync/atomic"
 
 	"lvmajority/internal/progress"
 	"lvmajority/internal/rng"
@@ -15,94 +13,96 @@ type BernoulliOptions struct {
 	Options
 	// Z is the normal quantile of the Wilson interval (default stats.Z99).
 	Z float64
-	// EarlyStop enables sequential estimation: trials run in batches and
-	// the estimator returns as soon as the Wilson interval excludes Target
-	// on either side — often an order of magnitude fewer trials when the
-	// true probability is far from Target. Because the interval is
-	// inspected repeatedly, its coverage is nominally optimistic
-	// (sequential testing); callers that need calibrated intervals should
-	// leave EarlyStop off.
+	// EarlyStop enables sequential estimation: trials run in batches of
+	// Replicates/10 (at least 200) and the estimator returns as soon as
+	// the Wilson interval excludes Target on either side — often an order
+	// of magnitude fewer trials when the true probability is far from
+	// Target. Because the interval is inspected repeatedly, its coverage
+	// is nominally optimistic (sequential testing); callers that need
+	// calibrated intervals should leave EarlyStop off.
 	EarlyStop bool
 	// Target is the probability the early-stop comparison tests against.
 	// Required when EarlyStop is set.
 	Target float64
-	// BatchSize is the early-stop batch size (default Replicates/10,
-	// at least 200).
-	BatchSize int
 }
 
-// EstimateBernoulli estimates the success probability of trial over
-// opts.Replicates replicated trials with a Wilson confidence interval.
-// Trial i draws only from its own stream rng.NewStream(Seed, i), so the
-// estimate is bit-identical for every worker count, and with EarlyStop the
-// batch boundaries are fixed, keeping the sequential path deterministic
-// too.
-func EstimateBernoulli(opts BernoulliOptions, trial func(rep int, src *rng.Source) (bool, error)) (stats.BernoulliEstimate, error) {
-	return estimateBernoulli(opts, func(lo, hi int, opts Options) (int, error) {
-		return countWins(lo, hi, opts, trial)
-	})
+// minEarlyStopBatch is the smallest early-stop batch; batches are otherwise
+// a tenth of the trial budget.
+const minEarlyStopBatch = 200
+
+// Counter counts the successes among trials [lo, hi) of a run: trial rep
+// must draw its randomness only from rng.NewStream(opts.Seed, rep), so a
+// window's count is a pure function of the window and the seed —
+// independent of worker count, of how the window is split, and of which
+// process runs it. opts.Replicates is only the progress total. Trials and
+// Blocks build the in-process counters; the distributed fabric supplies one
+// that shards windows across a worker fleet.
+type Counter func(lo, hi int, opts Options) (int, error)
+
+// Trials returns the Counter that runs trial one index at a time on the
+// worker pool.
+func Trials(trial func(rep int, src *rng.Source) (bool, error)) Counter {
+	return func(lo, hi int, opts Options) (int, error) {
+		return runPool(lo, hi, 1, opts, func() (spanFunc, error) {
+			return trialSpan(opts.Seed, trial), nil
+		})
+	}
 }
 
-// EstimateBernoulliCounted runs the Bernoulli estimator over an arbitrary
-// window-count function: count must run trials [lo, hi) — drawing trial
-// rep's randomness only from rng.NewStream(opts.Seed, rep) — and return the
-// number of successes. This is the seam the distributed fabric plugs into:
-// both the fixed-size and the early-stopping control loops (and with them
-// the batch boundaries the sequential path inspects) live here, so an
-// implementation of count that farms windows out to remote workers yields
-// estimates byte-identical to the local pools for any worker count and any
-// shard assignment — window sums of wins are order-independent integers.
-func EstimateBernoulliCounted(opts BernoulliOptions, count func(lo, hi int, opts Options) (int, error)) (stats.BernoulliEstimate, error) {
-	return estimateBernoulli(opts, count)
+// BlockFunc advances one whole block of Bernoulli trials: indices [lo, hi)
+// of the run, writing trial rep's outcome to wins[rep-lo]. Trial rep must
+// draw its randomness only from rng.NewStream(seed, rep) — the same
+// index-keyed stream contract as a trial-at-a-time source — so block
+// boundaries and worker counts can never change results. A BlockFunc may be
+// stateful (the lockstep engines own their lane planes) and is never called
+// concurrently; the pool builds one per worker via newWorker.
+type BlockFunc func(seed uint64, lo, hi int, wins []bool) error
+
+// Blocks returns the Counter for trial sources that advance whole blocks of
+// trials per call, such as the lockstep population kernel. lanes is the
+// preferred block width: the pool hands each worker contiguous index ranges
+// of size min(lanes, remaining), so every block of a window but the last is
+// full-width. Under early stopping each batch is one window, so a batch
+// costs at most ⌈size/lanes⌉ block calls and no block runs past the batch
+// that settles the comparison.
+func Blocks(lanes int, newWorker func() (BlockFunc, error)) Counter {
+	return func(lo, hi int, opts Options) (int, error) {
+		if lanes <= 0 {
+			return 0, fmt.Errorf("mc: non-positive block width %d", lanes)
+		}
+		return runPool(lo, hi, lanes, opts, func() (spanFunc, error) {
+			fn, err := newWorker()
+			if err != nil {
+				return nil, err
+			}
+			buf := make([]bool, lanes)
+			return func(lo, hi int) (int, error) {
+				// Zeroed per block, so a BlockFunc that marks only its
+				// wins still counts right.
+				wins := buf[:hi-lo]
+				clear(wins)
+				if err := fn(opts.Seed, lo, hi, wins); err != nil {
+					return 0, err
+				}
+				won := 0
+				for _, w := range wins {
+					if w {
+						won++
+					}
+				}
+				return won, nil
+			}, nil
+		})
+	}
 }
 
-// CountWins runs trials [lo, hi) on the scalar pool and returns the number
-// of successes. Trial rep draws only from rng.NewStream(opts.Seed, rep), so
-// a window's win count is independent of where — and alongside what — it is
-// executed. opts.Replicates is only the progress total; Workers defaults to
-// GOMAXPROCS.
-func CountWins(lo, hi int, opts Options, trial func(rep int, src *rng.Source) (bool, error)) (int, error) {
-	if hi < lo {
-		return 0, fmt.Errorf("mc: inverted trial window [%d, %d)", lo, hi)
-	}
-	return countWins(lo, hi, normalizeWindow(lo, hi, opts), trial)
-}
-
-// CountWinsBlocks is CountWins for block trial sources (see
-// EstimateBernoulliBlocks): trials [lo, hi) are advanced in blocks of at
-// most lanes per call.
-func CountWinsBlocks(lo, hi int, opts Options, lanes int, newWorker func() (BlockFunc, error)) (int, error) {
-	if hi < lo {
-		return 0, fmt.Errorf("mc: inverted trial window [%d, %d)", lo, hi)
-	}
-	if lanes <= 0 {
-		return 0, fmt.Errorf("mc: non-positive block width %d", lanes)
-	}
-	return countWinsBlocks(lo, hi, normalizeWindow(lo, hi, opts), lanes, newWorker)
-}
-
-// normalizeWindow resolves worker and progress-total defaults for an
-// explicit-window count: unlike Options.normalized it must not invent a
-// 1000-replicate default, because the window bounds are the caller's.
-func normalizeWindow(lo, hi int, opts Options) Options {
-	if opts.Replicates < hi {
-		opts.Replicates = hi
-	}
-	if opts.Workers <= 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if n := hi - lo; opts.Workers > n && n > 0 {
-		opts.Workers = n
-	}
-	return opts
-}
-
-// estimateBernoulli is the estimator shared by the scalar and block trial
-// pools: count runs trials [lo, hi) and returns the number of successes.
-// Both the fixed-size and the sequential path depend on the trial source
-// only through count, so the batch boundaries the early-stop logic inspects
-// are identical however the trials are executed.
-func estimateBernoulli(opts BernoulliOptions, count func(lo, hi int, opts Options) (int, error)) (stats.BernoulliEstimate, error) {
+// EstimateBernoulli estimates the success probability of the trials count
+// runs, over opts.Replicates trials, with a Wilson confidence interval. It
+// depends on the trial source only through count, so the estimate — and,
+// with EarlyStop, the batch boundaries the sequential path inspects — is
+// bit-identical for every worker count and every Counter that honours the
+// index-keyed stream contract.
+func EstimateBernoulli(opts BernoulliOptions, count Counter) (stats.BernoulliEstimate, error) {
 	opts.Options = opts.Options.normalized()
 	if opts.Z <= 0 {
 		opts.Z = stats.Z99
@@ -122,22 +122,10 @@ func estimateBernoulli(opts BernoulliOptions, count func(lo, hi int, opts Option
 	if opts.Target <= 0 || opts.Target >= 1 {
 		return stats.BernoulliEstimate{}, fmt.Errorf("mc: early-stop target %v outside (0, 1)", opts.Target)
 	}
-	batch := opts.BatchSize
-	if batch <= 0 {
-		batch = opts.Replicates / 10
-		if batch < 200 {
-			batch = 200
-		}
-	}
-	if batch > opts.Replicates {
-		batch = opts.Replicates
-	}
+	batch := min(max(opts.Replicates/10, minEarlyStopBatch), opts.Replicates)
 	successes, trials := 0, 0
 	for trials < opts.Replicates {
-		size := batch
-		if trials+size > opts.Replicates {
-			size = opts.Replicates - trials
-		}
+		size := min(batch, opts.Replicates-trials)
 		batchOpts := opts.Options
 		if h := opts.Progress; h != nil && successes > 0 {
 			// Trial snapshots inside this batch carry only the batch's own
@@ -182,40 +170,4 @@ func emitEstimate(h progress.Hook, est stats.BernoulliEstimate, done, total int)
 		Wins:     int64(est.Successes),
 		Estimate: &e,
 	})
-}
-
-// countWins runs trials [lo, hi) on the pool and counts successes. With a
-// hook attached it additionally mirrors the win count into an atomic so the
-// pool's trial snapshots can carry it; the mirror is observation-only — the
-// returned count still comes from the wins slice alone.
-func countWins(lo, hi int, opts Options, trial func(rep int, src *rng.Source) (bool, error)) (int, error) {
-	wins := make([]bool, hi-lo)
-	var winCount atomic.Int64
-	observed := opts.Progress != nil
-	if observed {
-		h := opts.Progress
-		opts.Progress = func(e progress.Event) {
-			if e.Kind == progress.KindTrials {
-				e.Wins = winCount.Load()
-			}
-			h(e)
-		}
-	}
-	err := runPool(lo, hi, opts, func() (replicateFunc, error) {
-		return func(rep int, src *rng.Source) error {
-			won, err := trial(rep, src)
-			if err != nil {
-				return err
-			}
-			wins[rep-lo] = won
-			if won && observed {
-				winCount.Add(1)
-			}
-			return nil
-		}, nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return countTrue(wins), nil
 }

@@ -41,14 +41,14 @@ func coin(p float64) func(rep int, src *rng.Source) (bool, error) {
 // block-size heuristic is block = min(remaining, lanes)).
 func TestBlocksMatchScalarEstimator(t *testing.T) {
 	opts := BernoulliOptions{Options: Options{Replicates: 5000, Workers: 4, Seed: 11}}
-	want, err := EstimateBernoulli(opts, coin(0.42))
+	want, err := EstimateBernoulli(opts, Trials(coin(0.42)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, lanes := range []int{1, 7, 64, 128, 999, 5000, 9000} {
-		got, err := EstimateBernoulliBlocks(opts, lanes, func() (BlockFunc, error) {
+		got, err := EstimateBernoulli(opts, Blocks(lanes, func() (BlockFunc, error) {
 			return blockOfTrial(coin(0.42)), nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,11 +60,11 @@ func TestBlocksMatchScalarEstimator(t *testing.T) {
 
 func TestBlocksWorkerCountInvariance(t *testing.T) {
 	estimate := func(workers int) stats.BernoulliEstimate {
-		est, err := EstimateBernoulliBlocks(BernoulliOptions{
+		est, err := EstimateBernoulli(BernoulliOptions{
 			Options: Options{Replicates: 3000, Workers: workers, Seed: 9},
-		}, 128, func() (BlockFunc, error) {
+		}, Blocks(128, func() (BlockFunc, error) {
 			return blockOfTrial(coin(0.42)), nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,7 +89,7 @@ func TestBlocksEarlyStopMatchesScalar(t *testing.T) {
 		EarlyStop: true,
 		Target:    0.5,
 	}
-	want, err := EstimateBernoulli(opts, coin(0.95))
+	want, err := EstimateBernoulli(opts, Trials(coin(0.95)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,9 +106,9 @@ func TestBlocksEarlyStopMatchesScalar(t *testing.T) {
 		mu.Unlock()
 		return src.Bernoulli(0.95), nil
 	}
-	got, err := EstimateBernoulliBlocks(opts, 64, func() (BlockFunc, error) {
+	got, err := EstimateBernoulli(opts, Blocks(64, func() (BlockFunc, error) {
 		return blockOfTrial(trialTracked), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,16 +125,16 @@ func TestBlocksEarlyStopMatchesScalar(t *testing.T) {
 func TestBlocksPartialLastBlock(t *testing.T) {
 	var mu sync.Mutex
 	var widths []int
-	_, err := EstimateBernoulliBlocks(BernoulliOptions{
+	_, err := EstimateBernoulli(BernoulliOptions{
 		Options: Options{Replicates: 1000, Workers: 1, Seed: 1},
-	}, 300, func() (BlockFunc, error) {
+	}, Blocks(300, func() (BlockFunc, error) {
 		return func(seed uint64, lo, hi int, wins []bool) error {
 			mu.Lock()
 			widths = append(widths, hi-lo)
 			mu.Unlock()
 			return blockOfTrial(coin(0.5))(seed, lo, hi, wins)
 		}, nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,23 +145,23 @@ func TestBlocksPartialLastBlock(t *testing.T) {
 
 func TestBlocksPropagateErrors(t *testing.T) {
 	boom := errors.New("boom")
-	_, err := EstimateBernoulliBlocks(BernoulliOptions{
+	_, err := EstimateBernoulli(BernoulliOptions{
 		Options: Options{Replicates: 1000, Workers: 4, Seed: 1},
-	}, 64, func() (BlockFunc, error) {
+	}, Blocks(64, func() (BlockFunc, error) {
 		return func(seed uint64, lo, hi int, wins []bool) error {
 			if lo >= 512 {
 				return boom
 			}
 			return blockOfTrial(coin(0.5))(seed, lo, hi, wins)
 		}, nil
-	})
+	}))
 	if !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
 
-	if _, err := EstimateBernoulliBlocks(BernoulliOptions{
+	if _, err := EstimateBernoulli(BernoulliOptions{
 		Options: Options{Replicates: 10},
-	}, 0, func() (BlockFunc, error) { return nil, nil }); err == nil || !strings.Contains(err.Error(), "block width") {
+	}, Blocks(0, func() (BlockFunc, error) { return nil, nil })); err == nil || !strings.Contains(err.Error(), "block width") {
 		t.Fatalf("lanes=0 accepted: %v", err)
 	}
 }
@@ -169,7 +169,7 @@ func TestBlocksPropagateErrors(t *testing.T) {
 func TestBlocksInterrupt(t *testing.T) {
 	stop := errors.New("stop")
 	calls := 0
-	_, err := EstimateBernoulliBlocks(BernoulliOptions{
+	_, err := EstimateBernoulli(BernoulliOptions{
 		Options: Options{Replicates: 1000, Workers: 1, Seed: 1, Interrupt: func() error {
 			calls++
 			if calls > 2 {
@@ -177,9 +177,9 @@ func TestBlocksInterrupt(t *testing.T) {
 			}
 			return nil
 		}},
-	}, 100, func() (BlockFunc, error) {
+	}, Blocks(100, func() (BlockFunc, error) {
 		return blockOfTrial(coin(0.5)), nil
-	})
+	}))
 	if !errors.Is(err, stop) {
 		t.Fatalf("err = %v, want stop", err)
 	}

@@ -10,6 +10,7 @@
 package mc
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -47,12 +48,6 @@ func (o Options) normalized() Options {
 	if o.Replicates <= 0 {
 		o.Replicates = 1000
 	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Workers > o.Replicates {
-		o.Workers = o.Replicates
-	}
 	return o
 }
 
@@ -67,15 +62,12 @@ func (o Options) normalized() Options {
 func Run[T any](opts Options, fn func(rep int, src *rng.Source) (T, error)) ([]T, error) {
 	opts = opts.normalized()
 	out := make([]T, opts.Replicates)
-	err := runPool(0, opts.Replicates, opts, func() (replicateFunc, error) {
-		return func(rep int, src *rng.Source) error {
+	_, err := runPool(0, opts.Replicates, 1, opts, func() (spanFunc, error) {
+		return trialSpan(opts.Seed, func(rep int, src *rng.Source) (bool, error) {
 			v, err := fn(rep, src)
-			if err != nil {
-				return err
-			}
 			out[rep] = v
-			return nil
-		}, nil
+			return false, err
+		}), nil
 	})
 	if err != nil {
 		return nil, err
@@ -91,23 +83,20 @@ func Run[T any](opts Options, fn func(rep int, src *rng.Source) (T, error)) ([]T
 func RunEngine[T any](opts Options, newEngine func() (sim.Engine, error), fn func(rep int, e sim.Engine) (T, error)) ([]T, error) {
 	opts = opts.normalized()
 	out := make([]T, opts.Replicates)
-	err := runPool(0, opts.Replicates, opts, func() (replicateFunc, error) {
+	_, err := runPool(0, opts.Replicates, 1, opts, func() (spanFunc, error) {
 		e, err := newEngine()
 		if err != nil {
 			return nil, err
 		}
-		return func(rep int, src *rng.Source) error {
+		return trialSpan(opts.Seed, func(rep int, src *rng.Source) (bool, error) {
 			e.Reset(src)
 			if err := e.Err(); err != nil {
-				return err
+				return false, err
 			}
 			v, err := fn(rep, e)
-			if err != nil {
-				return err
-			}
 			out[rep] = v
-			return nil
-		}, nil
+			return false, err
+		}), nil
 	})
 	if err != nil {
 		return nil, err
@@ -115,115 +104,131 @@ func RunEngine[T any](opts Options, newEngine func() (sim.Engine, error), fn fun
 	return out, nil
 }
 
-// replicateFunc runs one replicate with its deterministic stream.
-type replicateFunc func(rep int, src *rng.Source) error
+// spanFunc runs trials [lo, hi) of a run and returns how many succeeded.
+type spanFunc func(lo, hi int) (wins int, err error)
 
-// runPool distributes replicate indices [lo, hi) over opts.Workers workers.
-// newWorker is called once per worker to build its (possibly stateful)
-// replicate function; index order within a worker is increasing but the
-// assignment of indices to workers is scheduling-dependent — which is why
-// replicate functions may only draw randomness from the provided stream.
-func runPool(lo, hi int, opts Options, newWorker func() (replicateFunc, error)) error {
+// trialSpan adapts a trial-at-a-time source to a span function: each
+// trial gets its own index-keyed stream, reseeded in place so the worker
+// reuses one Source.
+func trialSpan(seed uint64, trial func(rep int, src *rng.Source) (bool, error)) spanFunc {
+	var src rng.Source
+	return func(lo, hi int) (int, error) {
+		wins := 0
+		for rep := lo; rep < hi; rep++ {
+			src.ReseedStream(seed, uint64(rep))
+			won, err := trial(rep, &src)
+			if err != nil {
+				return 0, err
+			}
+			if won {
+				wins++
+			}
+		}
+		return wins, nil
+	}
+}
+
+// runPool runs trials [lo, hi) in spans of at most width trials and returns
+// the number of successes. Spans are handed out through one atomic cursor,
+// so within a worker they arrive in increasing order while the assignment
+// of spans to workers is scheduling-dependent — which is why a span may draw
+// trial rep's randomness only from rng.NewStream(opts.Seed, rep). A
+// trial-at-a-time source is a width-1 span. newWorker is called once per
+// worker to build its (possibly stateful) span function. Workers defaults
+// to GOMAXPROCS and is capped at the number of spans; Replicates is only
+// the progress total and is raised to at least hi.
+func runPool(lo, hi, width int, opts Options, newWorker func() (spanFunc, error)) (int, error) {
+	if hi < lo {
+		return 0, fmt.Errorf("mc: inverted trial window [%d, %d)", lo, hi)
+	}
 	n := hi - lo
-	if n <= 0 {
-		return nil
+	if n == 0 {
+		return 0, nil
+	}
+	if opts.Replicates < hi {
+		opts.Replicates = hi
 	}
 	workers := opts.Workers
-	if workers > n {
-		workers = n
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
 	}
-	interrupted := func() error {
-		if opts.Interrupt == nil {
-			return nil
-		}
-		return opts.Interrupt()
-	}
+	workers = min(workers, (n+width-1)/width)
 	report := trialReporter(lo, n, opts)
-	if workers <= 1 {
-		fn, err := newWorkerSafe(newWorker, opts.Seed)
-		if err != nil {
-			return err
-		}
-		var src rng.Source
-		for rep := lo; rep < hi; rep++ {
-			if err := interrupted(); err != nil {
-				return err
-			}
-			src.ReseedStream(opts.Seed, uint64(rep))
-			if err := callReplicate(fn, rep, opts.Seed, &src); err != nil {
-				return err
-			}
-			report(1)
-		}
-		return nil
-	}
 
 	var next atomic.Int64
 	next.Store(int64(lo))
 	var failed atomic.Bool
+	work := func() (wins int, err error) {
+		fn, err := newWorkerSafe(newWorker, opts.Seed)
+		if err != nil {
+			return 0, err
+		}
+		for !failed.Load() {
+			if opts.Interrupt != nil {
+				if err := opts.Interrupt(); err != nil {
+					return 0, err
+				}
+			}
+			b := int(next.Add(int64(width))) - width
+			if b >= hi {
+				break
+			}
+			end := min(b+width, hi)
+			won, err := callSpan(fn, opts.Seed, b, end)
+			if err != nil {
+				return 0, err
+			}
+			wins += won
+			report(end-b, won)
+		}
+		return wins, nil
+	}
+	wins := make([]int, workers)
 	errs := make([]error, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := range workers {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			fn, err := newWorkerSafe(newWorker, opts.Seed)
-			if err != nil {
-				errs[w] = err
+			if wins[w], errs[w] = work(); errs[w] != nil {
 				failed.Store(true)
-				return
 			}
-			var src rng.Source
-			for !failed.Load() {
-				if err := interrupted(); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				rep := int(next.Add(1)) - 1
-				if rep >= hi {
-					return
-				}
-				src.ReseedStream(opts.Seed, uint64(rep))
-				if err := callReplicate(fn, rep, opts.Seed, &src); err != nil {
-					errs[w] = err
-					failed.Store(true)
-					return
-				}
-				report(1)
-			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
+	total := 0
+	for w, err := range errs {
 		if err != nil {
-			return err
+			return 0, err
 		}
+		total += wins[w]
 	}
-	return nil
+	return total, nil
 }
 
 // trialReporter returns the pool's completion callback: workers call it with
-// the number of replicates they just finished and it publishes a
-// progress.KindTrials snapshot roughly every 1/64th of the span (always at
-// completion), built from one atomic counter. With a nil hook it collapses
-// to a no-op so the pools pay a single nil check.
-func trialReporter(lo, n int, opts Options) func(delta int) {
+// the trials and wins of the span they just finished, and it publishes a
+// progress.KindTrials snapshot roughly every 1/64th of the window (always
+// at completion). Both counts live in one atomic word, done<<32 | wins, so
+// every snapshot pairs a trial count with exactly the wins of those trials
+// and never reports more wins than trials; windows stay far below 2³²
+// trials. With a nil hook it collapses to a no-op so the pool pays a single
+// nil check.
+func trialReporter(lo, n int, opts Options) func(trials, wins int) {
 	if opts.Progress == nil {
-		return func(int) {}
+		return func(int, int) {}
 	}
-	stride := int64(n / 64)
-	if stride < 1 {
-		stride = 1
-	}
-	var done atomic.Int64
-	return func(delta int) {
-		d := done.Add(int64(delta))
-		if d/stride != (d-int64(delta))/stride || d == int64(n) {
+	stride := uint64(max(n/64, 1))
+	var counts atomic.Uint64
+	return func(trials, wins int) {
+		c := counts.Add(uint64(trials)<<32 | uint64(wins))
+		d := c >> 32
+		if d/stride != (d-uint64(trials))/stride || d == uint64(n) {
 			opts.Progress(progress.Event{
 				Kind:  progress.KindTrials,
-				Done:  int64(lo) + d,
+				Done:  int64(lo) + int64(d),
 				Total: int64(opts.Replicates),
+				Wins:  int64(c & (1<<32 - 1)),
 			})
 		}
 	}

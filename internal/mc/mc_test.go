@@ -126,9 +126,9 @@ func TestEstimateBernoulliAccuracy(t *testing.T) {
 	for _, p := range []float64{0.1, 0.5, 0.93} {
 		est, err := EstimateBernoulli(BernoulliOptions{
 			Options: Options{Replicates: 20000, Workers: 8, Seed: 5},
-		}, func(_ int, src *rng.Source) (bool, error) {
+		}, Trials(func(_ int, src *rng.Source) (bool, error) {
 			return src.Bernoulli(p), nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,9 +145,9 @@ func TestEstimateBernoulliWorkerInvariance(t *testing.T) {
 	estimate := func(workers int) stats.BernoulliEstimate {
 		est, err := EstimateBernoulli(BernoulliOptions{
 			Options: Options{Replicates: 5000, Workers: workers, Seed: 9},
-		}, func(_ int, src *rng.Source) (bool, error) {
+		}, Trials(func(_ int, src *rng.Source) (bool, error) {
 			return src.Bernoulli(0.42), nil
-		})
+		}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -166,9 +166,9 @@ func TestEstimateBernoulliEarlyStop(t *testing.T) {
 		Options:   Options{Replicates: 100000, Seed: 3},
 		EarlyStop: true,
 		Target:    0.5,
-	}, func(_ int, src *rng.Source) (bool, error) {
+	}, Trials(func(_ int, src *rng.Source) (bool, error) {
 		return src.Bernoulli(0.95), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestEstimateBernoulliEarlyStop(t *testing.T) {
 	if _, err := EstimateBernoulli(BernoulliOptions{
 		Options:   Options{Replicates: 100},
 		EarlyStop: true,
-	}, func(_ int, _ *rng.Source) (bool, error) { return true, nil }); err == nil {
+	}, Trials(func(_ int, _ *rng.Source) (bool, error) { return true, nil })); err == nil {
 		t.Error("early stop without target accepted")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"runtime/debug"
 
 	"lvmajority/internal/faultpoint"
-	"lvmajority/internal/rng"
 )
 
 // TrialPanicError is the structured failure a pool returns when a
@@ -17,7 +16,7 @@ import (
 // draining cleanly.
 type TrialPanicError struct {
 	// Trial is the replicate index that panicked (the first index of the
-	// block for block pools), or -1 when worker setup itself panicked.
+	// block for block sources), or -1 when worker setup itself panicked.
 	Trial int
 	// Seed is the run's root seed; rng.NewStream(Seed, Trial) is the
 	// panicking replicate's stream.
@@ -49,33 +48,21 @@ func recovered(trial int, seed uint64, v any) *TrialPanicError {
 	return &TrialPanicError{Trial: trial, Seed: seed, Value: v, Stack: string(debug.Stack())}
 }
 
-// callReplicate runs one replicate inside the panic-isolation boundary.
-// The trial-start fault point sits inside the boundary, so an injected
-// panic exercises exactly the recovery path a real engine panic takes.
-func callReplicate(fn replicateFunc, rep int, seed uint64, src *rng.Source) (err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			err = recovered(rep, seed, v)
-		}
-	}()
-	if err := faultpoint.Hit(faultpoint.TrialStart); err != nil {
-		return err
-	}
-	return fn(rep, src)
-}
-
-// callBlock is callReplicate for block pools; the block's first trial
-// index identifies the failure.
-func callBlock(fn BlockFunc, seed uint64, lo, hi int, wins []bool) (err error) {
+// callSpan runs one span inside the panic-isolation boundary; the span's
+// first trial index identifies a failure, which for a trial-at-a-time
+// source is the trial itself. The trial-start fault point sits inside the
+// boundary, so an injected panic exercises exactly the recovery path a real
+// engine panic takes.
+func callSpan(fn spanFunc, seed uint64, lo, hi int) (wins int, err error) {
 	defer func() {
 		if v := recover(); v != nil {
 			err = recovered(lo, seed, v)
 		}
 	}()
 	if err := faultpoint.Hit(faultpoint.TrialStart); err != nil {
-		return err
+		return 0, err
 	}
-	return fn(seed, lo, hi, wins)
+	return fn(lo, hi)
 }
 
 // newWorkerSafe isolates panics in per-worker setup (engine construction

@@ -59,8 +59,8 @@ func TestRunPanicErrorValueUnwraps(t *testing.T) {
 // construction reports Trial == -1.
 func TestWorkerSetupPanicIsolated(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
-	err := runPool(0, 100, Options{Replicates: 100, Workers: 4, Seed: 7}.normalized(),
-		func() (replicateFunc, error) {
+	_, err := runPool(0, 100, 1, Options{Replicates: 100, Workers: 4, Seed: 7},
+		func() (spanFunc, error) {
 			panic("bad engine config")
 		})
 	var tp *TrialPanicError
@@ -72,21 +72,20 @@ func TestWorkerSetupPanicIsolated(t *testing.T) {
 	}
 }
 
-// TestBlockPanicIsolated: the block pool recovers a panicking BlockFunc
+// TestBlockPanicIsolated: the pool recovers a panicking BlockFunc
 // into a TrialPanicError naming the block's first trial.
 func TestBlockPanicIsolated(t *testing.T) {
 	testutil.CheckGoroutineLeaks(t)
 	for _, workers := range []int{1, 4} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			_, err := countWinsBlocks(0, 256, Options{Replicates: 256, Workers: workers, Seed: 3}.normalized(), 64,
-				func() (BlockFunc, error) {
-					return func(seed uint64, lo, hi int, wins []bool) error {
-						if lo == 128 {
-							panic("lane plane corrupted")
-						}
-						return nil
-					}, nil
-				})
+			_, err := Blocks(64, func() (BlockFunc, error) {
+				return func(seed uint64, lo, hi int, wins []bool) error {
+					if lo == 128 {
+						panic("lane plane corrupted")
+					}
+					return nil
+				}, nil
+			})(0, 256, Options{Replicates: 256, Workers: workers, Seed: 3})
 			var tp *TrialPanicError
 			if !errors.As(err, &tp) {
 				t.Fatalf("error %v is not a TrialPanicError", err)

@@ -57,14 +57,14 @@ func TestEstimateUnchangedByProgressHook(t *testing.T) {
 				EarlyStop: tc.earlyStop,
 				Target:    0.5,
 			}
-			quiet, err := EstimateBernoulli(base, coinTrial(0.9))
+			quiet, err := EstimateBernoulli(base, Trials(coinTrial(0.9)))
 			if err != nil {
 				t.Fatal(err)
 			}
 			var c collector
 			chatty := base
 			chatty.Progress = c.hook()
-			loud, err := EstimateBernoulli(chatty, coinTrial(0.9))
+			loud, err := EstimateBernoulli(chatty, Trials(coinTrial(0.9)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -80,22 +80,42 @@ func TestEstimateUnchangedByProgressHook(t *testing.T) {
 
 // TestRunPoolEmitsTrialsSnapshots: the pool publishes snapshots whose Done
 // never exceeds the budget and whose final snapshot completes it, and win
-// counts never exceed trial counts.
+// counts never exceed trial counts. The second input repeats small windows
+// of always-winning trials across many workers, the case in which a
+// snapshot that read its trial and win counts separately could pair a
+// trial count with a later trial's win.
 func TestRunPoolEmitsTrialsSnapshots(t *testing.T) {
-	var c collector
-	opts := BernoulliOptions{
-		Options: Options{Replicates: 2000, Workers: 4, Seed: 7, Progress: c.hook()},
+	for _, tc := range []struct {
+		name                         string
+		replicates, workers, repeats int
+		p                            float64
+	}{
+		{"coin", 2000, 4, 1, 0.5},
+		{"always-win-64x8", 64, 8, 3000, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			for r := 0; r < tc.repeats; r++ {
+				var c collector
+				opts := BernoulliOptions{
+					Options: Options{Replicates: tc.replicates, Workers: tc.workers, Seed: 7 + uint64(r), Progress: c.hook()},
+				}
+				if _, err := EstimateBernoulli(opts, Trials(coinTrial(tc.p))); err != nil {
+					t.Fatal(err)
+				}
+				checkTrialsSnapshots(t, c.snapshot(), tc.replicates)
+			}
+		})
 	}
-	if _, err := EstimateBernoulli(opts, coinTrial(0.5)); err != nil {
-		t.Fatal(err)
-	}
-	events := c.snapshot()
+}
+
+func checkTrialsSnapshots(t *testing.T, events []progress.Event, total int) {
+	t.Helper()
 	sawFinalTrials, sawEstimate := false, false
 	for _, e := range events {
 		switch e.Kind {
 		case progress.KindTrials:
-			if e.Total != 2000 {
-				t.Fatalf("trials snapshot total %d, want 2000", e.Total)
+			if e.Total != int64(total) {
+				t.Fatalf("trials snapshot total %d, want %d", e.Total, total)
 			}
 			if e.Done < 1 || e.Done > e.Total {
 				t.Fatalf("trials snapshot done %d outside (0, %d]", e.Done, e.Total)
@@ -111,8 +131,8 @@ func TestRunPoolEmitsTrialsSnapshots(t *testing.T) {
 			if e.Estimate == nil {
 				t.Fatal("estimate event with nil estimate")
 			}
-			if e.Estimate.Trials != 2000 || e.Done != 2000 {
-				t.Fatalf("estimate event %+v, want 2000 trials", e)
+			if e.Estimate.Trials != total || e.Done != int64(total) {
+				t.Fatalf("estimate event %+v, want %d trials", e, total)
 			}
 		}
 	}
@@ -132,9 +152,8 @@ func TestEarlyStopEmitsCumulativeWins(t *testing.T) {
 		Options:   Options{Replicates: 10000, Workers: 2, Seed: 3, Progress: c.hook()},
 		EarlyStop: true,
 		Target:    0.5, // stays inside the interval at p=0.5: all batches run
-		BatchSize: 1000,
 	}
-	est, err := EstimateBernoulli(opts, coinTrial(0.5))
+	est, err := EstimateBernoulli(opts, Trials(coinTrial(0.5)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,54 +183,68 @@ func TestEarlyStopEmitsCumulativeWins(t *testing.T) {
 	}
 }
 
-// TestBlocksUnchangedByProgressHook: the block pool's estimate with a hook
-// equals the scalar pool's without one, and block snapshots carry coherent
-// win counts.
+// TestBlocksUnchangedByProgressHook: the block estimate with a hook equals
+// the trial-at-a-time estimate without one, and block snapshots carry
+// coherent win counts. The second input runs narrow blocks of always-winning trials
+// on many workers, many times over, where snapshots that read trial and
+// win counts separately would report more wins than trials.
 func TestBlocksUnchangedByProgressHook(t *testing.T) {
-	const lanes = 64
-	blockWorker := func() (BlockFunc, error) {
-		return func(seed uint64, lo, hi int, wins []bool) error {
-			var src rng.Source
-			for rep := lo; rep < hi; rep++ {
-				src.ReseedStream(seed, uint64(rep))
-				wins[rep-lo] = src.Float64() < 0.7
+	for _, tc := range []struct {
+		name                                string
+		lanes, replicates, workers, repeats int
+		p                                   float64
+	}{
+		{"coin", 64, 3000, 4, 1, 0.7},
+		{"always-win-1x64x8", 1, 64, 8, 3000, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blockWorker := func() (BlockFunc, error) {
+				return func(seed uint64, lo, hi int, wins []bool) error {
+					var src rng.Source
+					for rep := lo; rep < hi; rep++ {
+						src.ReseedStream(seed, uint64(rep))
+						wins[rep-lo] = src.Float64() < tc.p
+					}
+					return nil
+				}, nil
 			}
-			return nil
-		}, nil
-	}
-	base := BernoulliOptions{Options: Options{Replicates: 3000, Workers: 4, Seed: 11}}
-	quiet, err := EstimateBernoulliBlocks(base, lanes, blockWorker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var c collector
-	chatty := base
-	chatty.Progress = c.hook()
-	loud, err := EstimateBernoulliBlocks(chatty, lanes, blockWorker)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if quiet != loud {
-		t.Errorf("hook perturbed the block estimate: %+v vs %+v", quiet, loud)
-	}
-	scalar, err := EstimateBernoulli(base, coinTrial(0.7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loud != scalar {
-		t.Errorf("block estimate %+v diverges from scalar %+v", loud, scalar)
-	}
-	trials := 0
-	for _, e := range c.snapshot() {
-		if e.Kind != progress.KindTrials {
-			continue
-		}
-		trials++
-		if e.Wins > e.Done || e.Done > e.Total {
-			t.Fatalf("incoherent block snapshot %+v", e)
-		}
-	}
-	if trials == 0 {
-		t.Error("block pool emitted no trials snapshots")
+			base := BernoulliOptions{Options: Options{Replicates: tc.replicates, Workers: tc.workers, Seed: 11}}
+			quiet, err := EstimateBernoulli(base, Blocks(tc.lanes, blockWorker))
+			if err != nil {
+				t.Fatal(err)
+			}
+			scalar, err := EstimateBernoulli(base, Trials(coinTrial(tc.p)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if quiet != scalar {
+				t.Errorf("block estimate %+v diverges from scalar %+v", quiet, scalar)
+			}
+			for r := 0; r < tc.repeats; r++ {
+				var c collector
+				chatty := base
+				chatty.Progress = c.hook()
+				loud, err := EstimateBernoulli(chatty, Blocks(tc.lanes, blockWorker))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if quiet != loud {
+					t.Fatalf("hook perturbed the block estimate: %+v vs %+v", quiet, loud)
+				}
+				trials := 0
+				for _, e := range c.snapshot() {
+					if e.Kind != progress.KindTrials {
+						continue
+					}
+					trials++
+					if e.Wins > e.Done || e.Done > e.Total {
+						t.Fatalf("incoherent block snapshot %+v", e)
+					}
+				}
+				if trials == 0 {
+					t.Fatal("block run emitted no trials snapshots")
+				}
+			}
+		})
 	}
 }

@@ -38,7 +38,7 @@ func TestThrottledMonotoneAndStale(t *testing.T) {
 	h(Event{Kind: KindTrials, Done: 3, Total: 100}) // stale: out-of-order worker snapshot
 	h(Event{Kind: KindTrials, Done: 5, Total: 100}) // duplicate
 	h(Event{Kind: KindTrials, Done: 9, Total: 100})
-	h(Event{Kind: KindPhase, Phase: "done"}) // non-trials passes through
+	h(Event{Kind: KindPhase, Phase: "done"})               // non-trials passes through
 	h(Event{Kind: KindTrials, Done: 2, Total: 50, N: 512}) // different stream (new point)
 
 	var dones []int64

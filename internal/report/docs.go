@@ -223,7 +223,7 @@ site is pinned by a chaos test, all run under ` + "`-race`" + ` in CI:
 | ` + "`probe-flush`" + ` | the probe-cache checkpoint at each sweep probe boundary | a process killed mid-sweep resumes from the checkpoint and produces byte-identical thresholds and cache files | ` + "`TestChaosKillResumeByteIdentical`" + ` (sweep) |
 | ` + "`cache-read`" + ` | opening a persisted probe cache | unreadable or checksum-failing files are quarantined as ` + "`*.corrupt`" + `; the sweep recomputes from empty, correctly | ` + "`TestChaosCorruptCacheQuarantined`" + `, ` + "`TestChaosReadErrorsStartEmpty`" + ` (sweep) |
 | ` + "`cache-write`" + ` | every probe-cache persistence attempt | retried with jittered backoff, then the cache degrades to memory-only — the sweep's results are unaffected and no partial file is left | ` + "`TestChaosWriteErrorsDegradeNotCorrupt`" + ` (sweep) |
-| ` + "`journal-write`" + ` | every serve run-journal persistence attempt | retried, then logged and dropped; submissions are accepted and complete with correct results | ` + "`TestChaosJournalWriteFault`" + ` (serve) |
+| ` + "`journal-write`" + ` | every journal persistence attempt: serve run specs and fleet worker registrations | retried, then logged and dropped; submissions are accepted and complete with correct results, and registrations proceed | ` + "`TestChaosJournalWriteFault`" + ` (serve), ` + "`TestChaosJournalPutFault`" + ` (durable) |
 | ` + "`shard-dispatch`" + ` | every fleet shard POST to a worker | the failed worker is evicted and the window reassigned (or run locally); the estimate is byte-identical | ` + "`TestFleetFaultInjection`" + `, ` + "`TestFleetSurvivesWorkerKill`" + ` (fabric) |
 | ` + "`shard-result`" + ` | reading a worker's shard response | same eviction/reassignment path as a dispatch fault; a torn result is never summed | ` + "`TestFleetFaultInjection`" + ` (fabric) |
 | ` + "`worker-heartbeat`" + ` | every worker lease-renewal attempt | the tick is logged and skipped; a worker whose lease lapses is lazily evicted and its shards rerun | ` + "`TestLeaseExpiry`" + ` (fabric) |

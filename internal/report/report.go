@@ -27,6 +27,7 @@
 package report
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -39,6 +40,7 @@ import (
 	"sync"
 	"time"
 
+	"lvmajority/internal/durable"
 	"lvmajority/internal/experiment"
 )
 
@@ -224,41 +226,23 @@ func Filename(id string) string {
 	return SanitizeID(id) + ".json"
 }
 
-// WriteAtomic writes a file produced by generate atomically: content goes
-// to path+".tmp" (creating the directory if needed) and is renamed into
-// place only on success; on any failure the temp file is removed. Both
-// manifest writes and the cmd/report document generators go through it.
-func WriteAtomic(path string, generate func(io.Writer) error) (err error) {
-	if dir := filepath.Dir(path); dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("report: creating %s: %w", dir, err)
-		}
-	}
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("report: creating %s: %w", tmp, err)
-	}
-	defer func() {
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-		}
-	}()
-	if err = generate(f); err != nil {
+// WriteAtomic writes the file produced by generate crash-safely through
+// durable.WriteFile (creating the directory if needed); nothing reaches
+// path unless generate succeeds. Both manifest writes and the cmd/report
+// document generators go through it.
+func WriteAtomic(path string, generate func(io.Writer) error) error {
+	var buf bytes.Buffer
+	if err := generate(&buf); err != nil {
 		return err
 	}
-	if err = f.Close(); err != nil {
-		return fmt.Errorf("report: closing %s: %w", tmp, err)
-	}
-	if err = os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("report: installing %s: %w", path, err)
+	if err := durable.WriteFile(path, buf.Bytes()); err != nil {
+		return fmt.Errorf("report: writing %s: %w", path, err)
 	}
 	return nil
 }
 
-// WriteFile atomically writes the manifest as indented JSON, creating the
-// directory if needed.
+// WriteFile writes the manifest as indented JSON through durable.WriteFile,
+// creating the directory if needed.
 func (m *Manifest) WriteFile(path string) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -267,11 +251,10 @@ func (m *Manifest) WriteFile(path string) error {
 	if err != nil {
 		return fmt.Errorf("report: encoding manifest %s: %w", m.ExperimentID, err)
 	}
-	data = append(data, '\n')
-	return WriteAtomic(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
+	if err := durable.WriteFile(path, append(data, '\n')); err != nil {
+		return fmt.Errorf("report: writing %s: %w", path, err)
+	}
+	return nil
 }
 
 // Load reads and validates one manifest.

@@ -398,9 +398,8 @@ func (r *Runner) runEstimate(ctx context.Context, spec *Spec, res *Result, hook 
 		Interrupt: interruptFrom(ctx),
 		Progress:  hook,
 	}
-	// DefaultEstimator dispatches exactly as the direct calls used to:
-	// EstimateWithEarlyStop when early-stopping, EstimateWinProbability
-	// otherwise — so routing through the estimator seam leaves local
+	// DefaultEstimator is EstimateWinProbability with the spec's early-stop
+	// choice and target, so routing through the estimator seam leaves local
 	// results byte-identical.
 	estimate := consensus.DefaultEstimator(p, e.N, e.Target, e.EarlyStop)
 	if r.Probes != nil {

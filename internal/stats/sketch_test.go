@@ -72,7 +72,7 @@ func testDistributions(n int) map[string][]float64 {
 func rankError(xs []float64, estimate, q float64) float64 {
 	sorted := append([]float64(nil), xs...)
 	sort.Float64s(sorted)
-	below := sort.SearchFloat64s(sorted, estimate)               // count strictly below
+	below := sort.SearchFloat64s(sorted, estimate) // count strictly below
 	atOrBelow := sort.Search(len(sorted), func(i int) bool { return sorted[i] > estimate })
 	lo := float64(below) / float64(len(sorted))
 	hi := float64(atOrBelow) / float64(len(sorted))

@@ -6,10 +6,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"sync"
 
+	"lvmajority/internal/durable"
 	"lvmajority/internal/faultpoint"
 	"lvmajority/internal/ioretry"
 	"lvmajority/internal/stats"
@@ -218,12 +218,11 @@ func OpenCache(path string) (*Cache, error) {
 	return c, nil
 }
 
-// quarantine moves the cache file aside so the damaged bytes survive for
-// diagnosis without being replayed. Best-effort: if even the rename fails
-// the next Save simply overwrites the file.
+// quarantine moves the cache file aside (see durable.Quarantine).
+// Best-effort: if even the rename fails the next Save simply overwrites the
+// file.
 func (c *Cache) quarantine() {
-	q := c.path + ".corrupt"
-	if err := os.Rename(c.path, q); err == nil {
+	if q, err := durable.Quarantine(c.path); err == nil {
 		c.quarantined = q
 	}
 }
@@ -411,7 +410,7 @@ func (c *Cache) saveLocked() error {
 			if err := faultpoint.Hit(faultpoint.CacheWrite); err != nil {
 				return err
 			}
-			return writeFileAtomic(c.path, data)
+			return durable.WriteFile(c.path, data)
 		})
 		if err != nil {
 			c.degradedErr = fmt.Errorf("sweep: persisting cache %s: %w", c.path, err)
@@ -425,45 +424,5 @@ func (c *Cache) saveLocked() error {
 		c.dirty = false
 	}
 	c.mu.Unlock()
-	return nil
-}
-
-// writeFileAtomic installs data at path through a fsynced temp file and
-// rename, so a crash at any instant leaves either the previous file or the
-// complete new one — never a truncated hybrid.
-func writeFileAtomic(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if dir != "." {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return err
-		}
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	if err := os.Chmod(tmp.Name(), 0o644); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return err
-	}
-	// Fsync the directory so the rename itself survives a power cut.
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
 	return nil
 }
