@@ -6,9 +6,10 @@
 // The command is a thin front-end over the declarative run API
 // (internal/scenario): the network text is inlined into a simulate Spec —
 // so the spec is self-contained — whose batch statistics scenario.Runner
-// computes with the selected internal/sim engine (-engine direct, nrm, or
-// leap); the -trace rendering of the first run stays in the front-end.
-// Print the spec with -dump-spec; replay one with -spec.
+// computes with the selected crn engine (-engine direct, nrm, or leap).
+// The -trace rendering stays in the front-end: it replays the batch's first
+// run on the same engine, stream and clock, printing every event. Print
+// the spec with -dump-spec; replay one with -spec.
 //
 // Examples:
 //
@@ -27,6 +28,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -55,7 +57,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		engine      = fs.String("engine", "direct", `simulation engine: "direct" (exact SSA), "nrm" (next-reaction method), or "leap" (tau-leaping)`)
 		maxSteps    = fs.Int("max-steps", 10_000_000, "reaction budget per run")
 		maxTime     = fs.Float64("max-time", 0, "simulated-time budget per run (0 = unlimited)")
-		traceRun    = fs.Bool("trace", false, "print each reaction of the first run")
+		traceRun    = fs.Bool("trace", false, "print each event of the first run")
 		echo        = fs.Bool("echo", false, "print the parsed network before simulating")
 	)
 	common := scenario.RegisterRun(fs, 1)
@@ -129,7 +131,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if err := printTrace(w, net, initial, rng.New(spec.Seed), spec.Simulate.MaxSteps, spec.Simulate.MaxTime); err != nil {
+		if err := printTrace(w, net, initial, spec); err != nil {
 			return err
 		}
 		if spec.Simulate.Runs == 1 {
@@ -189,30 +191,51 @@ func parseInit(net *crn.Network, text string) (map[string]int, error) {
 	return init, nil
 }
 
-// printTrace runs one simulation, printing every reaction.
-func printTrace(w io.Writer, net *crn.Network, initial []int, src *rng.Source, maxSteps int, maxTime float64) error {
-	sim, err := crn.NewSimulator(net, initial, src)
+// printTrace replays the batch's first run — replicate 0's stream on the
+// spec's engine and clock, under the batch's step and time budgets — and
+// prints every event: a reaction, or a tau-leap. Its last step count and
+// state are those of a one-run batch. Time is printed only when the run
+// tracks it.
+func printTrace(w io.Writer, net *crn.Network, initial []int, spec scenario.Spec) error {
+	sm, engine := spec.Simulate, spec.Model.CRN.Engine
+	e, err := crn.NewEngine(net, initial, engine, sm.MaxTime > 0, rng.NewStream(spec.Seed, 0))
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "%8s  %-24s  %12s  %s\n", "step", "reaction", "time", "state")
-	fmt.Fprintf(w, "%8d  %-24s  %12.4f  %s\n", 0, "init", 0.0, formatState(net, initial))
-	for sim.Steps() < maxSteps {
-		if maxTime > 0 && sim.Time() >= maxTime {
-			fmt.Fprintf(w, "# time budget reached\n")
-			break
+	timed := sm.MaxTime > 0 || engine == crn.EngineNRM || engine == crn.EngineLeap
+	row := func(name string) {
+		if timed {
+			fmt.Fprintf(w, "%8d  %-24s  %12.4f  %s\n", e.Steps(), name, e.Time(), formatState(net, e.StateView()))
+		} else {
+			fmt.Fprintf(w, "%8d  %-24s  %s\n", e.Steps(), name, formatState(net, e.StateView()))
 		}
-		r, _, err := sim.StepTime()
-		if err == crn.ErrExhausted {
-			fmt.Fprintf(w, "# chain absorbed (zero total propensity)\n")
-			break
+	}
+	if timed {
+		fmt.Fprintf(w, "%8s  %-24s  %12s  %s\n", "step", "event", "time", "state")
+	} else {
+		fmt.Fprintf(w, "%8s  %-24s  %s\n", "step", "event", "state")
+	}
+	row("init")
+	for sm.MaxSteps <= 0 || e.Steps() < sm.MaxSteps {
+		if sm.MaxTime > 0 && e.Time() >= sm.MaxTime {
+			fmt.Fprintln(w, "# time budget reached")
+			return nil
+		}
+		r, err := e.Step()
+		if errors.Is(err, crn.ErrExhausted) {
+			fmt.Fprintln(w, "# chain absorbed (zero total propensity)")
+			return nil
 		}
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%8d  %-24s  %12.4f  %s\n",
-			sim.Steps(), net.Reaction(r).Name, sim.Time(), formatState(net, sim.State()))
+		if r < 0 {
+			row("leap")
+		} else {
+			row(net.Reaction(r).Name)
+		}
 	}
+	fmt.Fprintln(w, "# step budget reached")
 	return nil
 }
 

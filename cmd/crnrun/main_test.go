@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -162,5 +163,52 @@ func TestRunEmptyStdin(t *testing.T) {
 	var b strings.Builder
 	if err := run(nil, strings.NewReader(""), &b); err == nil {
 		t.Error("empty stdin accepted")
+	}
+}
+
+// TestTraceMatchesFirstRun checks that -trace replays the batch's first
+// run for every engine and clock: the trace's last step count and state
+// equal those a one-run batch reports.
+func TestTraceMatchesFirstRun(t *testing.T) {
+	// A subcritical chain keeps step counts below 10^4, which the batch
+	// statistics print exactly.
+	const network = "X0 -> 2 X0 @ 1\nX1 -> 2 X1 @ 1\nX0 -> 0 @ 1.5\nX1 -> 0 @ 1.5\nX0 + X1 -> 0 @ 0.01\n"
+	for _, engine := range []string{"direct", "nrm", "leap"} {
+		for _, maxTime := range []string{"0", "0.8"} {
+			args := []string{"-init", "X0=300,X1=200", "-seed", "4", "-engine", engine, "-max-time", maxTime}
+			var trace, batch strings.Builder
+			if err := run(append(args, "-trace"), strings.NewReader(network), &trace); err != nil {
+				t.Fatal(err)
+			}
+			if err := run(append(args, "-runs", "1"), strings.NewReader(network), &batch); err != nil {
+				t.Fatal(err)
+			}
+			// The last event row: step, event, [time,] then the state.
+			var last []string
+			for _, line := range strings.Split(trace.String(), "\n") {
+				if f := strings.Fields(line); len(f) > 0 && f[0] != "#" && f[0] != "step" {
+					last = f
+				}
+			}
+			want := map[string]string{"steps:": last[0]}
+			for _, kv := range last[len(last)-2:] {
+				name, count, _ := strings.Cut(kv, "=")
+				want[name+":"] = count
+			}
+			got := map[string]string{}
+			for _, line := range strings.Split(batch.String(), "\n") {
+				f := strings.Fields(line)
+				if len(f) > 1 && f[0] == "final" {
+					f = f[1:]
+				}
+				if len(f) > 2 && strings.HasPrefix(f[2], "mean=") {
+					got[f[0]] = strings.TrimPrefix(f[2], "mean=")
+				}
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("engine %s, max-time %s: trace ends at %v, one-run batch reports %v\n%s",
+					engine, maxTime, want, got, batch.String())
+			}
+		}
 	}
 }

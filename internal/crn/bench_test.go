@@ -115,11 +115,11 @@ func BenchmarkDirectMethod(b *testing.B) {
 	stop := func(state []int) bool { return state[0] == 0 || state[1] == 0 }
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sim, err := NewSimulator(net, []int{600, 400}, src)
+		sim, err := NewEngine(net, []int{600, 400}, EngineDirect, true, src)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.RunTime(stop, 0, 0, nil); err != nil {
+		if _, err := Run(sim, stop, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -137,7 +137,7 @@ func BenchmarkNextReactionMethod(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.Run(stop, 0); err != nil {
+		if _, err := Run(sim, stop, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -155,7 +155,7 @@ func BenchmarkTauLeaping(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.RunLeap(stop, 0); err != nil {
+		if _, err := Run(sim, stop, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,8 +16,6 @@ type LeapOptions struct {
 	// fewer than this many expected reactions, the simulator falls back
 	// to exact SSA steps (default 10).
 	ExactThreshold float64
-	// MaxLeaps caps the number of leaps in RunLeap (0 = 1e7).
-	MaxLeaps int
 }
 
 func (o *LeapOptions) normalize() {
@@ -26,9 +24,6 @@ func (o *LeapOptions) normalize() {
 	}
 	if o.ExactThreshold <= 0 {
 		o.ExactThreshold = 10
-	}
-	if o.MaxLeaps <= 0 {
-		o.MaxLeaps = 10_000_000
 	}
 }
 
@@ -104,7 +99,7 @@ func (sim *LeapSimulator) State() []int {
 }
 
 // StateView returns the live state slice without copying. Callers must not
-// modify or retain it past the next Leap or Reset call.
+// modify or retain it past the next Step or Reset call.
 func (sim *LeapSimulator) StateView() []int { return sim.state }
 
 // Reset returns the simulator to the given initial state with a fresh
@@ -139,8 +134,8 @@ func (sim *LeapSimulator) Time() float64 { return sim.time }
 // Leaps returns the number of tau-leaps taken.
 func (sim *LeapSimulator) Leaps() int { return sim.leaps }
 
-// ExactSteps returns the number of exact SSA fallback steps taken.
-func (sim *LeapSimulator) ExactSteps() int { return sim.exact }
+// Steps returns the number of leaps plus exact fallback reactions taken.
+func (sim *LeapSimulator) Steps() int { return sim.leaps + sim.exact }
 
 // selectTau implements the Cao–Gillespie–Petzold step selector: the largest
 // tau for which no propensity is expected to change by more than epsilon
@@ -191,10 +186,11 @@ func (sim *LeapSimulator) selectTau(total float64) float64 {
 	return tau
 }
 
-// Leap advances the chain by one tau-leap (or a batch of exact fallback
-// steps when leaping is not profitable). It returns ErrExhausted when the
-// total propensity is zero.
-func (sim *LeapSimulator) Leap() error {
+// Step advances the chain by one tau-leap (or a batch of exact fallback
+// steps when leaping is not profitable) and returns -1, since a leap fires
+// many channels at once. It returns ErrExhausted when the total propensity
+// is zero.
+func (sim *LeapSimulator) Step() (int, error) {
 	var total float64
 	for r := range sim.props {
 		p := sim.net.Propensity(r, sim.state)
@@ -202,7 +198,7 @@ func (sim *LeapSimulator) Leap() error {
 		total += p
 	}
 	if total <= 0 {
-		return ErrExhausted
+		return -1, ErrExhausted
 	}
 
 	tau := sim.selectTau(total)
@@ -214,11 +210,11 @@ func (sim *LeapSimulator) Leap() error {
 		if sim.inner == nil {
 			inner, err := NewSimulator(sim.net, sim.state, sim.src)
 			if err != nil {
-				return err
+				return -1, err
 			}
 			sim.inner = inner
 		} else if err := sim.inner.Reset(sim.state, sim.src); err != nil {
-			return err
+			return -1, err
 		}
 		steps := int(sim.opts.ExactThreshold)
 		for i := 0; i < steps; i++ {
@@ -227,13 +223,13 @@ func (sim *LeapSimulator) Leap() error {
 				break
 			}
 			if err != nil {
-				return err
+				return -1, err
 			}
 			sim.time += hold
 			sim.exact++
 		}
 		copy(sim.state, sim.inner.state)
-		return nil
+		return -1, nil
 	}
 
 	// Attempt the leap, halving tau on negative excursions.
@@ -241,11 +237,11 @@ func (sim *LeapSimulator) Leap() error {
 		if ok := sim.tryLeap(tau); ok {
 			sim.time += tau
 			sim.leaps++
-			return nil
+			return -1, nil
 		}
 		tau /= 2
 	}
-	return fmt.Errorf("crn: tau-leap failed to find a non-negative step at t=%v", sim.time)
+	return -1, fmt.Errorf("crn: tau-leap failed to find a non-negative step at t=%v", sim.time)
 }
 
 // tryLeap samples Poisson firing counts for every channel at step tau and
@@ -276,33 +272,4 @@ func (sim *LeapSimulator) tryLeap(tau float64) bool {
 		sim.state[s] += d
 	}
 	return true
-}
-
-// RunLeap advances until the stop predicate holds, the chain is absorbed,
-// maxTime is exceeded, or the leap budget runs out.
-func (sim *LeapSimulator) RunLeap(stop func(state []int) bool, maxTime float64) (RunResult, error) {
-	var res RunResult
-	if maxTime <= 0 {
-		maxTime = math.Inf(1)
-	}
-	if stop != nil && stop(sim.state) {
-		res.Stopped = true
-		return res, nil
-	}
-	for iter := 0; iter < sim.opts.MaxLeaps && sim.time < maxTime; iter++ {
-		err := sim.Leap()
-		if err == ErrExhausted {
-			res.Absorbed = true
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Steps++
-		if stop != nil && stop(sim.state) {
-			res.Stopped = true
-			return res, nil
-		}
-	}
-	return res, nil
 }

@@ -28,8 +28,8 @@ func TestLeapAbsorbed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sim.Leap(); !errors.Is(err, ErrExhausted) {
-		t.Errorf("Leap on absorbed chain returned %v", err)
+	if r, err := sim.Step(); r != -1 || !errors.Is(err, ErrExhausted) {
+		t.Errorf("Step on absorbed chain returned %d, %v", r, err)
 	}
 }
 
@@ -57,7 +57,7 @@ func TestLeapPureDeathReachesZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunLeap(nil, 0)
+	res, err := Run(sim, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestLeapImmigrationDeathStationaryMean(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm up past the relaxation time (~1/mu), then sample.
-	if _, err := sim.RunLeap(func([]int) bool { return sim.Time() > 10 }, 0); err != nil {
+	if _, err := Run(sim, nil, 0, 10); err != nil {
 		t.Fatal(err)
 	}
 	var acc stats.Running
 	for sim.Time() < 200 {
-		if err := sim.Leap(); err != nil {
+		if _, err := sim.Step(); err != nil {
 			t.Fatal(err)
 		}
 		acc.Add(float64(sim.Count(0)))
@@ -116,11 +116,11 @@ func TestLeapMatchesExactExtinctionTime(t *testing.T) {
 	var exactAcc, leapAcc stats.Running
 	srcExact := rng.New(7)
 	for i := 0; i < trials; i++ {
-		sim, err := NewSimulator(build(), []int{n0}, srcExact)
+		sim, err := NewEngine(build(), []int{n0}, EngineDirect, true, srcExact)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunTime(nil, 0, 0, nil); err != nil {
+		if _, err := Run(sim, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		exactAcc.Add(sim.Time())
@@ -131,7 +131,7 @@ func TestLeapMatchesExactExtinctionTime(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunLeap(nil, 0); err != nil {
+		if _, err := Run(sim, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		leapAcc.Add(sim.Time())
@@ -153,7 +153,7 @@ func TestLeapIsFasterThanExactPerEvent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.RunLeap(func([]int) bool { return sim.Time() >= 5 }, 0)
+	res, err := Run(sim, nil, 0, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

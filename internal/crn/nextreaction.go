@@ -188,29 +188,3 @@ func (sim *NRMSimulator) Step() (int, error) {
 	}
 	return r, nil
 }
-
-// Run fires reactions until the stop predicate holds, the chain is
-// absorbed, or maxSteps reactions fire (maxSteps <= 0 = no limit).
-func (sim *NRMSimulator) Run(stop func(state []int) bool, maxSteps int) (RunResult, error) {
-	var res RunResult
-	if stop != nil && stop(sim.state) {
-		res.Stopped = true
-		return res, nil
-	}
-	for maxSteps <= 0 || res.Steps < maxSteps {
-		_, err := sim.Step()
-		if err == ErrExhausted {
-			res.Absorbed = true
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Steps++
-		if stop != nil && stop(sim.state) {
-			res.Stopped = true
-			return res, nil
-		}
-	}
-	return res, nil
-}

@@ -40,7 +40,7 @@ func TestNRMPureDeathStepCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(nil, 0)
+	res, err := Run(sim, nil, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,11 +70,11 @@ func TestNRMExtinctionTimeMatchesDirectMethod(t *testing.T) {
 	direct := make([]float64, 0, trials)
 	src1 := rng.New(17)
 	for i := 0; i < trials; i++ {
-		sim, err := NewSimulator(build(), []int{n0}, src1)
+		sim, err := NewEngine(build(), []int{n0}, EngineDirect, true, src1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.RunTime(nil, 0, 0, nil); err != nil {
+		if _, err := Run(sim, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		direct = append(direct, sim.Time())
@@ -86,7 +86,7 @@ func TestNRMExtinctionTimeMatchesDirectMethod(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sim.Run(nil, 0); err != nil {
+		if _, err := Run(sim, nil, 0, 0); err != nil {
 			t.Fatal(err)
 		}
 		nrm = append(nrm, sim.Time())
@@ -162,7 +162,7 @@ func TestNRMRunStopPredicate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(func(state []int) bool { return state[0] <= 3 }, 0)
+	res, err := Run(sim, func(state []int) bool { return state[0] <= 3 }, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -239,7 +239,7 @@ func TestParsedNetworkSimulates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(nil, 1000, nil)
+	res, err := Run(sim, nil, 1000, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

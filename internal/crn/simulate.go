@@ -3,7 +3,6 @@ package crn
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"lvmajority/internal/rng"
 )
@@ -14,7 +13,8 @@ var ErrExhausted = errors.New("crn: zero total propensity, chain is absorbed")
 
 // Simulator runs exact stochastic simulation of a Network. It implements
 // both the discrete-time jump chain (Step) and Gillespie's direct method in
-// continuous time (StepTime). A Simulator is not safe for concurrent use.
+// continuous time (StepTime); a Simulator that NewEngine builds with timed
+// set takes StepTime for Step. A Simulator is not safe for concurrent use.
 //
 // Propensities are cached incrementally: after firing reaction r only the
 // channels in net.Dependents(r) are recomputed. Networks with at most
@@ -29,6 +29,8 @@ type Simulator struct {
 
 	time  float64
 	steps int
+	// timed makes Step advance the continuous-time chain (see NewEngine).
+	timed bool
 
 	// props caches the per-reaction propensities of the current state.
 	props []float64
@@ -205,10 +207,15 @@ func (sim *Simulator) fire(r int) error {
 	return nil
 }
 
-// Step advances the discrete-time jump chain by one reaction and returns the
-// index of the fired reaction. It returns ErrExhausted when the chain is
-// absorbed.
+// Step advances the discrete-time jump chain by one reaction — or, on a
+// timed simulator, the continuous-time chain through StepTime — and returns
+// the index of the fired reaction. It returns ErrExhausted when the chain
+// is absorbed.
 func (sim *Simulator) Step() (int, error) {
+	if sim.timed {
+		r, _, err := sim.StepTime()
+		return r, err
+	}
 	r, _, err := sim.pick()
 	if err != nil {
 		return 0, err
@@ -237,79 +244,4 @@ func (sim *Simulator) StepTime() (reaction int, hold float64, err error) {
 	}
 	sim.time += hold
 	return r, hold, nil
-}
-
-// RunResult summarizes a Run invocation.
-type RunResult struct {
-	// Steps is the number of reactions fired during this Run call.
-	Steps int
-	// Absorbed reports whether the chain hit zero total propensity.
-	Absorbed bool
-	// Stopped reports whether the stop predicate ended the run.
-	Stopped bool
-}
-
-// Run fires jump-chain steps until the stop predicate returns true, the
-// chain is absorbed, or maxSteps reactions have fired (maxSteps <= 0 means
-// no limit). The predicate sees the live state slice and must not modify or
-// retain it. onEvent, if non-nil, is invoked with each fired reaction index
-// after it is applied.
-func (sim *Simulator) Run(stop func(state []int) bool, maxSteps int, onEvent func(reaction int)) (RunResult, error) {
-	var res RunResult
-	if stop != nil && stop(sim.state) {
-		res.Stopped = true
-		return res, nil
-	}
-	for maxSteps <= 0 || res.Steps < maxSteps {
-		r, err := sim.Step()
-		if errors.Is(err, ErrExhausted) {
-			res.Absorbed = true
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Steps++
-		if onEvent != nil {
-			onEvent(r)
-		}
-		if stop != nil && stop(sim.state) {
-			res.Stopped = true
-			return res, nil
-		}
-	}
-	return res, nil
-}
-
-// RunTime is Run for the continuous-time chain, stopping additionally when
-// the accumulated time exceeds maxTime (maxTime <= 0 or +Inf means no time
-// limit).
-func (sim *Simulator) RunTime(stop func(state []int) bool, maxTime float64, maxSteps int, onEvent func(reaction int, hold float64)) (RunResult, error) {
-	var res RunResult
-	if maxTime <= 0 {
-		maxTime = math.Inf(1)
-	}
-	if stop != nil && stop(sim.state) {
-		res.Stopped = true
-		return res, nil
-	}
-	for (maxSteps <= 0 || res.Steps < maxSteps) && sim.time < maxTime {
-		r, hold, err := sim.StepTime()
-		if errors.Is(err, ErrExhausted) {
-			res.Absorbed = true
-			return res, nil
-		}
-		if err != nil {
-			return res, err
-		}
-		res.Steps++
-		if onEvent != nil {
-			onEvent(r, hold)
-		}
-		if stop != nil && stop(sim.state) {
-			res.Stopped = true
-			return res, nil
-		}
-	}
-	return res, nil
 }

@@ -11,11 +11,11 @@ import (
 // of math/rand or math/rand/v2 (including rand.Seed, the global functions,
 // and the types — only replicate-keyed rng.NewStream may mint streams) and
 // the wall-clock reads time.Now / time.Since / time.Until. Engine packages
-// are the internal/{protocols,crn,lv,mc,sim,moran,gossip,spatial,consensus,
-// sweep,rng,faultpoint,ioretry} subtrees — the code that runs inside
-// replicated trials (including the fault-injection sites and retry
-// backoffs), where any stray entropy or clock read breaks byte-identity
-// across worker and lane counts.
+// are the internal/{protocols,crn,lv,mc,moran,gossip,spatial,consensus,
+// sweep,rng,exploit,plurality,bd,coupling,approx,faultpoint,ioretry}
+// subtrees — the code that runs inside replicated trials (including the
+// fault-injection sites and retry backoffs), where any stray entropy or
+// clock read breaks byte-identity across worker and lane counts.
 var DetRand = &analysis.Analyzer{
 	Name: "detrand",
 	Doc: "forbid math/rand and wall-clock reads in engine packages\n\n" +

@@ -126,8 +126,9 @@ func RunPackage(fset *token.FileSet, files []*ast.File, pkg *types.Package, info
 // runs inside replicated trials: randomness and wall-clock discipline is
 // enforced there by detrand.
 var enginePackages = []string{
-	"protocols", "crn", "lv", "mc", "sim", "moran",
-	"gossip", "spatial", "consensus", "sweep", "rng",
+	"protocols", "crn", "lv", "mc", "moran", "gossip", "spatial",
+	"consensus", "sweep", "rng", "exploit", "plurality", "bd",
+	"coupling", "approx",
 	// The fault-tolerance layers execute inside trial and flush loops:
 	// injected faults and retry backoffs must be as reproducible as the
 	// trials they perturb, so they obey the same discipline.

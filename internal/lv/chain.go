@@ -95,24 +95,6 @@ func NewChain(params Params, initial State, src *rng.Source) (*Chain, error) {
 // steps.
 func (c *Chain) SetTrackTime(on bool) { c.trackTime = on }
 
-// Reset returns the chain to the given configuration with a fresh random
-// stream: the time and step counters restart at zero while the parameters
-// and time-tracking mode are kept. Replicated runs reuse one chain through
-// Reset instead of constructing a new one per replicate.
-func (c *Chain) Reset(initial State, src *rng.Source) error {
-	if err := initial.Validate(); err != nil {
-		return err
-	}
-	if src == nil {
-		return fmt.Errorf("lv: nil random source")
-	}
-	c.state = initial
-	c.src = src
-	c.time = 0
-	c.steps = 0
-	return nil
-}
-
 // State returns the current configuration.
 func (c *Chain) State() State { return c.state }
 
@@ -295,16 +277,7 @@ func Run(params Params, initial State, src *rng.Source, opts RunOptions) (Outcom
 	return chain.runToConsensus(opts.MaxSteps), nil
 }
 
-// RunToConsensus runs the fused event kernel from the chain's current
-// configuration until consensus, absorption, or the step budget runs out
-// (maxSteps <= 0 means DefaultMaxSteps), and returns the full event
-// accounting. Replicated runs reuse one chain through Reset +
-// RunToConsensus without allocating.
-func (c *Chain) RunToConsensus(maxSteps int) Outcome {
-	return c.runToConsensus(maxSteps)
-}
-
-// runToConsensus is the fused event kernel behind Run and RunToConsensus.
+// runToConsensus is the fused event kernel behind Run.
 //
 //lint:hotpath
 func (c *Chain) runToConsensus(maxSteps int) Outcome {

@@ -118,30 +118,6 @@ func TestFusedKernelByteIdenticalToStepLoop(t *testing.T) {
 	}
 }
 
-// TestRunToConsensusReuse checks the exported reuse path: Reset +
-// RunToConsensus on one chain must reproduce fresh Run calls exactly.
-func TestRunToConsensusReuse(t *testing.T) {
-	params := Neutral(1, 1, 1, 0, NonSelfDestructive)
-	initial := State{X0: 30, X1: 22}
-	chain, err := NewChain(params, initial, rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for seed := uint64(1); seed <= 20; seed++ {
-		if err := chain.Reset(initial, rng.New(seed)); err != nil {
-			t.Fatal(err)
-		}
-		got := chain.RunToConsensus(0)
-		want, err := Run(params, initial, rng.New(seed), RunOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("seed %d: reused chain diverged:\n got %+v\nwant %+v", seed, got, want)
-		}
-	}
-}
-
 // TestRunAllocationFree verifies the fused kernel's headline property: a
 // whole consensus run performs zero heap allocations.
 func TestRunAllocationFree(t *testing.T) {

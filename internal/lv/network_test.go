@@ -18,9 +18,9 @@ func newCRNSim(net *crn.Network, initial State, src *rng.Source) (*crn.Simulator
 // runCRNToConsensus runs the CRN jump chain to a consensus state and returns
 // the winner index, or −1 for double extinction.
 func runCRNToConsensus(sim *crn.Simulator) (int, error) {
-	_, err := sim.Run(func(state []int) bool {
+	_, err := crn.Run(sim, func(state []int) bool {
 		return state[0] == 0 || state[1] == 0
-	}, 0, nil)
+	}, 0, 0)
 	if err != nil {
 		return 0, err
 	}

@@ -3,9 +3,9 @@ package mc
 import (
 	"testing"
 
+	"lvmajority/internal/crn"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/sim"
 )
 
 // The benchmark pair below isolates the allocation effect of engine reuse:
@@ -18,24 +18,36 @@ func benchOptions() Options {
 	return Options{Replicates: 1000, Workers: 4, Seed: 42}
 }
 
-func lvWorkload() (lv.Params, lv.State) {
-	return lv.Neutral(1, 1, 1, 0, lv.SelfDestructive), lv.State{X0: 72, X1: 56}
+func lvWorkload(tb testing.TB) (*crn.Network, []int) {
+	tb.Helper()
+	net, err := lv.ToNetwork(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return net, []int{72, 56}
+}
+
+func lvConsensus(state []int) bool { return state[0] == 0 || state[1] == 0 }
+
+// majorityWins runs e to consensus and reports whether species 0 won.
+func majorityWins(e crn.Engine) (bool, error) {
+	if _, err := crn.Run(e, lvConsensus, 0, 0); err != nil {
+		return false, err
+	}
+	st := e.StateView()
+	return st[0] > 0 && st[1] == 0, nil
 }
 
 func BenchmarkReplicateFreshEngine(b *testing.B) {
-	params, initial := lvWorkload()
+	net, initial := lvWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := Run(benchOptions(), func(_ int, src *rng.Source) (bool, error) {
-			e, err := sim.NewLV(params, initial, false, src)
+			e, err := crn.NewEngine(net, initial, crn.EngineDirect, false, src)
 			if err != nil {
 				return false, err
 			}
-			if _, err := sim.Run(e, sim.LVConsensus, sim.Limits{}); err != nil {
-				return false, err
-			}
-			st := e.State()
-			return st[0] > 0 && st[1] == 0, nil
+			return majorityWins(e)
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -44,17 +56,16 @@ func BenchmarkReplicateFreshEngine(b *testing.B) {
 }
 
 func BenchmarkReplicateReusedEngine(b *testing.B) {
-	params, initial := lvWorkload()
+	net, initial := lvWorkload(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := RunEngine(benchOptions(),
-			func() (sim.Engine, error) { return sim.NewLV(params, initial, false, rng.New(0)) },
-			func(_ int, e sim.Engine) (bool, error) {
-				if _, err := sim.Run(e, sim.LVConsensus, sim.Limits{}); err != nil {
+			func() (crn.Engine, error) { return crn.NewEngine(net, initial, crn.EngineDirect, false, rng.New(0)) },
+			func(_ int, e crn.Engine, src *rng.Source) (bool, error) {
+				if err := e.Reset(initial, src); err != nil {
 					return false, err
 				}
-				st := e.State()
-				return st[0] > 0 && st[1] == 0, nil
+				return majorityWins(e)
 			})
 		if err != nil {
 			b.Fatal(err)

@@ -5,8 +5,8 @@
 // Every replicate draws randomness only from its own stream, keyed by the
 // replicate index via rng.NewStream — never from a per-worker stream — so
 // the results are byte-identical for every worker count, including 1.
-// RunEngine additionally reuses one sim.Engine per worker through Reset,
-// which keeps the per-replicate hot path free of allocation.
+// RunEngine additionally lends each worker one engine of any type, which
+// keeps the per-replicate hot path free of allocation.
 package mc
 
 import (
@@ -17,7 +17,6 @@ import (
 
 	"lvmajority/internal/progress"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/sim"
 )
 
 // Options configure a replicated run.
@@ -60,27 +59,16 @@ func (o Options) normalized() Options {
 // one Source across replicates by reseeding it in place, so fn must not
 // retain it.
 func Run[T any](opts Options, fn func(rep int, src *rng.Source) (T, error)) ([]T, error) {
-	opts = opts.normalized()
-	out := make([]T, opts.Replicates)
-	_, err := runPool(0, opts.Replicates, 1, opts, func() (spanFunc, error) {
-		return trialSpan(opts.Seed, func(rep int, src *rng.Source) (bool, error) {
-			v, err := fn(rep, src)
-			out[rep] = v
-			return false, err
-		}), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return RunEngine(opts, func() (struct{}, error) { return struct{}{}, nil },
+		func(rep int, _ struct{}, src *rng.Source) (T, error) { return fn(rep, src) })
 }
 
-// RunEngine is Run for replicated sim.Engine executions: each worker
-// constructs one engine via newEngine and reuses it across its replicates,
-// calling Reset with the replicate's stream before each invocation of fn.
-// The per-replicate cost is therefore simulation only — engine construction
-// and its allocations happen once per worker.
-func RunEngine[T any](opts Options, newEngine func() (sim.Engine, error), fn func(rep int, e sim.Engine) (T, error)) ([]T, error) {
+// RunEngine is Run with one engine per worker: each worker builds its
+// engine once through newEngine and passes it to fn with every replicate's
+// stream, so construction and its allocations happen once per worker
+// rather than once per replicate. fn must restart the engine from the
+// stream, so that results still depend only on the replicate index.
+func RunEngine[E, T any](opts Options, newEngine func() (E, error), fn func(rep int, e E, src *rng.Source) (T, error)) ([]T, error) {
 	opts = opts.normalized()
 	out := make([]T, opts.Replicates)
 	_, err := runPool(0, opts.Replicates, 1, opts, func() (spanFunc, error) {
@@ -89,11 +77,7 @@ func RunEngine[T any](opts Options, newEngine func() (sim.Engine, error), fn fun
 			return nil, err
 		}
 		return trialSpan(opts.Seed, func(rep int, src *rng.Source) (bool, error) {
-			e.Reset(src)
-			if err := e.Err(); err != nil {
-				return false, err
-			}
-			v, err := fn(rep, e)
+			v, err := fn(rep, e, src)
 			out[rep] = v
 			return false, err
 		}), nil

@@ -5,9 +5,9 @@ import (
 	"math"
 	"testing"
 
+	"lvmajority/internal/crn"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/sim"
 	"lvmajority/internal/stats"
 )
 
@@ -75,20 +75,23 @@ func TestRunDefaults(t *testing.T) {
 // worker through Reset gives exactly the results of constructing a fresh
 // engine per replicate — the reuse is purely an allocation optimization.
 func TestRunEngineMatchesFreshEngines(t *testing.T) {
-	params := lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)
-	initial := lv.State{X0: 20, X1: 12}
+	net, err := lv.ToNetwork(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive))
+	if err != nil {
+		t.Fatal(err)
+	}
+	initial := []int{20, 12}
 	opts := Options{Replicates: 300, Workers: 4, Seed: 7}
 
 	type outcome struct {
 		steps  int
 		winner int
 	}
-	runOne := func(e sim.Engine) (outcome, error) {
-		res, err := sim.Run(e, sim.LVConsensus, sim.Limits{})
+	runOne := func(e crn.Engine) (outcome, error) {
+		res, err := crn.Run(e, lvConsensus, 0, 0)
 		if err != nil {
 			return outcome{}, err
 		}
-		st := e.State()
+		st := e.StateView()
 		w := -1
 		switch {
 		case st[0] > 0 && st[1] == 0:
@@ -100,13 +103,18 @@ func TestRunEngineMatchesFreshEngines(t *testing.T) {
 	}
 
 	reused, err := RunEngine(opts,
-		func() (sim.Engine, error) { return sim.NewLV(params, initial, false, rng.New(0)) },
-		func(_ int, e sim.Engine) (outcome, error) { return runOne(e) })
+		func() (crn.Engine, error) { return crn.NewEngine(net, initial, crn.EngineDirect, false, rng.New(0)) },
+		func(_ int, e crn.Engine, src *rng.Source) (outcome, error) {
+			if err := e.Reset(initial, src); err != nil {
+				return outcome{}, err
+			}
+			return runOne(e)
+		})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fresh, err := Run(opts, func(_ int, src *rng.Source) (outcome, error) {
-		e, err := sim.NewLV(params, initial, false, src)
+		e, err := crn.NewEngine(net, initial, crn.EngineDirect, false, src)
 		if err != nil {
 			return outcome{}, err
 		}

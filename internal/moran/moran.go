@@ -59,12 +59,11 @@ const maxJumpSteps = 1 << 40
 // state-changing step increments the type-0 count with probability r/(1+r)
 // and decrements it otherwise, independent of the state. Holding steps are
 // accounted for in aggregate by sampling their geometric counts, so
-// MoranSteps has the exact distribution of the full process. A Chain is not
-// safe for concurrent use.
+// Outcome.MoranSteps has the exact distribution of the full process. A
+// Chain is not safe for concurrent use.
 type Chain struct {
-	params   Params
-	n        int
-	initialA int
+	params Params
+	n      int
 
 	i          int
 	jumpSteps  int
@@ -84,29 +83,8 @@ func NewChain(p Params, n, a int, src *rng.Source) (*Chain, error) {
 	if src == nil {
 		return nil, fmt.Errorf("moran: nil random source")
 	}
-	return &Chain{params: p, n: n, initialA: a, i: a, src: src}, nil
+	return &Chain{params: p, n: n, i: a, src: src}, nil
 }
-
-// Reset returns the chain to its initial state with a fresh random stream.
-func (c *Chain) Reset(src *rng.Source) {
-	c.i = c.initialA
-	c.jumpSteps = 0
-	c.moranSteps = 0
-	c.src = src
-}
-
-// Count returns the current number of type-0 individuals.
-func (c *Chain) Count() int { return c.i }
-
-// N returns the population size.
-func (c *Chain) N() int { return c.n }
-
-// JumpSteps returns the number of state-changing steps taken so far.
-func (c *Chain) JumpSteps() int { return c.jumpSteps }
-
-// MoranSteps returns the total number of Moran steps so far, including the
-// holding steps accounted in aggregate.
-func (c *Chain) MoranSteps() int64 { return c.moranSteps }
 
 // Absorbed reports whether one type has fixed, and if so whether it was
 // type 0.

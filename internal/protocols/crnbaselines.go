@@ -195,7 +195,7 @@ func (c CondonProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 		}
 		return state[0] == 0 || state[1] == 0
 	}
-	res, err := sim.Run(stop, maxSteps, nil)
+	res, err := crn.Run(sim, stop, maxSteps, 0)
 	if err != nil {
 		return false, err
 	}

@@ -140,7 +140,7 @@ func (p *GeneralLVProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 		maxSteps = lv.DefaultMaxSteps
 	}
 	stop := func(state []int) bool { return state[0] == 0 || state[1] == 0 }
-	res, err := sim.Run(stop, maxSteps, nil)
+	res, err := crn.Run(sim, stop, maxSteps, 0)
 	if err != nil {
 		return false, err
 	}

@@ -131,7 +131,7 @@ an engine/kernel choice, a task, a grid, a budget, a seed — so it is
 described by one serializable ` + "`scenario.Spec`" + ` and executed by one
 ` + "`scenario.Runner`" + ` (package ` + "`internal/scenario`" + `). A Spec
 names a model (` + "`lv`" + ` rate constants, a registered ` + "`protocol`" + `,
-or an inline ` + "`crn`" + ` network with its ` + "`internal/sim`" + ` engine),
+or an inline ` + "`crn`" + ` network with its ` + "`crn.Engine`" + `),
 a task (` + "`estimate`" + `, ` + "`threshold`" + `, ` + "`sweep`" + `,
 ` + "`simulate`" + `, ` + "`exact`" + `, ` + "`experiment`" + `,
 ` + "`report`" + `), and every result-affecting knob — including the probe

@@ -13,7 +13,6 @@ import (
 	"lvmajority/internal/moran"
 	"lvmajority/internal/protocols"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/sim"
 )
 
 // The model kinds a Spec describes.
@@ -25,13 +24,6 @@ const (
 	ModelProtocol = "protocol"
 	// ModelCRN is an inline chemical reaction network.
 	ModelCRN = "crn"
-)
-
-// The CRN engines a CRNModel selects (internal/sim).
-const (
-	EngineDirect = "direct"
-	EngineNRM    = "nrm"
-	EngineLeap   = "leap"
 )
 
 // The population-protocol kernels a ProtocolModel selects.
@@ -88,7 +80,7 @@ func (m *Model) validate() error {
 			return err
 		}
 		switch m.CRN.Engine {
-		case "", EngineDirect, EngineNRM, EngineLeap:
+		case "", crn.EngineDirect, crn.EngineNRM, crn.EngineLeap:
 		default:
 			return fmt.Errorf("scenario: unknown crn engine %q (want direct, nrm, or leap)", m.CRN.Engine)
 		}
@@ -223,37 +215,17 @@ func (p *crnProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	e, err := newCRNEngine(p.net, []int{a, b}, p.engine, 0, src)
+	e, err := crn.NewEngine(p.net, []int{a, b}, p.engine, false, src)
 	if err != nil {
 		return false, err
 	}
-	if _, err := sim.Run(e, func(state []int) bool {
+	if _, err := crn.Run(e, func(state []int) bool {
 		return state[0] == 0 || state[1] == 0
-	}, sim.Limits{MaxSteps: crnDefaultMaxSteps}); err != nil {
+	}, crnDefaultMaxSteps, 0); err != nil {
 		return false, err
 	}
-	s := e.State()
+	s := e.StateView()
 	return s[0] > 0 && s[1] == 0, nil
-}
-
-// newCRNEngine builds the internal/sim engine a CRN model selects. A
-// positive maxTime switches the direct method to the Gillespie clock (the
-// NRM and leap engines always track continuous time).
-func newCRNEngine(net *crn.Network, initial []int, engine string, maxTime float64, src *rng.Source) (sim.Engine, error) {
-	switch engine {
-	case "", EngineDirect:
-		clock := sim.JumpChain
-		if maxTime > 0 {
-			clock = sim.Gillespie
-		}
-		return sim.NewCRN(net, initial, clock, src)
-	case EngineNRM:
-		return sim.NewCRNNextReaction(net, initial, src)
-	case EngineLeap:
-		return sim.NewCRNLeap(net, initial, crn.LeapOptions{}, src)
-	default:
-		return nil, fmt.Errorf("scenario: unknown crn engine %q", engine)
-	}
 }
 
 // protocolRegistry maps registry names to constructors. A function rather

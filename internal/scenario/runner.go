@@ -21,7 +21,6 @@ import (
 	"lvmajority/internal/protocols"
 	"lvmajority/internal/report"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/sim"
 	"lvmajority/internal/stats"
 	"lvmajority/internal/sweep"
 )
@@ -634,16 +633,19 @@ func (r *Runner) runSimulateCRN(ctx context.Context, spec *Spec, res *Result, ho
 		Replicates: sm.Runs, Workers: spec.Workers, Seed: spec.Seed,
 		Interrupt: interruptFrom(ctx), Progress: hook,
 	},
-		func() (sim.Engine, error) { return newCRNEngine(net, initial, m.Engine, sm.MaxTime, rng.New(0)) },
-		func(_ int, e sim.Engine) (final, error) {
-			out, err := sim.Run(e, nil, sim.Limits{MaxSteps: sm.MaxSteps, MaxTime: sm.MaxTime})
+		func() (crn.Engine, error) { return crn.NewEngine(net, initial, m.Engine, sm.MaxTime > 0, rng.New(0)) },
+		func(_ int, e crn.Engine, src *rng.Source) (final, error) {
+			if err := e.Reset(initial, src); err != nil {
+				return final{}, err
+			}
+			out, err := crn.Run(e, nil, sm.MaxSteps, sm.MaxTime)
 			if err != nil {
 				return final{}, err
 			}
 			return final{
 				steps:    out.Steps,
 				absorbed: out.Absorbed,
-				state:    append([]int(nil), e.State()...),
+				state:    append([]int(nil), e.StateView()...),
 			}, nil
 		})
 	if err != nil {

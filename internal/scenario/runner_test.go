@@ -4,10 +4,12 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
 	"lvmajority/internal/consensus"
+	"lvmajority/internal/crn"
 	"lvmajority/internal/experiment"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/report"
@@ -126,10 +128,11 @@ func TestRunnerSimulateLV(t *testing.T) {
 
 func TestRunnerSimulateCRNEngines(t *testing.T) {
 	text := "X0 -> 2 X0 @ 1\nX0 -> 0 @ 1.1\n"
-	for _, engine := range []string{"", EngineDirect, EngineNRM, EngineLeap} {
+	for _, engine := range []string{"", crn.EngineDirect, crn.EngineNRM, crn.EngineLeap} {
 		spec := New(TaskSimulate)
 		spec.Model = &Model{Kind: ModelCRN, CRN: &CRNModel{Text: text, Engine: engine}}
 		spec.Seed = 3
+		spec.Workers = 1
 		spec.Simulate = &SimulateSpec{Runs: 30, Init: map[string]int{"X0": 50}, MaxSteps: 50_000}
 
 		r := &Runner{Now: zeroNow}
@@ -144,6 +147,17 @@ func TestRunnerSimulateCRNEngines(t *testing.T) {
 		// Subcritical birth-death: most runs should absorb at extinction.
 		if b.Absorbed == 0 {
 			t.Errorf("engine %q: no run absorbed", engine)
+		}
+
+		// Identical for any worker count, though each worker reuses
+		// one engine across its replicates.
+		spec.Workers = 4
+		res4, err := r.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatalf("engine %q, 4 workers: %v", engine, err)
+		}
+		if got, want := res4.Manifests[0].Tables[0].Cells, res.Manifests[0].Tables[0].Cells; !reflect.DeepEqual(got, want) {
+			t.Errorf("engine %q: 4-worker batch %v differs from 1-worker batch %v", engine, got, want)
 		}
 	}
 }

@@ -153,9 +153,9 @@ type ProtocolModel struct {
 type CRNModel struct {
 	// Text is the network description in the internal/crn text format.
 	Text string `json:"text"`
-	// Engine selects the simulation engine (internal/sim): "" or "direct"
-	// (exact Gillespie SSA), "nrm" (Gibson–Bruck next-reaction method), or
-	// "leap" (explicit tau-leaping).
+	// Engine names the crn.Engine that crn.NewEngine builds: "" or
+	// "direct" (exact Gillespie SSA), "nrm" (Gibson–Bruck next-reaction
+	// method), or "leap" (explicit tau-leaping).
 	Engine string `json:"engine,omitempty"`
 }
 

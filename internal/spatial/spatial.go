@@ -163,38 +163,6 @@ func (sys *System) refresh(d int) {
 // SetTrackTime enables continuous-time accounting.
 func (sys *System) SetTrackTime(on bool) { sys.trackTime = on }
 
-// Reset returns the system to the given per-deme configurations with a
-// fresh random stream, reusing its buffers: the time and step counters
-// restart at zero and every deme's cached propensity total is recomputed.
-func (sys *System) Reset(initial []lv.State, src *rng.Source) error {
-	if len(initial) != sys.params.Sites {
-		return fmt.Errorf("spatial: %d initial demes for %d sites", len(initial), sys.params.Sites)
-	}
-	if src == nil {
-		return fmt.Errorf("spatial: nil random source")
-	}
-	for d, s := range initial {
-		if err := s.Validate(); err != nil {
-			return fmt.Errorf("spatial: deme %d: %w", d, err)
-		}
-	}
-	copy(sys.demes, initial)
-	sys.src = src
-	sys.time = 0
-	sys.steps = 0
-	sys.sum = 0
-	for d := range sys.totals {
-		sys.totals[d] = 0
-	}
-	for d := range sys.demes {
-		sys.refresh(d)
-	}
-	return nil
-}
-
-// NumDemes returns the number of demes.
-func (sys *System) NumDemes() int { return len(sys.demes) }
-
 // Deme returns the configuration of deme d.
 func (sys *System) Deme(d int) lv.State { return sys.demes[d] }
 

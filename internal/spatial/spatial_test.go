@@ -4,10 +4,14 @@ import (
 	"testing"
 	"testing/quick"
 
+	"lvmajority/internal/consensus"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 	"lvmajority/internal/stats"
 )
+
+// The Protocol adapter must satisfy consensus.Protocol.
+var _ consensus.Protocol = Protocol{}
 
 func neutralSD() lv.Params { return lv.Neutral(1, 1, 1, 0, lv.SelfDestructive) }
 
