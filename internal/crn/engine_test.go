@@ -252,3 +252,63 @@ func TestNewEngineUnknownName(t *testing.T) {
 		t.Error("unknown engine accepted")
 	}
 }
+
+// newLVRunEngine is the timed direct-method engine on the
+// self-destructive LV chain from (30, 20), for the Run rule tests.
+func newLVRunEngine(t *testing.T, seed uint64) Engine {
+	t.Helper()
+	return engineCase{"direct", EngineDirect, true, []int{30, 20}}.make(t, rng.New(seed))
+}
+
+func TestRunStopsAtConsensus(t *testing.T) {
+	e := newLVRunEngine(t, 1)
+	res, err := Run(e, lvConsensus, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped {
+		t.Fatalf("run did not stop at consensus: %+v", res)
+	}
+	if !lvConsensus(e.StateView()) {
+		t.Errorf("stopped in a non-consensus state %v", e.StateView())
+	}
+	if res.Steps == 0 || e.Time() <= 0 {
+		t.Errorf("implausible result %+v at time %v", res, e.Time())
+	}
+}
+
+func TestRunHonorsMaxSteps(t *testing.T) {
+	e := newLVRunEngine(t, 2)
+	res, err := Run(e, nil, 10, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Steps != 10 || res.Stopped || res.Absorbed {
+		t.Errorf("maxSteps run = %+v, want exactly 10 plain steps", res)
+	}
+}
+
+func TestRunHonorsMaxTime(t *testing.T) {
+	e := newLVRunEngine(t, 3)
+	res, err := Run(e, nil, 0, 0.25)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stopped || res.Absorbed {
+		t.Errorf("time-limited run misclassified: %+v", res)
+	}
+	if e.Time() < 0.25 {
+		t.Errorf("run ended at time %v before the limit", e.Time())
+	}
+}
+
+func TestRunImmediateStop(t *testing.T) {
+	e := newLVRunEngine(t, 4)
+	res, err := Run(e, func([]int) bool { return true }, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Stopped || res.Steps != 0 {
+		t.Errorf("immediate stop produced %+v", res)
+	}
+}
