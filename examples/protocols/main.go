@@ -35,7 +35,7 @@ func main() {
 	}{
 		{"LV-SD", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive), Label: "LV-SD"}},
 		{"LV-NSD", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive), Label: "LV-NSD"}},
-		{"Cho", protocols.NewChoProtocol(1, 1)},
+		{"Cho", consensus.LVProtocol{Params: lv.Neutral(1, 0, 1, 0, lv.SelfDestructive), Label: "Cho et al. (delta=0, self-destructive LV)"}},
 		{"Andaur", protocols.AndaurProtocol{Beta: 1, Alpha: 1, ResourceCap: n}},
 		{"dbl-B", protocols.CondonProtocol{Variant: protocols.DoubleB}},
 		{"hvy-B", protocols.CondonProtocol{Variant: protocols.HeavyB}},

@@ -8,11 +8,12 @@ import (
 )
 
 // BlockTrialer is the optional capability of protocols whose engines can
-// advance many trials per call — the lockstep population kernel. When a
-// Protocol also implements BlockTrialer and TrialBlockLanes returns a
-// positive width, CountWins runs it in blocks (mc.Blocks): each worker
-// builds one block runner via NewTrialBlock and receives contiguous trial
-// ranges of that width. Trial rep of a block must draw only from
+// advance many trials per call — LVProtocol on the lockstep lv.Block
+// engine, and the lockstep population kernel. When a Protocol also
+// implements BlockTrialer and TrialBlockLanes returns a positive width,
+// CountWins runs it in blocks (mc.Blocks): each worker builds one block
+// runner via NewTrialBlock and receives contiguous trial ranges of that
+// width. Trial rep of a block must draw only from
 // rng.NewStream(seed, rep) — the same stream the scalar Trial would use —
 // so a protocol's estimate is identical whether or not it opts in.
 type BlockTrialer interface {

@@ -4,8 +4,12 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 )
+
+// LV estimates take the block path.
+var _ BlockTrialer = LVProtocol{}
 
 // fakeBlockTrialer is a protocol that can run either path: a scalar Trial
 // and a block runner that replays the identical index-keyed streams. lanes
@@ -93,6 +97,61 @@ func TestBlockTrialerEarlyStopDispatch(t *testing.T) {
 	}
 	if blocked.blockCalls.Load() == 0 {
 		t.Fatal("early-stop estimator never called the block runner")
+	}
+	if got != want {
+		t.Fatalf("block early stop %+v, scalar %+v", got, want)
+	}
+}
+
+// scalarOnly hides a protocol's BlockTrialer capability, so the estimator
+// runs it trial at a time.
+type scalarOnly struct{ Protocol }
+
+// TestLVCountWinsMatchesTrial checks that CountWins, which runs LV trials
+// on the block engine, counts exactly the wins of serial Trial calls on
+// the same streams, for windows starting at and past 0 and any worker
+// count.
+func TestLVCountWinsMatchesTrial(t *testing.T) {
+	p := LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive), Ties: TieIsCoinFlip}
+	const n, delta, seed = 64, 4, 11
+	for _, w := range [][2]int{{0, 200}, {200, 457}} {
+		want := 0
+		for rep := w[0]; rep < w[1]; rep++ {
+			won, err := p.Trial(n, delta, rng.NewStream(seed, uint64(rep)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if won {
+				want++
+			}
+		}
+		for _, workers := range []int{1, 2, 4} {
+			got, err := CountWins(p, n, delta, w[0], w[1], EstimateOptions{Workers: workers, Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("window %v, %d workers: CountWins = %d, serial Trial = %d", w, workers, got, want)
+			}
+		}
+	}
+}
+
+// TestLVEarlyStopMatchesScalar checks that the sequential estimator
+// returns the same estimate on the block path as trial at a time.
+func TestLVEarlyStopMatchesScalar(t *testing.T) {
+	p := LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive)}
+	opts := EstimateOptions{Trials: 5000, Workers: 2, Seed: 5, EarlyStop: true, Target: 0.9}
+	want, err := EstimateWinProbability(scalarOnly{p}, 128, 16, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want.Trials >= opts.Trials {
+		t.Fatalf("scalar run did not stop early: %+v", want)
+	}
+	got, err := EstimateWinProbability(p, 128, 16, opts)
+	if err != nil {
+		t.Fatal(err)
 	}
 	if got != want {
 		t.Fatalf("block early stop %+v, scalar %+v", got, want)

@@ -123,3 +123,21 @@ func (p LVProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 	}
 	return false, nil
 }
+
+// TrialBlockLanes implements BlockTrialer: every LV trial runs on the
+// lockstep engine lv.Block, which scores each trial as Trial does.
+func (p LVProtocol) TrialBlockLanes() int { return lv.BlockLanes }
+
+// NewTrialBlock implements BlockTrialer. It validates the parameters and
+// the split once and returns an lv.Block runner.
+func (p LVProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi int, wins []bool) error, error) {
+	a, b, err := SplitInitial(n, delta)
+	if err != nil {
+		return nil, err
+	}
+	blk, err := lv.NewBlock(p.Params, lv.State{X0: a, X1: b}, p.MaxSteps, p.Ties == TieIsCoinFlip)
+	if err != nil {
+		return nil, err
+	}
+	return blk.Run, nil
+}

@@ -113,8 +113,13 @@ func TestLVProtocolTrial(t *testing.T) {
 
 func TestLVProtocolTrialParityError(t *testing.T) {
 	p := LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)}
-	if _, err := p.Trial(100, 3, rng.New(1)); err == nil {
-		t.Error("parity mismatch did not error")
+	for _, n := range []int{10, 100} {
+		if _, err := p.Trial(n, 3, rng.New(1)); err == nil {
+			t.Errorf("parity mismatch n=%d, delta=3 did not error", n)
+		}
+		if _, err := p.NewTrialBlock(n, 3); err == nil {
+			t.Errorf("block path accepted parity mismatch n=%d, delta=3", n)
+		}
 	}
 }
 

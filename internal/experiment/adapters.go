@@ -1,20 +1,16 @@
 package experiment
 
 import (
+	"lvmajority/internal/consensus"
+	"lvmajority/internal/lv"
 	"lvmajority/internal/protocols"
 	"lvmajority/internal/rng"
 )
 
-// choAdapter is the Cho et al. model (δ = 0, self-destructive LV) with unit
-// rates, as a consensus.Protocol.
-type choAdapter struct{}
-
-// Name implements consensus.Protocol.
-func (choAdapter) Name() string { return "Cho et al. (delta=0, SD LV)" }
-
-// Trial implements consensus.Protocol.
-func (choAdapter) Trial(n, delta int, src *rng.Source) (bool, error) {
-	return protocols.NewChoProtocol(1, 1).Trial(n, delta, src)
+// choProtocol is the Cho et al. model: the self-destructive LV chain with
+// unit rates and no individual deaths (δ = 0).
+func choProtocol() consensus.LVProtocol {
+	return consensus.LVProtocol{Params: lv.Neutral(1, 0, 1, 0, lv.SelfDestructive), Label: "Cho et al. (delta=0, SD LV)"}
 }
 
 // andaurAdapter is the Andaur et al. resource-consumer reconstruction with

@@ -23,7 +23,7 @@ func baselineProtocols(kernel protocols.PopulationKernel) []consensus.Protocol {
 			Params: lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive),
 			Label:  "LV non-self-destructive",
 		},
-		choAdapter{},
+		choProtocol(),
 		andaurAdapter{},
 		protocols.CondonProtocol{Variant: protocols.SingleB},
 		protocols.CondonProtocol{Variant: protocols.DoubleB},

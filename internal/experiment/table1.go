@@ -312,7 +312,7 @@ func runTable1Intra(cfg Config) ([]*Table, error) {
 func runTable1Cho(cfg Config) ([]*Table, error) {
 	shapesSD, orderSD := sdShapes()
 	choPoints, choTbl, err := thresholdCurve(cfg,
-		choAdapter{},
+		choProtocol(),
 		"T1-CHO: Cho et al. model (delta=0, self-destructive, beta=1, alpha0=alpha1=1)",
 		"Prior work proved O(sqrt(n log n)) sufficient; Theorem 14 improves this to O(log^2 n) — the measured threshold should be polylog.",
 		shapesSD, orderSD)

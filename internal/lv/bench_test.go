@@ -83,3 +83,65 @@ func BenchmarkStep(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkLVBlock measures the lockstep block engine and the scalar
+// kernel on identical replicate streams, in ns per event: at
+// BenchmarkLVKernel's state, and at n = 1024 near the SD and NSD
+// thresholds (gaps 12 and 100). One iteration runs a window of replicates,
+// the block engine in blocks of BlockLanes as the Monte-Carlo pool hands
+// them out. Both engines fire the same events on a stream, so the event
+// count comes from Run.
+func BenchmarkLVBlock(b *testing.B) {
+	const window = 64
+	for _, c := range []struct {
+		name    string
+		params  Params
+		initial State
+	}{
+		{"sd-10000", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 6000, X1: 4000}},
+		{"sd-1024-gap12", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 518, X1: 506}},
+		{"nsd-1024-gap100", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 562, X1: 462}},
+	} {
+		var events int64
+		var src rng.Source
+		for rep := range window {
+			src.ReseedStream(1, uint64(rep))
+			out, err := Run(c.params, c.initial, &src, RunOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			events += int64(out.Steps)
+		}
+		perEvent := func(b *testing.B) {
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
+		}
+		b.Run(c.name+"/block", func(b *testing.B) {
+			blk, err := NewBlock(c.params, c.initial, 0, false)
+			if err != nil {
+				b.Fatal(err)
+			}
+			wins := make([]bool, BlockLanes)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for lo := 0; lo < window; lo += BlockLanes {
+					if err := blk.Run(1, lo, lo+BlockLanes, wins); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perEvent(b)
+		})
+		b.Run(c.name+"/scalar", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for rep := range window {
+					src.ReseedStream(1, uint64(rep))
+					if _, err := Run(c.params, c.initial, &src, RunOptions{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			perEvent(b)
+		})
+	}
+}

@@ -1,0 +1,196 @@
+package lv
+
+import (
+	"fmt"
+	"math"
+
+	"lvmajority/internal/rng"
+)
+
+// BlockLanes is the number of replicates a Block advances in lockstep.
+// Eight to 64 lanes run at the same cost per event; the narrowest width
+// splits a small trial window across workers most evenly.
+const BlockLanes = 8
+
+// Block is the lockstep, winner-only LV engine: it runs many replicates of
+// one chain and reports only whether each replicate's initial majority
+// won, scored as consensus.LVProtocol scores Run's Outcome. For each
+// replicate stream it fires exactly the events of Run and draws exactly
+// the same numbers, so its results are byte-identical to the scalar
+// kernel's for every block width and lane packing.
+//
+// Each replicate in flight owns one lane record: its generator state, its
+// configuration and its step count. A round advances every active lane by
+// one event. Consecutive lanes have no data dependence, so the CPU
+// overlaps their events, as far as it can speculate past the round's
+// branches; the channel pick is therefore branch-free. A lane that stops
+// retires at once: its slot takes the block's next replicate while any
+// remain, and is otherwise filled from the last active lane, so the tail
+// of a block never waits on stragglers. The Outcome accounting of Run
+// (gap, event counts, population maximum) is not kept.
+type Block struct {
+	// Rates with the sign of −0.0 cleared: the channel pick compares
+	// bit patterns, which order non-negative values only. A −0.0 rate
+	// yields −0.0 propensities, which Run's scan skips like +0.0.
+	params   Params
+	initial  State
+	majority int
+	maxSteps int
+	coinFlip bool
+	// dx0[k], dx1[k] are the changes to x₀ and x₁ when channel k fires.
+	dx0, dx1 [NumEventKinds]int
+	lanes    [BlockLanes]blockLane
+}
+
+// blockLane is one replicate in flight: its xoshiro256++ state words, its
+// configuration, its step count and its index in the block's wins slice.
+type blockLane struct {
+	s0, s1, s2, s3     uint64
+	x0, x1, steps, win int
+}
+
+// NewBlock validates params and initial once and returns a Block for the
+// chain from initial. The initial majority is species 0 unless x₁ > x₀, as
+// in Run, and a replicate wins when its majority survives alone. maxSteps
+// caps each replicate's reactions (0 means DefaultMaxSteps); a replicate
+// that exhausts it, or that can fire no reaction, loses. Double extinction
+// loses, unless coinFlip is set: then one Float64() < 0.5 drawn from the
+// replicate's stream after its run decides it.
+func NewBlock(params Params, initial State, maxSteps int, coinFlip bool) (*Block, error) {
+	if err := params.Validate(); err != nil {
+		return nil, err
+	}
+	if err := initial.Validate(); err != nil {
+		return nil, err
+	}
+	if maxSteps <= 0 {
+		maxSteps = DefaultMaxSteps
+	}
+	params.Beta, params.Delta = math.Abs(params.Beta), math.Abs(params.Delta)
+	for i := range 2 {
+		params.Alpha[i], params.Gamma[i] = math.Abs(params.Alpha[i]), math.Abs(params.Gamma[i])
+	}
+	b := &Block{params: params, initial: initial, maxSteps: maxSteps, coinFlip: coinFlip}
+	if initial.X1 > initial.X0 {
+		b.majority = 1
+	}
+	s := State{X0: 2, X1: 2}
+	for k := range b.dx0 {
+		t := apply(params, s, EventKind(k))
+		b.dx0[k], b.dx1[k] = t.X0-s.X0, t.X1-s.X1
+	}
+	return b, nil
+}
+
+// Run runs replicates [lo, hi), replicate rep on rng.NewStream(seed, rep),
+// and writes whether its initial majority won to wins[rep-lo]. It has the
+// shape of an mc.BlockFunc. A Block is not safe for concurrent use.
+func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
+	if hi < lo || len(wins) != hi-lo {
+		return fmt.Errorf("lv: block [%d, %d) with %d result slots", lo, hi, len(wins))
+	}
+	active := min(hi-lo, BlockLanes)
+	for li := range active {
+		b.start(li, seed, lo+li, lo)
+	}
+	next := lo + active
+	p, maxSteps := b.params, b.maxSteps
+	beta, dlt, a0, a1, g0, g1 := p.Beta, p.Delta, p.Alpha[0], p.Alpha[1], p.Gamma[0], p.Gamma[1]
+	dx0, dx1, lanes := &b.dx0, &b.dx1, &b.lanes
+
+	//lint:hotpath
+	for active > 0 {
+		for li := 0; li < active; {
+			l := &lanes[li]
+			x0, x1 := l.x0, l.x1
+			// Consensus before the budget, as in Run.
+			if x0 == 0 || x1 == 0 || l.steps >= maxSteps {
+				wins[l.win] = b.won(l)
+				if next < hi {
+					b.start(li, seed, next, lo)
+					next++
+				} else {
+					active--
+					*l = lanes[active]
+				}
+				continue
+			}
+
+			// Prefix sums of the propensities, in propensities()' order
+			// and association. Every product and halving is rounded on
+			// its own: the explicit conversions forbid fused
+			// multiply-adds, which would round differently from Run.
+			fx0, fx1 := float64(x0), float64(x1)
+			c0 := float64(beta * fx0)
+			c1 := c0 + float64(beta*fx1)
+			c2 := c1 + float64(dlt*fx0)
+			c3 := c2 + float64(dlt*fx1)
+			c4 := c3 + float64(float64(a0*fx0)*fx1)
+			c5 := c4 + float64(float64(a1*fx0)*fx1)
+			c6 := c5 + float64(float64(float64(g0*fx0)*(fx0-1))/2)
+			total := c6 + float64(float64(float64(g1*fx1)*(fx1-1))/2)
+			if total <= 0 {
+				// All rates zero: the chain never reaches consensus.
+				// Charge the budget so the next round retires the lane.
+				l.steps = maxSteps
+				li++
+				continue
+			}
+
+			// Run's scan picks the first channel whose prefix sum
+			// exceeds u. The sums are non-decreasing and non-negative,
+			// so that channel is the count of sums ≤ u, and for
+			// non-negative floats c ≤ u exactly when bits(u) − bits(c)
+			// has a clear sign bit.
+			u, s0, s1, s2, s3 := rng.Next4(l.s0, l.s1, l.s2, l.s3)
+			ub := math.Float64bits(float64(float64(u>>11) / (1 << 53) * total))
+			above := (ub-math.Float64bits(c0))>>63 + (ub-math.Float64bits(c1))>>63 +
+				(ub-math.Float64bits(c2))>>63 + (ub-math.Float64bits(c3))>>63 +
+				(ub-math.Float64bits(c4))>>63 + (ub-math.Float64bits(c5))>>63 +
+				(ub-math.Float64bits(c6))>>63 + (ub-math.Float64bits(total))>>63
+			k := NumEventKinds - int(above)
+			if above == 0 {
+				k = b.lastChannel(x0, x1)
+			}
+			// k < NumEventKinds = 8: the mask only drops the bounds check.
+			l.s0, l.s1, l.s2, l.s3 = s0, s1, s2, s3
+			l.x0 = x0 + dx0[k&(NumEventKinds-1)]
+			l.x1 = x1 + dx1[k&(NumEventKinds-1)]
+			l.steps++
+			li++
+		}
+	}
+	return nil
+}
+
+// start seeds lane li with replicate rep of the block starting at lo.
+func (b *Block) start(li int, seed uint64, rep, lo int) {
+	l := &b.lanes[li]
+	l.s0, l.s1, l.s2, l.s3 = rng.StreamState4(seed, uint64(rep))
+	l.x0, l.x1, l.steps, l.win = b.initial.X0, b.initial.X1, 0, rep-lo
+}
+
+// won scores a stopped lane as consensus.LVProtocol scores Run's Outcome.
+func (b *Block) won(l *blockLane) bool {
+	if l.x0 != 0 && l.x1 != 0 {
+		return false // budget exhausted or no reaction possible
+	}
+	w := State{X0: l.x0, X1: l.x1}.Winner()
+	if w == -1 && b.coinFlip {
+		u, _, _, _, _ := rng.Next4(l.s0, l.s1, l.s2, l.s3)
+		return float64(u>>11)/(1<<53) < 0.5
+	}
+	return w == b.majority
+}
+
+// lastChannel is Run's choice when u is not below the total (possible only
+// through rounding, or a total that overflows to +Inf): the last channel
+// with non-zero propensity.
+func (b *Block) lastChannel(x0, x1 int) int {
+	props, _ := propensities(b.params, State{X0: x0, X1: x1})
+	k := NumEventKinds - 1
+	for k > 0 && props[k] == 0 {
+		k--
+	}
+	return k
+}

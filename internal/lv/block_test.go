@@ -1,0 +1,189 @@
+package lv_test
+
+import (
+	"math"
+	"testing"
+
+	"lvmajority/internal/consensus"
+	"lvmajority/internal/lv"
+	"lvmajority/internal/rng"
+)
+
+// checkBlockMatchesTrial runs replicates [lo, hi) of p at (n, delta) on
+// the block engine, in blocks of width, and fails on the first replicate
+// whose win differs from Trial's on rng.NewStream(seed, rep).
+func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, seed uint64, lo, hi, width int) {
+	t.Helper()
+	run, err := p.NewTrialBlock(n, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := make([]bool, hi-lo)
+	for b := lo; b < hi; b += width {
+		e := min(b+width, hi)
+		if err := run(seed, b, e, wins[b-lo:e-lo]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for rep := lo; rep < hi; rep++ {
+		want, err := p.Trial(n, delta, rng.NewStream(seed, uint64(rep)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wins[rep-lo] != want {
+			t.Fatalf("%+v (n=%d, delta=%d) seed %d replicate %d: block won=%v, Trial won=%v",
+				p, n, delta, seed, rep, wins[rep-lo], want)
+		}
+	}
+}
+
+// TestBlockMatchesTrial compares every lane of the block engine with the
+// scalar Trial across the regimes of the fused-kernel replay test, both
+// tie rules where double extinction is common, chains that can fire no
+// reaction, −0.0 rates, and blocks narrower than, equal to and wider than
+// the lane width starting past replicate 0.
+func TestBlockMatchesTrial(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	cases := []struct {
+		name     string
+		p        consensus.LVProtocol
+		n, delta int
+	}{
+		{"SD", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)}, 70, 10},
+		{"NSD", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive)}, 70, 10},
+		{"SD-intra", consensus.LVProtocol{Params: lv.Neutral(1, 1, 0, 1, lv.SelfDestructive)}, 42, 6},
+		{"NSD-both", consensus.LVProtocol{Params: lv.Neutral(1, 1, 0.5, 0.5, lv.NonSelfDestructive)}, 50, 10},
+		{"asymmetric", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 0.5, Alpha: [2]float64{1, 0.8}, Gamma: [2]float64{0.2, 0.1}, Competition: lv.NonSelfDestructive}}, 36, 4},
+		{"budget-bound", consensus.LVProtocol{Params: lv.Neutral(1, 1, 0, 0, lv.SelfDestructive), MaxSteps: 500}, 20, 0},
+		{"tie-start", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)}, 40, 0},
+		{"ties-loss", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 1, lv.SelfDestructive), Ties: consensus.TieIsLoss}, 16, 8},
+		{"ties-coin", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 1, lv.SelfDestructive), Ties: consensus.TieIsCoinFlip}, 16, 8},
+		{"zero-rates", consensus.LVProtocol{Params: lv.Neutral(0, 0, 0, 0, lv.SelfDestructive)}, 20, 4},
+		{"neg-zero-beta", consensus.LVProtocol{Params: lv.Params{Beta: negZero, Delta: 1, Alpha: [2]float64{1, 1}, Competition: lv.SelfDestructive}}, 30, 4},
+		{"neg-zero-gamma", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 1, Alpha: [2]float64{1, 1}, Gamma: [2]float64{negZero, negZero}, Competition: lv.NonSelfDestructive}}, 30, 4},
+	}
+	widths := []int{3, lv.BlockLanes, 5*lv.BlockLanes + 3}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for seed := uint64(1); seed <= 3; seed++ {
+				for _, w := range widths {
+					checkBlockMatchesTrial(t, tc.p, tc.n, tc.delta, seed, 37, 37+2*w+1, w)
+				}
+			}
+		})
+	}
+}
+
+// TestBlockScoresLikeRun covers the initial states Trial cannot express:
+// a majority held by species 1, and a chain that starts in consensus.
+func TestBlockScoresLikeRun(t *testing.T) {
+	params := lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)
+	for _, initial := range []lv.State{{X0: 15, X1: 25}, {X0: 10, X1: 0}, {X0: 0, X1: 10}} {
+		blk, err := lv.NewBlock(params, initial, 0, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const seed, reps = 9, 50
+		wins := make([]bool, reps)
+		if err := blk.Run(seed, 0, reps, wins); err != nil {
+			t.Fatal(err)
+		}
+		for rep := range reps {
+			out, err := lv.Run(params, initial, rng.NewStream(seed, uint64(rep)), lv.RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wins[rep] != (out.Consensus && out.MajorityWon) {
+				t.Fatalf("%+v replicate %d: block won=%v, Run %+v", initial, rep, wins[rep], out)
+			}
+		}
+	}
+}
+
+// TestBlockRejects checks that NewBlock validates once what Run validates
+// per call, and that Run rejects a malformed window.
+func TestBlockRejects(t *testing.T) {
+	if _, err := lv.NewBlock(lv.Neutral(-1, 1, 1, 0, lv.SelfDestructive), lv.State{X0: 3, X1: 2}, 0, false); err == nil {
+		t.Error("negative rate accepted")
+	}
+	if _, err := lv.NewBlock(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive), lv.State{X0: -3, X1: 2}, 0, false); err == nil {
+		t.Error("negative state accepted")
+	}
+	blk, err := lv.NewBlock(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive), lv.State{X0: 3, X1: 2}, 0, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blk.Run(1, 4, 2, nil); err == nil {
+		t.Error("inverted window accepted")
+	}
+	if err := blk.Run(1, 0, 4, make([]bool, 3)); err == nil {
+		t.Error("short wins slice accepted")
+	}
+}
+
+// TestBlockAllocationFree checks that a steady-state block run, refills
+// and retirements included, performs no heap allocation.
+func TestBlockAllocationFree(t *testing.T) {
+	blk, err := lv.NewBlock(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive), lv.State{X0: 40, X1: 30}, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wins := make([]bool, 4*lv.BlockLanes)
+	seed := uint64(0)
+	allocs := testing.AllocsPerRun(50, func() {
+		seed++
+		if err := blk.Run(seed, 0, len(wins), wins); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Block.Run allocated %v times per call, want 0", allocs)
+	}
+}
+
+// FuzzBlockMatchesTrial compares the block engine with Trial on fuzzed
+// chains: every rate drawn from {0, −0.0, the smallest denormal, 1e300,
+// an ordinary value}, states up to 40, both models, both tie rules and a
+// bounded step budget.
+func FuzzBlockMatchesTrial(f *testing.F) {
+	f.Add(uint64(1), uint8(4), uint8(4), uint8(4), uint8(0), uint8(0), uint8(30), uint8(20), true, false, uint16(4000))
+	f.Add(uint64(2), uint8(1), uint8(34), uint8(34), uint8(34), uint8(0), uint8(16), uint8(14), true, false, uint16(4000))
+	f.Add(uint64(3), uint8(4), uint8(4), uint8(4), uint8(4), uint8(1), uint8(12), uint8(4), true, true, uint16(4000))
+	f.Add(uint64(4), uint8(3), uint8(2), uint8(3), uint8(2), uint8(3), uint8(40), uint8(1), false, true, uint16(100))
+	f.Add(uint64(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(5), false, false, uint16(0))
+	f.Fuzz(func(t *testing.T, seed uint64, beta, delta, alpha, alpha1, gamma uint8, a, b uint8, sd, coin bool, budget uint16) {
+		rate := func(sel uint8) float64 {
+			switch sel % 5 {
+			case 0:
+				return 0
+			case 1:
+				return math.Copysign(0, -1)
+			case 2:
+				return math.SmallestNonzeroFloat64
+			case 3:
+				return 1e300
+			default:
+				return float64(sel) / 32
+			}
+		}
+		p := consensus.LVProtocol{
+			Params: lv.Params{
+				Beta:        rate(beta),
+				Delta:       rate(delta),
+				Alpha:       [2]float64{rate(alpha), rate(alpha1)},
+				Gamma:       [2]float64{rate(gamma), rate(gamma / 5)},
+				Competition: lv.NonSelfDestructive,
+			},
+			MaxSteps: 1 + int(budget%4096),
+		}
+		if sd {
+			p.Params.Competition = lv.SelfDestructive
+		}
+		if coin {
+			p.Ties = consensus.TieIsCoinFlip
+		}
+		hi, lo := max(a%41, b%41), max(min(a%41, b%41), 1)
+		hi = max(hi, lo)
+		checkBlockMatchesTrial(t, p, int(hi+lo), int(hi-lo), seed, int(seed%64), int(seed%64)+2*lv.BlockLanes+3, 2*lv.BlockLanes+3)
+	})
+}

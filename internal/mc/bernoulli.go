@@ -59,10 +59,10 @@ func Trials(trial func(rep int, src *rng.Source) (bool, error)) Counter {
 type BlockFunc func(seed uint64, lo, hi int, wins []bool) error
 
 // Blocks returns the Counter for trial sources that advance whole blocks of
-// trials per call, such as the lockstep population kernel. lanes is the
-// preferred block width: the pool hands each worker contiguous index ranges
-// of size min(lanes, remaining), so every block of a window but the last is
-// full-width. Under early stopping each batch is one window, so a batch
+// trials per call, such as the lockstep LV and population kernels. lanes is
+// the preferred block width: the pool hands each worker contiguous index
+// ranges of size min(lanes, remaining), so every block of a window but the
+// last is full-width. Under early stopping each batch is one window, so a batch
 // costs at most ⌈size/lanes⌉ block calls and no block runs past the batch
 // that settles the comparison.
 func Blocks(lanes int, newWorker func() (BlockFunc, error)) Counter {

@@ -95,44 +95,3 @@ func (a AndaurProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 	}
 	return false, nil
 }
-
-// NewChoProtocol returns the Cho et al. model: the special case of the
-// self-destructive LV chain with no individual deaths (δ = 0), for which
-// Cho et al. proved a sufficient gap of Ω(√(n log n)) — the bound this
-// paper improves exponentially to O(log² n).
-func NewChoProtocol(beta, alpha float64) LVParamsProtocol {
-	return LVParamsProtocol{
-		Params: lv.Neutral(beta, 0, alpha, 0, lv.SelfDestructive),
-		Label:  "Cho et al. (delta=0, self-destructive LV)",
-	}
-}
-
-// LVParamsProtocol is a thin named adapter so this package can hand back LV
-// parameter presets without importing the consensus package (which would
-// not be a cycle, but keeps the dependency graph one-directional:
-// protocols -> lv only).
-type LVParamsProtocol struct {
-	Params lv.Params
-	Label  string
-}
-
-// Name implements consensus.Protocol.
-func (p LVParamsProtocol) Name() string {
-	if p.Label != "" {
-		return p.Label
-	}
-	return p.Params.String()
-}
-
-// Trial implements consensus.Protocol.
-func (p LVParamsProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
-	if n < 2 || delta < 0 || (n-delta)%2 != 0 || delta > n-2 {
-		return false, fmt.Errorf("protocols: infeasible (n=%d, delta=%d)", n, delta)
-	}
-	minority := (n - delta) / 2
-	out, err := lv.Run(p.Params, lv.State{X0: n - minority, X1: minority}, src, lv.RunOptions{})
-	if err != nil {
-		return false, err
-	}
-	return out.Consensus && out.MajorityWon, nil
-}

@@ -3,7 +3,6 @@ package protocols
 import (
 	"testing"
 
-	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 )
 
@@ -76,43 +75,5 @@ func TestAndaurGrowthSaturation(t *testing.T) {
 		if _, err := p.Trial(30, 2, src); err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-func TestChoProtocolPreset(t *testing.T) {
-	p := NewChoProtocol(1, 1)
-	if p.Params.Delta != 0 {
-		t.Errorf("Cho preset has delta = %v, want 0", p.Params.Delta)
-	}
-	if p.Params.Competition != lv.SelfDestructive {
-		t.Error("Cho preset is not self-destructive")
-	}
-	if p.Name() == "" {
-		t.Error("empty name")
-	}
-	src := rng.New(41)
-	wins := 0
-	const trials = 200
-	for i := 0; i < trials; i++ {
-		won, err := p.Trial(64, 32, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if won {
-			wins++
-		}
-	}
-	if wins < trials*85/100 {
-		t.Errorf("Cho model with large gap won only %d/%d", wins, trials)
-	}
-}
-
-func TestLVParamsProtocolValidation(t *testing.T) {
-	p := LVParamsProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)}
-	if _, err := p.Trial(10, 3, rng.New(1)); err == nil {
-		t.Error("parity mismatch accepted")
-	}
-	if p.Name() == "" {
-		t.Error("empty generated name")
 	}
 }

@@ -9,8 +9,10 @@
 //     "double-B", "heavy-B", and the two-species trimolecular rule), built
 //     on the internal/crn engine; and
 //   - the resource-consumer model of Andaur et al. (bounded, non-mass-action
-//     growth, no individual deaths, non-self-destructive interference) and
-//     the Cho et al. special case (δ = 0, self-destructive) of the LV model.
+//     growth, no individual deaths, non-self-destructive interference).
+//
+// The Cho et al. special case (δ = 0, self-destructive) is an LV chain and
+// runs as a consensus.LVProtocol.
 //
 // Every protocol satisfies the consensus.Protocol interface, so the same
 // estimator and threshold search drive all of them.

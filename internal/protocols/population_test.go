@@ -13,7 +13,6 @@ var (
 	_ consensus.Protocol = (*PopulationProtocol)(nil)
 	_ consensus.Protocol = CondonProtocol{}
 	_ consensus.Protocol = AndaurProtocol{}
-	_ consensus.Protocol = LVParamsProtocol{}
 )
 
 func TestPopulationProtocolValidation(t *testing.T) {

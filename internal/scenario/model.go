@@ -239,7 +239,9 @@ func protocolRegistry() map[string]func() consensus.Protocol {
 		"lv-nsd": func() consensus.Protocol {
 			return consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive), Label: "lv-nsd"}
 		},
-		"cho":    func() consensus.Protocol { return protocols.NewChoProtocol(1, 1) },
+		"cho": func() consensus.Protocol {
+			return consensus.LVProtocol{Params: lv.Neutral(1, 0, 1, 0, lv.SelfDestructive), Label: "Cho et al. (delta=0, self-destructive LV)"}
+		},
 		"andaur": func() consensus.Protocol { return protocols.AndaurProtocol{Beta: 1, Alpha: 1, ResourceCap: 1 << 20} },
 		"condon-single-b": func() consensus.Protocol {
 			return protocols.CondonProtocol{Variant: protocols.SingleB}

@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"lvmajority/internal/consensus"
+	"lvmajority/internal/lv"
+	"lvmajority/internal/rng"
 )
 
 // sampleSpecs returns one representative valid spec per task, exercising
@@ -297,5 +301,55 @@ func TestProtocolRegistry(t *testing.T) {
 	}
 	if _, err := ProtocolByName("bogus"); err == nil {
 		t.Error("unknown protocol accepted")
+	}
+}
+
+// TestRegistryLVProtocols pins that the registry's LV chains, Cho et al.
+// included, are consensus.LVProtocol values: they run on the block path,
+// and the benchmark harness asserts the type.
+func TestRegistryLVProtocols(t *testing.T) {
+	for _, name := range []string{"lv-sd", "lv-nsd", "cho"} {
+		p, err := ProtocolByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := p.(consensus.LVProtocol); !ok {
+			t.Errorf("%s is a %T, want a consensus.LVProtocol", name, p)
+		}
+	}
+}
+
+// TestChoProtocolPreset checks the Cho et al. preset: the self-destructive
+// LV chain with no individual deaths (δ = 0), under its registry label,
+// where a large initial gap almost always wins.
+func TestChoProtocolPreset(t *testing.T) {
+	p, err := ProtocolByName("cho")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cho, ok := p.(consensus.LVProtocol)
+	if !ok {
+		t.Fatalf("cho is a %T, want a consensus.LVProtocol", p)
+	}
+	if cho.Params != lv.Neutral(1, 0, 1, 0, lv.SelfDestructive) {
+		t.Errorf("Cho preset params %v, want delta = 0, self-destructive, unit rates", cho.Params)
+	}
+	if cho.Name() != "Cho et al. (delta=0, self-destructive LV)" {
+		t.Errorf("Cho preset name %q", cho.Name())
+	}
+	src := rng.New(41)
+	wins := 0
+	const trials = 200
+	for i := 0; i < trials; i++ {
+		won, err := cho.Trial(64, 32, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if won {
+			wins++
+		}
+	}
+	if wins < trials*85/100 {
+		t.Errorf("Cho model with large gap won only %d/%d", wins, trials)
 	}
 }
