@@ -3,6 +3,8 @@ package protocols
 import (
 	"testing"
 
+	"lvmajority/internal/consensus"
+	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 )
 
@@ -75,5 +77,18 @@ func TestAndaurGrowthSaturation(t *testing.T) {
 		if _, err := p.Trial(30, 2, src); err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestLVParamsProtocolValidation checks the unlabelled LV parameter preset
+// (a consensus.LVProtocol with no Label): a parity mismatch is rejected and
+// the generated name is non-empty.
+func TestLVParamsProtocolValidation(t *testing.T) {
+	p := consensus.LVProtocol{Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)}
+	if _, err := p.Trial(10, 3, rng.New(1)); err == nil {
+		t.Error("parity mismatch accepted")
+	}
+	if p.Name() == "" {
+		t.Error("empty generated name")
 	}
 }
