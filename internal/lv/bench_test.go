@@ -84,13 +84,16 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkLVBlock measures the lockstep block engine and the scalar
-// kernel on identical replicate streams, in ns per event: at
-// BenchmarkLVKernel's state, and at n = 1024 near the SD and NSD
-// thresholds (gaps 12 and 100). One iteration runs a window of replicates,
-// the block engine in blocks of BlockLanes as the Monte-Carlo pool hands
-// them out. Both engines fire the same events on a stream, so the event
-// count comes from Run.
+// BenchmarkLVBlock measures the block engine and the scalar kernel on
+// identical replicate streams, in ns per event, in three rows: block, the
+// dispatching engine (the AVX2 round kernel where the CPU has it);
+// portable, the Go round alone; and scalar, Run. The states are
+// BenchmarkLVKernel's, n = 1024 near the SD and NSD thresholds (gaps 12
+// and 100), and n = 4096 near the NSD threshold (gap 226, about 3,900
+// events per trial), the lv-nsd sweep's costliest point. One iteration
+// runs a window of replicates, the block engines in blocks of BlockLanes
+// as the Monte-Carlo pool hands them out. Every engine fires the same
+// events on a stream, so the event count comes from Run.
 func BenchmarkLVBlock(b *testing.B) {
 	const window = 64
 	for _, c := range []struct {
@@ -101,6 +104,7 @@ func BenchmarkLVBlock(b *testing.B) {
 		{"sd-10000", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 6000, X1: 4000}},
 		{"sd-1024-gap12", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 518, X1: 506}},
 		{"nsd-1024-gap100", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 562, X1: 462}},
+		{"nsd-4096-gap226", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 2161, X1: 1935}},
 	} {
 		var events int64
 		var src rng.Source
@@ -115,22 +119,27 @@ func BenchmarkLVBlock(b *testing.B) {
 		perEvent := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
 		}
-		b.Run(c.name+"/block", func(b *testing.B) {
-			blk, err := NewBlock(c.params, c.initial, 0, false)
-			if err != nil {
-				b.Fatal(err)
-			}
-			wins := make([]bool, BlockLanes)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for lo := 0; lo < window; lo += BlockLanes {
-					if err := blk.Run(1, lo, lo+BlockLanes, wins); err != nil {
-						b.Fatal(err)
+		for _, engine := range []struct {
+			name string
+			avx2 bool
+		}{{"block", hasAVX2}, {"portable", false}} {
+			b.Run(c.name+"/"+engine.name, func(b *testing.B) {
+				blk, err := NewBlock(c.params, c.initial, 0, false)
+				if err != nil {
+					b.Fatal(err)
+				}
+				wins := make([]bool, BlockLanes)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					for lo := 0; lo < window; lo += BlockLanes {
+						if err := blk.run(1, lo, lo+BlockLanes, wins, engine.avx2); err != nil {
+							b.Fatal(err)
+						}
 					}
 				}
-			}
-			perEvent(b)
-		})
+				perEvent(b)
+			})
+		}
 		b.Run(c.name+"/scalar", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

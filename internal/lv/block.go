@@ -7,10 +7,18 @@ import (
 	"lvmajority/internal/rng"
 )
 
-// BlockLanes is the number of replicates a Block advances in lockstep.
-// Eight to 64 lanes run at the same cost per event; the narrowest width
-// splits a small trial window across workers most evenly.
+// BlockLanes is the number of replicates a Block advances in lockstep:
+// two groups of four for the AVX2 round kernel, which runs only while all
+// of them are live. The narrowest width splits a small trial window across
+// workers most evenly.
 const BlockLanes = 8
+
+// kernelRounds caps the rounds one call of the AVX2 round kernel runs. The
+// runtime never preempts assembly asynchronously, so a call must return
+// within tens of microseconds even when no lane stops, or every
+// stop-the-world would wait for it: 1024 rounds of eight events take about
+// 35 µs on a 2-core Xeon VM.
+const kernelRounds = 1024
 
 // Block is the lockstep, winner-only LV engine: it runs many replicates of
 // one chain and reports only whether each replicate's initial majority
@@ -19,15 +27,31 @@ const BlockLanes = 8
 // the same numbers, so its results are byte-identical to the scalar
 // kernel's for every block width and lane packing.
 //
-// Each replicate in flight owns one lane record: its generator state, its
-// configuration and its step count. A round advances every active lane by
-// one event. Consecutive lanes have no data dependence, so the CPU
+// Each replicate in flight owns one lane: its generator state, its
+// configuration and its step count, held in planes with one array per
+// field. A round of the Go code, the Go round, advances every active lane
+// by one event. Consecutive lanes have no data dependence, so the CPU
 // overlaps their events, as far as it can speculate past the round's
-// branches; the channel pick is therefore branch-free. A lane that stops
-// retires at once: its slot takes the block's next replicate while any
-// remain, and is otherwise filled from the last active lane, so the tail
-// of a block never waits on stragglers. The Outcome accounting of Run
-// (gap, event counts, population maximum) is not kept.
+// branches; the channel pick is therefore branch-free. A lane that stops retires at once: its slot takes
+// the block's next replicate while any remain, and is otherwise filled
+// from the last active lane, so the tail of a block never waits on
+// stragglers. The Outcome accounting of Run (gap, event counts, population
+// maximum) is not kept.
+//
+// On amd64 CPUs with AVX2, while all BlockLanes lanes are live, an
+// assembly kernel runs the rounds instead: two groups of four lanes, one
+// event per lane per round, in the Go round's arithmetic. Before a group
+// fires it hands back, returning to Go, if a lane has x₀ = 0, x₁ = 0,
+// steps ≥ maxSteps or a count outside [1, 2⁵¹]; after drawing the group's
+// uniforms it hands back without committing the group unless every lane
+// has u < total, which fails for a zero total, for a total that overflows
+// to +Inf and for Run's last-non-zero-channel fallback. A group already
+// committed stays committed: lanes are independent, so the next Go round
+// simply advances every lane by one more event, retiring, refilling and
+// falling back as Run does. The kernel's sums are the Go round's,
+// operation for operation and never fused, and every integer it converts
+// is below 2⁵³, so each lane fires the event the Go round would. A call
+// runs at most kernelRounds rounds.
 type Block struct {
 	// Rates with the sign of −0.0 cleared: the channel pick compares
 	// bit patterns, which order non-negative values only. A −0.0 rate
@@ -38,15 +62,18 @@ type Block struct {
 	maxSteps int
 	coinFlip bool
 	// dx0[k], dx1[k] are the changes to x₀ and x₁ when channel k fires.
-	dx0, dx1 [NumEventKinds]int
-	lanes    [BlockLanes]blockLane
+	dx0, dx1 [NumEventKinds]int32
+	lanes    blockLanes
 }
 
-// blockLane is one replicate in flight: its xoshiro256++ state words, its
-// configuration, its step count and its index in the block's wins slice.
-type blockLane struct {
-	s0, s1, s2, s3     uint64
-	x0, x1, steps, win int
+// blockLanes holds the replicates in flight as planes: lane li has the
+// xoshiro256++ state words s0[li]…s3[li], the configuration (x0[li],
+// x1[li]), the step count steps[li], and the index win[li] of its result
+// in the block's wins slice.
+type blockLanes struct {
+	s0, s1, s2, s3 [BlockLanes]uint64
+	x0, x1, steps  [BlockLanes]int
+	win            [BlockLanes]int
 }
 
 // NewBlock validates params and initial once and returns a Block for the
@@ -77,7 +104,7 @@ func NewBlock(params Params, initial State, maxSteps int, coinFlip bool) (*Block
 	s := State{X0: 2, X1: 2}
 	for k := range b.dx0 {
 		t := apply(params, s, EventKind(k))
-		b.dx0[k], b.dx1[k] = t.X0-s.X0, t.X1-s.X1
+		b.dx0[k], b.dx1[k] = int32(t.X0-s.X0), int32(t.X1-s.X1)
 	}
 	return b, nil
 }
@@ -86,6 +113,12 @@ func NewBlock(params Params, initial State, maxSteps int, coinFlip bool) (*Block
 // and writes whether its initial majority won to wins[rep-lo]. It has the
 // shape of an mc.BlockFunc. A Block is not safe for concurrent use.
 func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
+	return b.run(seed, lo, hi, wins, hasAVX2)
+}
+
+// run is Run with the engine explicit: avx2 lets the AVX2 kernel run the
+// all-live rounds, and without it the Go round is the whole engine.
+func (b *Block) run(seed uint64, lo, hi int, wins []bool, avx2 bool) error {
 	if hi < lo || len(wins) != hi-lo {
 		return fmt.Errorf("lv: block [%d, %d) with %d result slots", lo, hi, len(wins))
 	}
@@ -96,22 +129,26 @@ func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
 	next := lo + active
 	p, maxSteps := b.params, b.maxSteps
 	beta, dlt, a0, a1, g0, g1 := p.Beta, p.Delta, p.Alpha[0], p.Alpha[1], p.Gamma[0], p.Gamma[1]
-	dx0, dx1, lanes := &b.dx0, &b.dx1, &b.lanes
+	dx0, dx1, l := &b.dx0, &b.dx1, &b.lanes
 
 	//lint:hotpath
 	for active > 0 {
+		if avx2 && active == BlockLanes {
+			roundsAVX2(b)
+		}
+		// The Go round: every active lane stops or fires one event.
 		for li := 0; li < active; {
-			l := &lanes[li]
-			x0, x1 := l.x0, l.x1
+			i := li & (BlockLanes - 1) // i == li: the mask only drops the bounds checks
+			x0, x1 := l.x0[i], l.x1[i]
 			// Consensus before the budget, as in Run.
-			if x0 == 0 || x1 == 0 || l.steps >= maxSteps {
-				wins[l.win] = b.won(l)
+			if x0 == 0 || x1 == 0 || l.steps[i] >= maxSteps {
+				wins[l.win[i]] = b.won(i)
 				if next < hi {
-					b.start(li, seed, next, lo)
+					b.start(i, seed, next, lo)
 					next++
 				} else {
 					active--
-					*l = lanes[active]
+					l.move(i, active)
 				}
 				continue
 			}
@@ -132,7 +169,7 @@ func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
 			if total <= 0 {
 				// All rates zero: the chain never reaches consensus.
 				// Charge the budget so the next round retires the lane.
-				l.steps = maxSteps
+				l.steps[i] = maxSteps
 				li++
 				continue
 			}
@@ -142,7 +179,7 @@ func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
 			// so that channel is the count of sums ≤ u, and for
 			// non-negative floats c ≤ u exactly when bits(u) − bits(c)
 			// has a clear sign bit.
-			u, s0, s1, s2, s3 := rng.Next4(l.s0, l.s1, l.s2, l.s3)
+			u, s0, s1, s2, s3 := rng.Next4(l.s0[i], l.s1[i], l.s2[i], l.s3[i])
 			ub := math.Float64bits(float64(float64(u>>11) / (1 << 53) * total))
 			above := (ub-math.Float64bits(c0))>>63 + (ub-math.Float64bits(c1))>>63 +
 				(ub-math.Float64bits(c2))>>63 + (ub-math.Float64bits(c3))>>63 +
@@ -153,10 +190,10 @@ func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
 				k = b.lastChannel(x0, x1)
 			}
 			// k < NumEventKinds = 8: the mask only drops the bounds check.
-			l.s0, l.s1, l.s2, l.s3 = s0, s1, s2, s3
-			l.x0 = x0 + dx0[k&(NumEventKinds-1)]
-			l.x1 = x1 + dx1[k&(NumEventKinds-1)]
-			l.steps++
+			l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
+			l.x0[i] = x0 + int(dx0[k&(NumEventKinds-1)])
+			l.x1[i] = x1 + int(dx1[k&(NumEventKinds-1)])
+			l.steps[i]++
 			li++
 		}
 	}
@@ -165,19 +202,27 @@ func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
 
 // start seeds lane li with replicate rep of the block starting at lo.
 func (b *Block) start(li int, seed uint64, rep, lo int) {
-	l := &b.lanes[li]
-	l.s0, l.s1, l.s2, l.s3 = rng.StreamState4(seed, uint64(rep))
-	l.x0, l.x1, l.steps, l.win = b.initial.X0, b.initial.X1, 0, rep-lo
+	l := &b.lanes
+	l.s0[li], l.s1[li], l.s2[li], l.s3[li] = rng.StreamState4(seed, uint64(rep))
+	l.x0[li], l.x1[li], l.steps[li], l.win[li] = b.initial.X0, b.initial.X1, 0, rep-lo
 }
 
-// won scores a stopped lane as consensus.LVProtocol scores Run's Outcome.
-func (b *Block) won(l *blockLane) bool {
-	if l.x0 != 0 && l.x1 != 0 {
+// move copies lane src into lane dst.
+func (l *blockLanes) move(dst, src int) {
+	l.s0[dst], l.s1[dst], l.s2[dst], l.s3[dst] = l.s0[src], l.s1[src], l.s2[src], l.s3[src]
+	l.x0[dst], l.x1[dst], l.steps[dst], l.win[dst] = l.x0[src], l.x1[src], l.steps[src], l.win[src]
+}
+
+// won scores stopped lane li as consensus.LVProtocol scores Run's Outcome.
+func (b *Block) won(li int) bool {
+	l := &b.lanes
+	x0, x1 := l.x0[li], l.x1[li]
+	if x0 != 0 && x1 != 0 {
 		return false // budget exhausted or no reaction possible
 	}
-	w := State{X0: l.x0, X1: l.x1}.Winner()
+	w := State{X0: x0, X1: x1}.Winner()
 	if w == -1 && b.coinFlip {
-		u, _, _, _, _ := rng.Next4(l.s0, l.s1, l.s2, l.s3)
+		u, _, _, _, _ := rng.Next4(l.s0[li], l.s1[li], l.s2[li], l.s3[li])
 		return float64(u>>11)/(1<<53) < 0.5
 	}
 	return w == b.majority

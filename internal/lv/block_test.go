@@ -10,29 +10,46 @@ import (
 )
 
 // checkBlockMatchesTrial runs replicates [lo, hi) of p at (n, delta) on
-// the block engine, in blocks of width, and fails on the first replicate
-// whose win differs from Trial's on rng.NewStream(seed, rep).
+// both block engines, in blocks of width: the dispatching Block.Run, which
+// hands all-live rounds to the AVX2 kernel where the CPU has it, and the
+// Go round alone. It fails on the first replicate whose win differs from
+// Trial's on rng.NewStream(seed, rep).
 func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, seed uint64, lo, hi, width int) {
 	t.Helper()
 	run, err := p.NewTrialBlock(n, delta)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wins := make([]bool, hi-lo)
-	for b := lo; b < hi; b += width {
-		e := min(b+width, hi)
-		if err := run(seed, b, e, wins[b-lo:e-lo]); err != nil {
+	a, b, err := consensus.SplitInitial(n, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blk, err := lv.NewBlock(p.Params, lv.State{X0: a, X1: b}, p.MaxSteps, p.Ties == consensus.TieIsCoinFlip)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]bool, hi-lo)
+	for rep := lo; rep < hi; rep++ {
+		if want[rep-lo], err = p.Trial(n, delta, rng.NewStream(seed, uint64(rep))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	for rep := lo; rep < hi; rep++ {
-		want, err := p.Trial(n, delta, rng.NewStream(seed, uint64(rep)))
-		if err != nil {
-			t.Fatal(err)
+	for _, engine := range []struct {
+		name string
+		run  func(seed uint64, lo, hi int, wins []bool) error
+	}{{"block", run}, {"portable", blk.RunPortable}} {
+		wins := make([]bool, hi-lo)
+		for b := lo; b < hi; b += width {
+			e := min(b+width, hi)
+			if err := engine.run(seed, b, e, wins[b-lo:e-lo]); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if wins[rep-lo] != want {
-			t.Fatalf("%+v (n=%d, delta=%d) seed %d replicate %d: block won=%v, Trial won=%v",
-				p, n, delta, seed, rep, wins[rep-lo], want)
+		for rep := lo; rep < hi; rep++ {
+			if wins[rep-lo] != want[rep-lo] {
+				t.Fatalf("%+v (n=%d, delta=%d) seed %d replicate %d: %s won=%v, Trial won=%v",
+					p, n, delta, seed, rep, engine.name, wins[rep-lo], want[rep-lo])
+			}
 		}
 	}
 }
@@ -40,8 +57,10 @@ func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, 
 // TestBlockMatchesTrial compares every lane of the block engine with the
 // scalar Trial across the regimes of the fused-kernel replay test, both
 // tie rules where double extinction is common, chains that can fire no
-// reaction, −0.0 rates, and blocks narrower than, equal to and wider than
-// the lane width starting past replicate 0.
+// reaction, −0.0 rates, a total that overflows to +Inf from the first
+// event, and blocks narrower than, equal to and wider than the lane width
+// starting past replicate 0. Only blocks at least BlockLanes wide enter
+// the AVX2 kernel, and the widest refill lanes.
 func TestBlockMatchesTrial(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases := []struct {
@@ -61,6 +80,7 @@ func TestBlockMatchesTrial(t *testing.T) {
 		{"zero-rates", consensus.LVProtocol{Params: lv.Neutral(0, 0, 0, 0, lv.SelfDestructive)}, 20, 4},
 		{"neg-zero-beta", consensus.LVProtocol{Params: lv.Params{Beta: negZero, Delta: 1, Alpha: [2]float64{1, 1}, Competition: lv.SelfDestructive}}, 30, 4},
 		{"neg-zero-gamma", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 1, Alpha: [2]float64{1, 1}, Gamma: [2]float64{negZero, negZero}, Competition: lv.NonSelfDestructive}}, 30, 4},
+		{"inf-total", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), MaxSteps: 64}, 40000, 0},
 	}
 	widths := []int{3, lv.BlockLanes, 5*lv.BlockLanes + 3}
 	for _, tc := range cases {
@@ -68,6 +88,49 @@ func TestBlockMatchesTrial(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
 				for _, w := range widths {
 					checkBlockMatchesTrial(t, tc.p, tc.n, tc.delta, seed, 37, 37+2*w+1, w)
+				}
+			}
+		})
+	}
+}
+
+// TestKernelCall checks one call of the AVX2 round kernel against Run on
+// each lane's stream. At (10⁶, 10⁶) no lane stops for millions of events,
+// so every lane must fire exactly KernelRounds events, the round cap, and
+// land where Run lands after as many. With α = 1e300 at (20000, 20000) the
+// total is +Inf from the first event, so the kernel must hand back before
+// it fires any.
+func TestKernelCall(t *testing.T) {
+	if !lv.HasAVX2() {
+		t.Skip("the AVX2 round kernel does not run on this CPU")
+	}
+	for _, tc := range []struct {
+		name    string
+		params  lv.Params
+		initial lv.State
+		events  int
+	}{
+		{"nsd-1e6", lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive), lv.State{X0: 1_000_000, X1: 1_000_000}, lv.KernelRounds},
+		{"inf-total", lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), lv.State{X0: 20000, X1: 20000}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blk, err := lv.NewBlock(tc.params, tc.initial, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const seed = 5
+			x0, x1, steps := blk.KernelCall(seed)
+			for li := range lv.BlockLanes {
+				want := tc.initial
+				if tc.events > 0 {
+					out, err := lv.Run(tc.params, tc.initial, rng.NewStream(seed, uint64(li)), lv.RunOptions{MaxSteps: tc.events})
+					if err != nil {
+						t.Fatal(err)
+					}
+					want = out.Final
+				}
+				if got := (lv.State{X0: x0[li], X1: x1[li]}); steps[li] != tc.events || got != want {
+					t.Errorf("lane %d: kernel at %+v after %d events, want %+v after %d", li, got, steps[li], want, tc.events)
 				}
 			}
 		})

@@ -52,7 +52,7 @@ type Outcome struct {
 
 // maxJumpSteps caps executions as a safety net; the expected number of
 // jumps is at most a(n−a) ≤ n²/4, so the cap is never reached in practice.
-const maxJumpSteps = 1 << 40
+const maxJumpSteps int64 = 1 << 40
 
 // Chain is a running Moran process, advanced one state-changing (jump)
 // step at a time on the embedded jump chain: from any mixed state the next
@@ -96,7 +96,7 @@ func (c *Chain) Absorbed() (done, fixed0 bool) {
 // count went up, and ok = false without changing the state when the chain
 // is already absorbed or the jump-step safety cap is exceeded.
 func (c *Chain) Step() (up, ok bool) {
-	if c.i <= 0 || c.i >= c.n || c.jumpSteps >= maxJumpSteps {
+	if c.i <= 0 || c.i >= c.n || int64(c.jumpSteps) >= maxJumpSteps {
 		return false, false
 	}
 	r := c.params.Fitness

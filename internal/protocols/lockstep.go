@@ -180,7 +180,7 @@ func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) 
 	if delta < 0 || (n-delta)%2 != 0 || delta > n-2 {
 		return nil, fmt.Errorf("protocols: infeasible gap %d for n=%d", delta, n)
 	}
-	if n > math.MaxUint32 {
+	if uint64(n) > math.MaxUint32 {
 		return nil, fmt.Errorf("protocols: population %d overflows the lockstep count planes", n)
 	}
 	if p.Lanes < 0 || p.Lanes > MaxLockstepLanes {
