@@ -1,18 +1,18 @@
 //go:build linux
 
-package lv_test
+package cpufeat_test
 
 import (
 	"os"
 	"strings"
 	"testing"
 
-	"lvmajority/internal/lv"
+	"lvmajority/internal/cpufeat"
 )
 
 // TestAVX2DetectionMatchesCPUInfo checks the CPUID detector against the
 // flags Linux reports, so that a broken check cannot quietly turn every
-// amd64 run into a test of the Go round alone. Linux does not list
+// amd64 run into a test of the Go rounds alone. Linux does not list
 // osxsave in /proc/cpuinfo; xsave stands in for it, because Linux drops
 // xsave, avx and avx2 together when it does not enable XSAVE.
 func TestAVX2DetectionMatchesCPUInfo(t *testing.T) {
@@ -34,14 +34,14 @@ func TestAVX2DetectionMatchesCPUInfo(t *testing.T) {
 	}
 	switch {
 	case !flags["avx2"]:
-		if lv.HasAVX2() {
+		if cpufeat.AVX2() {
 			t.Error("the detector reports AVX2, but /proc/cpuinfo lists no avx2")
 		}
 	case flags["avx"] && (flags["osxsave"] || flags["xsave"]):
-		if !lv.HasAVX2() {
+		if !cpufeat.AVX2() {
 			t.Error("/proc/cpuinfo lists avx2, avx and xsave, but the detector reports no AVX2")
 		}
 	default:
-		t.Logf("avx2 without avx or xsave in /proc/cpuinfo; the detector reports AVX2 = %v", lv.HasAVX2())
+		t.Logf("avx2 without avx or xsave in /proc/cpuinfo; the detector reports AVX2 = %v", cpufeat.AVX2())
 	}
 }

@@ -3,6 +3,7 @@ package lv
 import (
 	"testing"
 
+	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 )
 
@@ -122,7 +123,7 @@ func BenchmarkLVBlock(b *testing.B) {
 		for _, engine := range []struct {
 			name string
 			avx2 bool
-		}{{"block", hasAVX2}, {"portable", false}} {
+		}{{"block", cpufeat.AVX2()}, {"portable", false}} {
 			b.Run(c.name+"/"+engine.name, func(b *testing.B) {
 				blk, err := NewBlock(c.params, c.initial, 0, false)
 				if err != nil {

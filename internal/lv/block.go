@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 )
 
@@ -113,7 +114,7 @@ func NewBlock(params Params, initial State, maxSteps int, coinFlip bool) (*Block
 // and writes whether its initial majority won to wins[rep-lo]. It has the
 // shape of an mc.BlockFunc. A Block is not safe for concurrent use.
 func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
-	return b.run(seed, lo, hi, wins, hasAVX2)
+	return b.run(seed, lo, hi, wins, cpufeat.AVX2())
 }
 
 // run is Run with the engine explicit: avx2 lets the AVX2 kernel run the

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lvmajority/internal/consensus"
+	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 )
@@ -101,7 +102,7 @@ func TestBlockMatchesTrial(t *testing.T) {
 // total is +Inf from the first event, so the kernel must hand back before
 // it fires any.
 func TestKernelCall(t *testing.T) {
-	if !lv.HasAVX2() {
+	if !cpufeat.AVX2() {
 		t.Skip("the AVX2 round kernel does not run on this CPU")
 	}
 	for _, tc := range []struct {

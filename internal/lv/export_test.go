@@ -1,9 +1,5 @@
 package lv
 
-// HasAVX2 reports whether Block.Run hands its all-live rounds to the AVX2
-// round kernel on this CPU.
-func HasAVX2() bool { return hasAVX2 }
-
 // KernelRounds caps the events one AVX2 kernel call fires per lane.
 const KernelRounds = kernelRounds
 

@@ -60,11 +60,12 @@ type BlockFunc func(seed uint64, lo, hi int, wins []bool) error
 
 // Blocks returns the Counter for trial sources that advance whole blocks of
 // trials per call, such as the lockstep LV and population kernels. lanes is
-// the preferred block width: the pool hands each worker contiguous index
-// ranges of size min(lanes, remaining), so every block of a window but the
-// last is full-width. Under early stopping each batch is one window, so a batch
-// costs at most ⌈size/lanes⌉ block calls and no block runs past the batch
-// that settles the comparison.
+// the widest block: the pool cuts a window into blocks of
+// min(lanes, ⌈size/workers⌉) trials, so every block but the last has that
+// width, and a window narrower than lanes times the worker count still
+// occupies every worker. Under early stopping each batch is one window, so
+// a batch costs at most max(⌈size/lanes⌉, workers) block calls and no block
+// runs past the batch that settles the comparison.
 func Blocks(lanes int, newWorker func() (BlockFunc, error)) Counter {
 	return func(lo, hi int, opts Options) (int, error) {
 		if lanes <= 0 {

@@ -37,8 +37,8 @@ func coin(p float64) func(rep int, src *rng.Source) (bool, error) {
 // source obeying the index-keyed stream contract, the block estimator
 // returns exactly the scalar estimator's result — same successes, same
 // trials — for every block width, including widths that do not divide the
-// replicate count (the last block of each batch is then partial: the
-// block-size heuristic is block = min(remaining, lanes)).
+// replicate count (the last block of each batch is then partial) and
+// widths above the count per worker (the window is then split evenly).
 func TestBlocksMatchScalarEstimator(t *testing.T) {
 	opts := BernoulliOptions{Options: Options{Replicates: 5000, Workers: 4, Seed: 11}}
 	want, err := EstimateBernoulli(opts, Trials(coin(0.42)))
@@ -140,6 +140,36 @@ func TestBlocksPartialLastBlock(t *testing.T) {
 	}
 	if len(widths) != 4 || widths[0] != 300 || widths[1] != 300 || widths[2] != 300 || widths[3] != 100 {
 		t.Fatalf("block widths %v, want [300 300 300 100]", widths)
+	}
+}
+
+// TestBlocksSplitNarrowWindowEvenly pins the split of a window narrower
+// than lanes times the worker count: a 200-trial early-stop batch on
+// 128-lane blocks runs as one block per worker of equal width, not as a
+// 128-trial and a 72-trial block that would leave the other workers idle.
+func TestBlocksSplitNarrowWindowEvenly(t *testing.T) {
+	for _, tc := range []struct{ workers, blocks, width int }{{2, 2, 100}, {8, 8, 25}} {
+		var mu sync.Mutex
+		var widths []int
+		count := Blocks(128, func() (BlockFunc, error) {
+			return func(seed uint64, lo, hi int, wins []bool) error {
+				mu.Lock()
+				widths = append(widths, hi-lo)
+				mu.Unlock()
+				return blockOfTrial(coin(0.5))(seed, lo, hi, wins)
+			}, nil
+		})
+		if _, err := count(0, 200, Options{Workers: tc.workers, Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if len(widths) != tc.blocks {
+			t.Fatalf("workers=%d: block widths %v, want %d blocks of %d", tc.workers, widths, tc.blocks, tc.width)
+		}
+		for _, w := range widths {
+			if w != tc.width {
+				t.Fatalf("workers=%d: block widths %v, want %d blocks of %d", tc.workers, widths, tc.blocks, tc.width)
+			}
+		}
 	}
 }
 

@@ -113,14 +113,16 @@ func trialSpan(seed uint64, trial func(rep int, src *rng.Source) (bool, error)) 
 }
 
 // runPool runs trials [lo, hi) in spans of at most width trials and returns
-// the number of successes. Spans are handed out through one atomic cursor,
-// so within a worker they arrive in increasing order while the assignment
-// of spans to workers is scheduling-dependent — which is why a span may draw
-// trial rep's randomness only from rng.NewStream(opts.Seed, rep). A
-// trial-at-a-time source is a width-1 span. newWorker is called once per
-// worker to build its (possibly stateful) span function. Workers defaults
-// to GOMAXPROCS and is capped at the number of spans; Replicates is only
-// the progress total and is raised to at least hi.
+// the number of successes. A window narrower than width times the worker
+// count is split evenly instead, into spans of ⌈(hi−lo)/workers⌉ trials, so
+// that every worker gets a span. Spans are handed out through one atomic
+// cursor, so within a worker they arrive in increasing order while the
+// assignment of spans to workers is scheduling-dependent — which is why a
+// span may draw trial rep's randomness only from rng.NewStream(opts.Seed,
+// rep). A trial-at-a-time source is a width-1 span. newWorker is called
+// once per worker to build its (possibly stateful) span function. Workers
+// defaults to GOMAXPROCS and is capped at the number of spans; Replicates
+// is only the progress total and is raised to at least hi.
 func runPool(lo, hi, width int, opts Options, newWorker func() (spanFunc, error)) (int, error) {
 	if hi < lo {
 		return 0, fmt.Errorf("mc: inverted trial window [%d, %d)", lo, hi)
@@ -136,6 +138,7 @@ func runPool(lo, hi, width int, opts Options, newWorker func() (spanFunc, error)
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	width = min(width, (n+workers-1)/workers)
 	workers = min(workers, (n+width-1)/width)
 	report := trialReporter(lo, n, opts)
 

@@ -5,29 +5,38 @@ import (
 	"math"
 	"math/bits"
 
+	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 )
 
 // Lane widths of the lockstep kernel. The default is wide enough that the
 // out-of-order window always has several independent lanes' instruction
 // streams to overlap (the scalar batch kernel is latency-bound on one
-// serial generator chain) while the whole working set — count rows,
+// serial generator chain) while the whole working set — count planes,
 // generator states, interaction counters — stays inside L1.
 const (
 	DefaultLockstepLanes = 128
 	MaxLockstepLanes     = 256
 )
 
-// Layout of a lane's record in lockstepEngine.rec: stride-8 uint64s,
-// words 0..3 generator state, word 4 the step counter with the dirty
-// flag in the top bit, word 5 the wins index.
+// The top bit of a lane's step word is its dirty flag: set when a count
+// update produced a zero, or the lane opens a fresh replicate, so that the
+// next round runs the decide pass. The other bits count interactions.
 const (
-	recShift = 3 // record base = lane << recShift
-	recStep  = 4
-	recWin   = 5
 	dirtyBit = uint64(1) << 63
 	stepMask = dirtyBit - 1
 )
+
+// kernelIters caps the four-lane group iterations of one ticksAVX2 call.
+// The runtime never preempts assembly asynchronously, so a call must return
+// within tens of microseconds even when every lane stays eligible, or every
+// stop-the-world would wait for it: 2048 iterations take about 55 µs on a
+// 2-core Xeon VM.
+const kernelIters = 2048
+
+// planeBytes is the byte stride between two count planes: the AVX2 kernel
+// addresses state s's plane at s·planeBytes from plane 0.
+const planeBytes = MaxLockstepLanes * 4
 
 // TrialBlockLanes implements the consensus.BlockTrialer capability: a
 // positive return asks the Monte-Carlo pool to hand this protocol whole
@@ -60,10 +69,10 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 }
 
 // lockstepEngine is the structure-of-arrays block engine behind
-// KernelLockstep. All per-lane state lives in flat lane-major planes —
-// counts row, generator words, interaction counter — so one lane's whole
-// round touches two or three cache lines and the rest of the round runs
-// in registers.
+// KernelLockstep. All per-lane state lives in fixed-size planes, one array
+// per field (see lockstepLanes), so one lane's round touches one word of
+// each plane, consecutive lanes share cache lines, and the rest of the
+// round runs in registers.
 //
 // One round advances every active lane by exactly one effective
 // interaction (or retires it), replaying the scalar batch loop's phases
@@ -72,14 +81,14 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 // bounded draw, integer-weight pair scan, count update). The phases are
 // fused into a single pass per lane: the generator state loads once per
 // round into registers and every tick draw is an inlined rng.Next4, so a
-// round costs four state loads and stores, a handful of count-row
+// round costs four state loads and stores, a handful of count-plane
 // accesses, and register arithmetic. The speedup over the scalar kernel
 // is instruction-level parallelism: consecutive lanes have no data
 // dependence, so the CPU overlaps their rounds — but only as far as it
 // can speculate past the round's branches. The tick loop's exit is
 // decided by the draw itself, which makes a naive "draw until effective"
 // loop mispredict on most rounds and flush exactly the cross-lane work
-// the layout exists to expose. runBlock therefore speculates in
+// the layout exists to expose. The rounds therefore speculate in
 // software: each tick iteration draws two uniforms unconditionally,
 // classifies both with sign-bit arithmetic instead of compares-and-
 // branches, and selects the surviving generator state with a mask blend,
@@ -91,6 +100,35 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 // Decided lanes retire immediately: their slot is refilled with the next
 // replicate of the block while any remain, then swap-compacted away, so
 // the tail of a block never serializes on stragglers.
+//
+// On amd64 CPUs with AVX2, for the fast4 shape with at most four states
+// and n(n−1) < 2³², an assembly kernel (ticksAVX2) runs the tick regime
+// instead: four lanes per group, one tick per eligible lane per group
+// iteration, visiting the groups round-robin. A lane is eligible when its
+// step word is below the budget (so its dirty flag is clear), no count is
+// zero (so no DoneWhenZero rule can fire), and w, the sum of its four pair
+// weights, has w < total ≤ 8w; kernelTakes is the same predicate in Go.
+// Each iteration draws r₁ and r₂ speculatively. r₁ is effective iff
+// (float64(r₁>>11)·2⁻⁵³)·total < float64(w), the negation of the batch
+// kernel's null test, computed exactly as Go does: r₁>>11 and w convert
+// exactly, the scaling by 2⁻⁵³ is exact, only the multiply by total
+// rounds, and nothing is fused. A null tick commits the one-draw state; an
+// effective tick commits the two-draw state, picks the pair from the high
+// word of r₂·w (Lemire's fast path, exact because w < 2³²) and applies
+// its net count updates, setting the dirty flag on a zero. Every lane
+// therefore draws exactly what the batch kernel draws, and the kernel
+// leaves ineligible lanes untouched.
+//
+// Hand-back: if an effective lane's low word of r₂·w is below w, the
+// scalar Uint64N would enter its retry loop; the kernel then returns
+// without committing that group (probability ≤ 2⁻³² per draw), and the Go
+// round runs one full round on every lane. Otherwise, after each call the
+// Go round advances every lane the kernel cannot take — the geometric
+// regime, decisions, budgets, retirement, refill — until the kernel can
+// take it again or it retires, so no lane holds its slot idle across
+// calls. A call runs at most kernelIters group iterations. Everywhere
+// else (other CPUs, other shapes, n > 65536) the Go rounds are the whole
+// engine.
 type lockstepEngine struct {
 	p   *PopulationProtocol
 	tab *popTable
@@ -102,16 +140,7 @@ type lockstepEngine struct {
 	ftotal          float64
 	lanes           int // R: lane capacity
 
-	counts []uint32 // [lane*states + state]
-
-	// rec packs everything else a lane owns into one stride-8 record —
-	// words 0..3 the xoshiro256++ state, word 4 the interaction counter
-	// with the dirty flag in its top bit, word 5 the index into the
-	// block's wins slice. One slice header instead of four keeps the
-	// sweeps' register pressure down (the hot loop's live set is what
-	// spills), the base index is a shift, and a lane's whole record sits
-	// in one cache line.
-	rec []uint64
+	l lockstepLanes
 
 	scratch []int // states; gathered counts for the Done closure fallback
 
@@ -155,6 +184,15 @@ type lockstepEngine struct {
 	fast4 bool
 	wire4 uint64
 
+	// kernel reports that ticksAVX2 can run this engine's shape: fast4,
+	// at most four states and total < 2³². kpair holds the byte offsets
+	// of the count planes of pair i's states, s at 2i and t at 2i+1;
+	// kdelta[s][i] is state s's net count change when pair i fires, and
+	// entries 4–7 are zero, the index of a lane that does not fire.
+	kernel bool
+	kpair  [8]int64
+	kdelta [4][8]int32
+
 	active  int
 	nextRep int
 	seed    uint64
@@ -163,6 +201,41 @@ type lockstepEngine struct {
 	// (including skipped nulls), the same accounting the scalar kernels
 	// report from run; benchmarks read it to price one simulated event.
 	ticks int64
+	// kernelCalls counts ticksAVX2 calls, for tests.
+	kernelCalls int
+}
+
+// lockstepLanes holds the lanes in flight as fixed-size planes: lane li
+// has the xoshiro256++ state words s0[li]…s3[li], the step word step[li]
+// (the interaction counter, with the dirty flag in its top bit), the index
+// win[li] of its result in the block's wins slice, and the count
+// counts[s][li] of each state s. There are at least four count planes; a
+// plane past NumStates holds 1 in every lane, so that the AVX2 kernel's
+// all-non-zero test ignores it and its zero deltas leave it alone.
+type lockstepLanes struct {
+	s0, s1, s2, s3 [MaxLockstepLanes]uint64
+	step           [MaxLockstepLanes]uint64
+	win            [MaxLockstepLanes]int
+	counts         [][MaxLockstepLanes]uint32
+}
+
+// kernelTakes reports whether ticksAVX2 can advance lane i, whose pair
+// weights sum to w: the step word is below the budget, no count is zero,
+// and w < total ≤ 8w. The kernel tests the same conditions on four lanes
+// at once.
+func (l *lockstepLanes) kernelTakes(i int, maxI, w, total int64) bool {
+	return l.step[i] < uint64(maxI) &&
+		min(l.counts[0][i], l.counts[1][i], l.counts[2][i], l.counts[3][i]) != 0 &&
+		w < total && 8*w >= total
+}
+
+// move copies lane src into lane dst.
+func (l *lockstepLanes) move(dst, src, states int) {
+	l.s0[dst], l.s1[dst], l.s2[dst], l.s3[dst] = l.s0[src], l.s1[src], l.s2[src], l.s3[src]
+	l.step[dst], l.win[dst] = l.step[src], l.win[src]
+	for s := range states {
+		l.counts[s][dst] = l.counts[s][src]
+	}
 }
 
 // newLockstep validates the protocol and the (n, delta) configuration once
@@ -202,9 +275,13 @@ func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) 
 		total:           int64(n) * int64(n-1),
 		ftotal:          float64(int64(n) * int64(n-1)),
 		lanes:           r,
-		counts:          make([]uint32, r*states),
-		rec:             make([]uint64, r<<recShift),
 		scratch:         make([]int, states),
+	}
+	e.l.counts = make([][MaxLockstepLanes]uint32, max(states, 4))
+	for s := states; s < len(e.l.counts); s++ {
+		for li := range e.l.counts[s] {
+			e.l.counts[s][li] = 1
+		}
 	}
 	e.ruleStart = append(e.ruleStart, 0)
 	for _, rule := range tab.doneZero {
@@ -253,6 +330,16 @@ func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) 
 			e.wire4 |= uint64(uint8(e.pairS[i]))<<(16*i) | uint64(uint8(e.pairT[i]))<<(16*i+8)
 		}
 	}
+	e.kernel = e.fast4 && states <= 4 && e.total < 1<<32
+	if e.kernel {
+		for i := 0; i < 4; i++ {
+			e.kpair[2*i] = int64(e.pairS[i]) * planeBytes
+			e.kpair[2*i+1] = int64(e.pairT[i]) * planeBytes
+			for d := e.deltaStart[i]; d < e.deltaStart[i+1]; d++ {
+				e.kdelta[e.deltaState[d]][i] += int32(e.deltaVal[d])
+			}
+		}
+	}
 	return e, nil
 }
 
@@ -260,17 +347,15 @@ func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) 
 // index-keyed stream, fresh initial counts, a zero interaction counter
 // marked dirty so the first round decides.
 func (e *lockstepEngine) initLane(li, rep, lo int) {
-	s0, s1, s2, s3 := rng.StreamState4(e.seed, uint64(rep))
-	b := li << recShift
-	e.rec[b], e.rec[b+1], e.rec[b+2], e.rec[b+3] = s0, s1, s2, s3
-	e.rec[b+recStep] = dirtyBit
-	e.rec[b+recWin] = uint64(rep - lo)
-	base := li * e.states
+	l := &e.l
+	l.s0[li], l.s1[li], l.s2[li], l.s3[li] = rng.StreamState4(e.seed, uint64(rep))
+	l.step[li] = dirtyBit
+	l.win[li] = rep - lo
 	for s := 0; s < e.states; s++ {
-		e.counts[base+s] = 0
+		l.counts[s][li] = 0
 	}
-	e.counts[base+e.p.MajorityState] += uint32(e.a)
-	e.counts[base+e.p.MinorityState] += uint32(e.b)
+	l.counts[e.p.MajorityState][li] += uint32(e.a)
+	l.counts[e.p.MinorityState][li] += uint32(e.b)
 }
 
 // finishLane records lane li's outcome and frees its slot: refilled with
@@ -278,28 +363,30 @@ func (e *lockstepEngine) initLane(li, rep, lo int) {
 // against the last active lane. The caller re-examines index li, which now
 // holds either the fresh replicate or the swapped-in lane.
 func (e *lockstepEngine) finishLane(li int, won bool, wins []bool, hi, lo int) {
-	b := li << recShift
-	wins[e.rec[b+recWin]] = won
-	e.ticks += int64(e.rec[b+recStep] & stepMask)
+	wins[e.l.win[li]] = won
+	e.ticks += int64(e.l.step[li] & stepMask)
 	if e.nextRep < hi {
 		e.initLane(li, e.nextRep, lo)
 		e.nextRep++
 		return
 	}
 	e.active--
-	last := e.active
-	if li == last {
-		return
+	if last := e.active; li != last {
+		e.l.move(li, last, e.states)
 	}
-	ns := e.states
-	copy(e.counts[li*ns:li*ns+ns], e.counts[last*ns:last*ns+ns])
-	copy(e.rec[b:b+6], e.rec[last<<recShift:last<<recShift+6])
 }
 
 // runBlock runs replicates [lo, hi), writing each outcome to wins[rep-lo].
 // Blocks wider than the lane capacity are handled by refilling retired
 // lanes, so any block size is accepted.
 func (e *lockstepEngine) runBlock(seed uint64, lo, hi int, wins []bool) error {
+	return e.run(seed, lo, hi, wins, cpufeat.AVX2())
+}
+
+// run is runBlock with the engine explicit: avx2 lets ticksAVX2 run the
+// tick regime of a shape it fits, and without it the Go rounds are the
+// whole engine.
+func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, avx2 bool) error {
 	if hi < lo {
 		return fmt.Errorf("protocols: lockstep block [%d, %d) is inverted", lo, hi)
 	}
@@ -307,18 +394,27 @@ func (e *lockstepEngine) runBlock(seed uint64, lo, hi int, wins []bool) error {
 		return fmt.Errorf("protocols: lockstep block [%d, %d) with %d result slots", lo, hi, len(wins))
 	}
 	e.seed = seed
-	e.active = hi - lo
-	if e.active > e.lanes {
-		e.active = e.lanes
-	}
+	e.active = min(hi-lo, e.lanes)
 	e.nextRep = lo + e.active
 	for li := 0; li < e.active; li++ {
 		e.initLane(li, lo+li, lo)
 	}
 	if e.fast4 {
-		return e.sweep4(lo, hi, wins)
+		return e.sweep4(lo, hi, wins, avx2 && e.kernel)
 	}
 	return e.sweepN(lo, hi, wins)
+}
+
+// kernelTicks runs one ticksAVX2 call over the groups covering lanes
+// [0, active) and reports whether the kernel refused a group. The pad
+// lanes of the last group get a dirty step word first, which the kernel
+// never takes.
+func (e *lockstepEngine) kernelTicks(active int) (refused bool) {
+	for li := active; li&3 != 0; li++ {
+		e.l.step[li] = dirtyBit
+	}
+	e.kernelCalls++
+	return ticksAVX2(e, (active+3)/4)
 }
 
 // sweepN is the generic round loop, correct for any compiled shape. It
@@ -333,7 +429,8 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 	maxI := e.maxInteractions
 	total, ftotal := e.total, e.ftotal
 	tscale := float64(1<<53) / ftotal
-	counts, rec := e.counts, e.rec
+	l := &e.l
+	counts := l.counts
 	pairS, pairT, pairDadj, wv := e.pairS, e.pairT, e.pairDadj, e.wv
 	deltaStart, deltaState, deltaVal := e.deltaStart, e.deltaState, e.deltaVal
 	ruleStart, ruleState, ruleWin := e.ruleStart, e.ruleState, e.ruleWin
@@ -341,26 +438,25 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 
 	for active := e.active; active > 0; active = e.active {
 		for li := 0; li < active; {
-			base := li * ns
-			rb := li << recShift
-			step := int(rec[rb+recStep] & stepMask)
+			i := li & (MaxLockstepLanes - 1) // i == li: the mask only drops the bounds checks
+			step := int(l.step[i] & stepMask)
 			// Budget before Done, matching the scalar loop — a lane whose
 			// final permitted interaction reaches consensus still scores
 			// as undecided, because it never observes the final state.
 			if step >= maxI {
-				e.finishLane(li, false, wins, hi, lo)
+				e.finishLane(i, false, wins, hi, lo)
 				active = e.active
 				continue
 			}
 			// Decide. The flattened DoneWhenZero rules need a couple of
-			// loads from this lane's count row; the closure fallback
-			// gathers the row and pays an indirect call.
+			// loads from this lane's count planes; the closure fallback
+			// gathers the counts and pays an indirect call.
 			if nRules > 0 {
 				winner := int32(-2)
 				for rI := 0; rI < nRules; rI++ {
 					var acc uint32
 					for d := ruleStart[rI]; d < ruleStart[rI+1]; d++ {
-						acc |= counts[base+int(ruleState[d])]
+						acc |= counts[ruleState[d]][i]
 					}
 					if acc == 0 {
 						winner = ruleWin[rI]
@@ -368,17 +464,17 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					}
 				}
 				if winner != -2 {
-					e.finishLane(li, winner == 0, wins, hi, lo)
+					e.finishLane(i, winner == 0, wins, hi, lo)
 					active = e.active
 					continue
 				}
 			} else {
 				scratch := e.scratch
 				for s := 0; s < ns; s++ {
-					scratch[s] = int(counts[base+s])
+					scratch[s] = int(counts[s][i])
 				}
 				if isDone, winner := e.p.Done(scratch); isDone {
-					e.finishLane(li, winner == 0, wins, hi, lo)
+					e.finishLane(i, winner == 0, wins, hi, lo)
 					active = e.active
 					continue
 				}
@@ -389,26 +485,26 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 			// cs·(cs−1) is never negative, so the scalar kernel's clamp
 			// is implied.
 			var w int64
-			for i := 0; i < pairs; i++ {
-				cs := int64(counts[base+int(pairS[i])])
-				ct := int64(counts[base+int(pairT[i])])
-				wi := cs * (ct - pairDadj[i])
-				wv[i] = wi
-				w += wi
+			for k := 0; k < pairs; k++ {
+				cs := int64(counts[pairS[k]][i])
+				ct := int64(counts[pairT[k]][i])
+				wk := cs * (ct - pairDadj[k])
+				wv[k] = wk
+				w += wk
 			}
 			if w == 0 {
 				// No selectable effective pair: the counts can never
 				// change again, and the scalar loop would spin to the
 				// budget. Charge the full budget; the next decide pass
 				// retires the lane undecided.
-				rec[rb+recStep] = uint64(maxI)
+				l.step[i] = uint64(maxI)
 				li++
 				continue
 			}
 
 			// The lane's generator runs in registers for the rest of the
 			// round; every draw below is an inlined state-passing step.
-			s0, s1, s2, s3 := rec[rb], rec[rb+1], rec[rb+2], rec[rb+3]
+			s0, s1, s2, s3 := l.s0[i], l.s1[i], l.s2[i], l.s3[i]
 			var u uint64
 			if w < total {
 				if 8*w >= total {
@@ -487,8 +583,8 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 						}
 					}
 					if blown {
-						rec[rb+recStep] = uint64(step)
-						rec[rb], rec[rb+1], rec[rb+2], rec[rb+3] = s0, s1, s2, s3
+						l.step[i] = uint64(step)
+						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
 						li++
 						continue
 					}
@@ -499,8 +595,8 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					var nulls int
 					nulls, s0, s1, s2, s3 = rng.GeometricCapped4(s0, s1, s2, s3, float64(w)/ftotal, remaining)
 					if nulls >= remaining {
-						rec[rb+recStep] = uint64(maxI)
-						rec[rb], rec[rb+1], rec[rb+2], rec[rb+3] = s0, s1, s2, s3
+						l.step[i] = uint64(maxI)
+						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
 						li++
 						continue
 					}
@@ -526,15 +622,15 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 			// already names it.
 			v := int64(mhi)
 			pair := 0
-			for i := 0; i < pairs-1; i++ {
-				v -= wv[i]
+			for k := 0; k < pairs-1; k++ {
+				v -= wv[k]
 				pair += int(^uint64(v) >> 63)
 			}
 			for d := deltaStart[pair]; d < deltaStart[pair+1]; d++ {
-				counts[base+int(deltaState[d])] += deltaVal[d]
+				counts[deltaState[d]][i] += deltaVal[d]
 			}
-			rec[rb+recStep] = uint64(step)
-			rec[rb], rec[rb+1], rec[rb+2], rec[rb+3] = s0, s1, s2, s3
+			l.step[i] = uint64(step)
+			l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
 			li++
 		}
 	}
@@ -550,13 +646,19 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 // flag so it runs only on rounds that follow a zero-crossing count
 // update (or open a fresh replicate).
 //
+// With avx2 each pass of the lanes first calls ticksAVX2. Unless the
+// kernel refused, the pass is the hand-back: a lane the kernel can take
+// is skipped, and any other lane runs rounds until the kernel can take it
+// or it retires. After a refusal, and without avx2, every lane runs one
+// round per pass.
+//
 //lint:hotpath
-func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
-	ns := e.states
+func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, avx2 bool) error {
 	maxI := e.maxInteractions
 	total, ftotal := e.total, e.ftotal
 	tscale := float64(1<<53) / ftotal
-	counts, rec := e.counts, e.rec
+	l := &e.l
+	counts := l.counts
 	deltaPk := e.deltaPacked
 	// The pair wiring rides in one register; the rule tables load inside
 	// the cold dirty branch. Everything the hot path keeps live has to
@@ -564,24 +666,29 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
 	wire := e.wire4
 
 	for active := e.active; active > 0; active = e.active {
+		// adv is how far a lane's round moves the pass on: 0 in the
+		// hand-back, which re-examines the lane.
+		adv := 1
+		if avx2 && !e.kernelTicks(active) {
+			adv = 0
+		}
 		for li := 0; li < active; {
-			base := li * ns
-			rb := li << recShift
-			sd := rec[rb+recStep]
+			i := li & (MaxLockstepLanes - 1) // i == li: the mask only drops the bounds checks
+			sd := l.step[i]
 			step := int(sd & stepMask)
 			if step >= maxI {
-				e.finishLane(li, false, wins, hi, lo)
+				e.finishLane(i, false, wins, hi, lo)
 				active = e.active
 				continue
 			}
 			if sd >= dirtyBit {
-				rec[rb+recStep] = sd &^ dirtyBit
+				l.step[i] = sd &^ dirtyBit
 				ruleStart, ruleState, ruleWin := e.ruleStart, e.ruleState, e.ruleWin
 				winner := int32(-2)
 				for rI := 0; rI < len(ruleWin); rI++ {
 					var acc uint32
 					for d := ruleStart[rI]; d < ruleStart[rI+1]; d++ {
-						acc |= counts[base+int(ruleState[d])]
+						acc |= counts[ruleState[d]][i]
 					}
 					if acc == 0 {
 						winner = ruleWin[rI]
@@ -589,24 +696,28 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
 					}
 				}
 				if winner != -2 {
-					e.finishLane(li, winner == 0, wins, hi, lo)
+					e.finishLane(i, winner == 0, wins, hi, lo)
 					active = e.active
 					continue
 				}
 			}
 
-			w0 := int64(counts[base+int(wire&0xff)]) * int64(counts[base+int(wire>>8&0xff)])
-			w1 := int64(counts[base+int(wire>>16&0xff)]) * int64(counts[base+int(wire>>24&0xff)])
-			w2 := int64(counts[base+int(wire>>32&0xff)]) * int64(counts[base+int(wire>>40&0xff)])
-			w3 := int64(counts[base+int(wire>>48&0xff)]) * int64(counts[base+int(wire>>56)])
+			w0 := int64(counts[wire&0xff][i]) * int64(counts[wire>>8&0xff][i])
+			w1 := int64(counts[wire>>16&0xff][i]) * int64(counts[wire>>24&0xff][i])
+			w2 := int64(counts[wire>>32&0xff][i]) * int64(counts[wire>>40&0xff][i])
+			w3 := int64(counts[wire>>48&0xff][i]) * int64(counts[wire>>56][i])
 			w := w0 + w1 + w2 + w3
-			if w == 0 {
-				rec[rb+recStep] = uint64(maxI)
+			if adv == 0 && l.kernelTakes(i, int64(maxI), w, total) {
 				li++
 				continue
 			}
+			if w == 0 {
+				l.step[i] = uint64(maxI)
+				li += adv
+				continue
+			}
 
-			s0, s1, s2, s3 := rec[rb], rec[rb+1], rec[rb+2], rec[rb+3]
+			s0, s1, s2, s3 := l.s0[i], l.s1[i], l.s2[i], l.s3[i]
 			var u uint64
 			if w < total {
 				if 8*w >= total {
@@ -657,9 +768,9 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
 						}
 					}
 					if blown {
-						rec[rb+recStep] = uint64(step)
-						rec[rb], rec[rb+1], rec[rb+2], rec[rb+3] = s0, s1, s2, s3
-						li++
+						l.step[i] = uint64(step)
+						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
+						li += adv
 						continue
 					}
 				} else {
@@ -667,9 +778,9 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
 					var nulls int
 					nulls, s0, s1, s2, s3 = rng.GeometricCapped4(s0, s1, s2, s3, float64(w)/ftotal, remaining)
 					if nulls >= remaining {
-						rec[rb+recStep] = uint64(maxI)
-						rec[rb], rec[rb+1], rec[rb+2], rec[rb+3] = s0, s1, s2, s3
-						li++
+						l.step[i] = uint64(maxI)
+						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
+						li += adv
 						continue
 					}
 					step += nulls
@@ -698,12 +809,12 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
 			d := pair * 2
 			e0 := deltaPk[d]
 			e1 := deltaPk[d+1]
-			ia := base + int(e0>>32)
-			ib := base + int(e1>>32)
-			na := counts[ia] + uint32(e0)
-			counts[ia] = na
-			nb := counts[ib] + uint32(e1)
-			counts[ib] = nb
+			pa := &counts[e0>>32][i]
+			na := *pa + uint32(e0)
+			*pa = na
+			pb := &counts[e1>>32][i]
+			nb := *pb + uint32(e1)
+			*pb = nb
 			var dz uint64
 			if na == 0 {
 				dz = dirtyBit
@@ -712,9 +823,9 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool) error {
 				dz = dirtyBit
 			}
 
-			rec[rb+recStep] = uint64(step) | dz
-			rec[rb], rec[rb+1], rec[rb+2], rec[rb+3] = s0, s1, s2, s3
-			li++
+			l.step[i] = uint64(step) | dz
+			l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
+			li += adv
 		}
 	}
 	return nil

@@ -2,22 +2,112 @@ package protocols
 
 import (
 	"math"
+	"math/bits"
 	"testing"
 
 	"lvmajority/internal/consensus"
+	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 	"lvmajority/internal/stats"
 )
 
+// lockstepPaths are the two ways a lockstep block can run: the dispatching
+// engine, which uses the AVX2 tick kernel where the CPU and the shape allow
+// it, and the Go rounds alone.
+var lockstepPaths = []struct {
+	name string
+	avx2 bool
+}{{"dispatch", cpufeat.AVX2()}, {"go", false}}
+
+// blockOn returns p's block runner for (n, delta) on the given path.
+func blockOn(t testing.TB, p *PopulationProtocol, n, delta int, avx2 bool) func(seed uint64, lo, hi int, wins []bool) error {
+	t.Helper()
+	e, err := p.newLockstep(n, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(seed uint64, lo, hi int, wins []bool) error {
+		return e.run(seed, lo, hi, wins, avx2)
+	}
+}
+
+// goOnly is a lockstep protocol whose blocks run on the Go rounds alone, so
+// that the estimator tests reach that path through consensus.
+type goOnly struct{ *PopulationProtocol }
+
+func (p goOnly) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi int, wins []bool) error, error) {
+	e, err := p.newLockstep(n, delta)
+	if err != nil {
+		return nil, err
+	}
+	return func(seed uint64, lo, hi int, wins []bool) error {
+		return e.run(seed, lo, hi, wins, false)
+	}, nil
+}
+
+// onPath wraps p for the estimator so that its blocks run on the path.
+func onPath(p *PopulationProtocol, avx2 bool) consensus.Protocol {
+	if avx2 {
+		return p
+	}
+	return goOnly{p}
+}
+
 // runBatchOracle runs replicate rep the way the scalar batch kernel would
 // inside the Monte-Carlo pool: on its own index-keyed stream.
-func runBatchOracle(t *testing.T, p *PopulationProtocol, n, delta int, seed uint64, rep int) (bool, int) {
+func runBatchOracle(t testing.TB, p *PopulationProtocol, n, delta int, seed uint64, rep int) (bool, int) {
 	t.Helper()
 	won, steps, err := p.run(n, delta, rng.NewStream(seed, uint64(rep)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	return won, steps
+}
+
+// checkLockstepMatchesBatch runs replicates [lo, hi) of p as one lockstep
+// block of the given lane width on both paths and checks every lane's win,
+// and the block's tick total, against the batch kernel on the replicate's
+// stream.
+func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budget, n, delta, lanes, lo, hi int, seed uint64) {
+	t.Helper()
+	with := func() *PopulationProtocol {
+		p := mk()
+		if budget > 0 {
+			p.MaxInteractionsFor = func(int) int { return budget }
+		}
+		return p
+	}
+	oracle := with()
+	want := make([]bool, hi-lo)
+	var wantTicks int64
+	for rep := lo; rep < hi; rep++ {
+		won, steps := runBatchOracle(t, oracle, n, delta, seed, rep)
+		want[rep-lo] = won
+		wantTicks += int64(steps)
+	}
+	for _, path := range lockstepPaths {
+		p := with()
+		p.Kernel = KernelLockstep
+		p.Lanes = lanes
+		e, err := p.newLockstep(n, delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wins := make([]bool, hi-lo)
+		if err := e.run(seed, lo, hi, wins, path.avx2); err != nil {
+			t.Fatal(err)
+		}
+		for rep := lo; rep < hi; rep++ {
+			if wins[rep-lo] != want[rep-lo] {
+				t.Fatalf("%s %s n=%d delta=%d lanes=%d budget=%d block [%d,%d) seed %d rep %d: lockstep %v, batch %v",
+					path.name, p.Name(), n, delta, lanes, budget, lo, hi, seed, rep, wins[rep-lo], want[rep-lo])
+			}
+		}
+		if e.ticks != wantTicks {
+			t.Fatalf("%s %s n=%d delta=%d lanes=%d budget=%d block [%d,%d) seed %d: lockstep accounted %d ticks, batch %d",
+				path.name, p.Name(), n, delta, lanes, budget, lo, hi, seed, e.ticks, wantTicks)
+		}
+	}
 }
 
 // TestLockstepByteIdenticalToBatch is the engine's ground truth: every
@@ -28,29 +118,452 @@ func runBatchOracle(t *testing.T, p *PopulationProtocol, n, delta int, seed uint
 // swap-compaction of a partially filled engine).
 func TestLockstepByteIdenticalToBatch(t *testing.T) {
 	makers := []func() *PopulationProtocol{NewThreeStateAM, NewFourStateExact, NewTernarySignaling, newVoterProtocol}
-	for _, mk := range makers {
-		oracle := mk()
-		p := mk()
-		p.Kernel = KernelLockstep
-		p.Lanes = 8
-		for _, tc := range []struct{ n, delta int }{{16, 2}, {40, 4}, {61, 3}, {50, 0}} {
-			for _, span := range []struct{ lo, hi int }{{0, 3}, {0, 8}, {5, 32}} {
-				block, err := p.NewTrialBlock(tc.n, tc.delta)
-				if err != nil {
-					t.Fatal(err)
-				}
-				wins := make([]bool, span.hi-span.lo)
-				if err := block(9, span.lo, span.hi, wins); err != nil {
-					t.Fatal(err)
-				}
-				for rep := span.lo; rep < span.hi; rep++ {
-					want, _ := runBatchOracle(t, oracle, tc.n, tc.delta, 9, rep)
-					if wins[rep-span.lo] != want {
-						t.Fatalf("%s n=%d delta=%d rep=%d block [%d,%d): lockstep %v, batch %v",
-							p.Name(), tc.n, tc.delta, rep, span.lo, span.hi, wins[rep-span.lo], want)
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			for _, mk := range makers {
+				oracle := mk()
+				p := mk()
+				p.Kernel = KernelLockstep
+				p.Lanes = 8
+				for _, tc := range []struct{ n, delta int }{{16, 2}, {40, 4}, {61, 3}, {50, 0}} {
+					for _, span := range []struct{ lo, hi int }{{0, 3}, {0, 8}, {5, 32}} {
+						block := blockOn(t, p, tc.n, tc.delta, path.avx2)
+						wins := make([]bool, span.hi-span.lo)
+						if err := block(9, span.lo, span.hi, wins); err != nil {
+							t.Fatal(err)
+						}
+						for rep := span.lo; rep < span.hi; rep++ {
+							want, _ := runBatchOracle(t, oracle, tc.n, tc.delta, 9, rep)
+							if wins[rep-span.lo] != want {
+								t.Fatalf("%s n=%d delta=%d rep=%d block [%d,%d): lockstep %v, batch %v",
+									p.Name(), tc.n, tc.delta, rep, span.lo, span.hi, wins[rep-span.lo], want)
+							}
+						}
 					}
 				}
 			}
+		})
+	}
+}
+
+// newAMFirstExtinction is the 3-state approximate majority decided as soon
+// as one opinion dies out, blanks or not. One effective interaction can
+// then decide a lane, so only the dirty flag the tick kernel sets on a
+// zero count sends that lane to the decide pass in time.
+func newAMFirstExtinction() *PopulationProtocol {
+	p := NewThreeStateAM()
+	p.ProtocolName = "3-state approximate majority, decided at the first extinction"
+	p.Done = func(counts []int) (bool, int) {
+		switch {
+		case counts[amY] == 0:
+			return true, 0
+		case counts[amX] == 0:
+			return true, 1
+		default:
+			return false, -1
+		}
+	}
+	p.DoneWhenZero = []DoneRule{{Zero: []int{amY}, Winner: 0}, {Zero: []int{amX}, Winner: 1}}
+	return p
+}
+
+// TestLockstepMatchesBatchInTickRegime runs populations large enough that
+// most rounds are in the tick regime, which the AVX2 kernel takes, on the
+// three shapes it fits and the one it does not: full blocks, ragged ones,
+// single lanes, the widest lanes, and budgets that bind mid-run.
+func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
+	am, ternary, exact := NewThreeStateAM, NewTernarySignaling, NewFourStateExact
+	for _, tc := range []struct {
+		name                            string
+		mk                              func() *PopulationProtocol
+		budget, n, delta, lanes, lo, hi int
+	}{
+		{"am-1024", am, 0, 1024, 98, 128, 0, 300},
+		{"am-256", am, 0, 256, 46, 128, 7, 200},
+		{"am-1024-budget", am, 3000, 1024, 98, 64, 0, 100},
+		{"am-300-lane1", am, 0, 300, 20, 1, 3, 9},
+		{"am-300-lanes256", am, 0, 300, 2, 256, 0, 260},
+		{"am-10000-budget", am, 20000, 10_000, 400, 16, 0, 20},
+		{"ternary-1024", ternary, 0, 1024, 98, 128, 0, 200},
+		{"ternary-255-lanes5", ternary, 0, 255, 11, 5, 1, 40},
+		{"ternary-512-budget", ternary, 900, 512, 0, 32, 0, 70},
+		{"exact-200", exact, 0, 200, 10, 16, 0, 40},
+		{"am-first-extinction-300", newAMFirstExtinction, 0, 300, 4, 32, 0, 100},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkLockstepMatchesBatch(t, tc.mk, tc.budget, tc.n, tc.delta, tc.lanes, tc.lo, tc.hi, 41)
+		})
+	}
+}
+
+// FuzzLockstepMatchesBatch checks both paths of a lockstep block against
+// the batch kernel on the 3-state approximate majority, ternary signaling,
+// the 4-state exact majority and the voter model: every lane's win and
+// the block's tick total, for any population up to 300, gap, lane width,
+// window, seed and interaction budget.
+func FuzzLockstepMatchesBatch(f *testing.F) {
+	f.Add(uint8(0), uint16(256), uint16(46), uint16(128), uint16(0), uint16(200), uint64(1), uint32(0))
+	f.Add(uint8(1), uint16(300), uint16(30), uint16(7), uint16(5), uint16(40), uint64(2), uint32(0))
+	f.Add(uint8(0), uint16(120), uint16(4), uint16(256), uint16(9), uint16(300), uint64(3), uint32(700))
+	f.Add(uint8(2), uint16(60), uint16(2), uint16(16), uint16(0), uint16(33), uint64(4), uint32(0))
+	f.Add(uint8(3), uint16(30), uint16(6), uint16(3), uint16(1), uint16(12), uint64(5), uint32(0))
+	f.Add(uint8(1), uint16(2), uint16(0), uint16(1), uint16(0), uint16(4), uint64(6), uint32(1))
+	f.Fuzz(func(t *testing.T, proto uint8, n, delta, lanes, lo, width uint16, seed uint64, budget uint32) {
+		mk := []func() *PopulationProtocol{NewThreeStateAM, NewTernarySignaling, NewFourStateExact, newVoterProtocol}[proto%4]
+		nn := 2 + int(n)%299
+		gap := int(delta) % (nn - 1)
+		if (nn-gap)%2 != 0 {
+			gap++
+		}
+		if gap > nn-2 {
+			gap -= 2
+		}
+		lw := 1 + int(lanes)%MaxLockstepLanes
+		first := int(lo) % 1000
+		// Budgets up to 10⁵ interactions, or the protocol's own.
+		checkLockstepMatchesBatch(t, mk, int(budget%100_001), nn, gap, lw, first, first+int(width)%301, seed)
+	})
+}
+
+// xoshiroPrev inverts one xoshiro256++ step: it returns the state whose
+// successor is (n0, n1, n2, n3).
+func xoshiroPrev(n0, n1, n2, n3 uint64) (s0, s1, s2, s3 uint64) {
+	a := bits.RotateLeft64(n3, -45) // s1 ^ s3
+	s0 = n0 ^ a
+	y := n1 ^ n2 // s1 ^ s1<<17
+	s1 = y ^ y<<17 ^ y<<34 ^ y<<51
+	s2 = n1 ^ s0 ^ s1
+	s3 = a ^ s1
+	return s0, s1, s2, s3
+}
+
+// craftedLane returns a generator state whose first draw is an effective
+// tick at pair weight w of total and whose second draw is r2: it inverts
+// one xoshiro256++ step from a successor with t0 = 0 and
+// t3 = rotr(r2, 23), which draws rotl(t0 + t3, 23) + t0 = r2, and varies
+// t1 until the first draw is effective.
+func craftedLane(t *testing.T, r2 uint64, w, total int64) [4]uint64 {
+	t.Helper()
+	for t1 := uint64(1); t1 < 1000; t1++ {
+		s0, s1, s2, s3 := xoshiroPrev(0, t1, 0x9e3779b97f4a7c15, bits.RotateLeft64(r2, -23))
+		if u, _, _, _, _ := rng.Next4(s0, s1, s2, s3); float64(u>>11)/(1<<53)*float64(total) < float64(w) {
+			if _, t0, _, _, t3 := rng.Next4(s0, s1, s2, s3); t0 != 0 || t3 != bits.RotateLeft64(r2, -23) {
+				t.Fatalf("inverse step landed on t0 = %x, t3 = %x", t0, t3)
+			}
+			return [4]uint64{s0, s1, s2, s3}
+		}
+	}
+	t.Fatal("no crafted state draws an effective first tick")
+	return [4]uint64{}
+}
+
+// startLanes seeds lanes [0, k) of e with replicates [0, k) as run does,
+// with no replicate left to refill from, so that a test can rewrite a
+// lane's state before it calls sweep4.
+func startLanes(e *lockstepEngine, seed uint64, k int) {
+	e.seed, e.active, e.nextRep, e.ticks = seed, k, k, 0
+	for li := range k {
+		e.initLane(li, li, 0)
+	}
+}
+
+// craftedEngine returns a one-lane lockstep engine for p at (n, delta)
+// whose lane holds the given 3-state counts, step count and generator
+// state.
+func craftedEngine(t *testing.T, p *PopulationProtocol, n, delta int, counts [3]uint32, step uint64, state [4]uint64) *lockstepEngine {
+	t.Helper()
+	p.Kernel = KernelLockstep
+	p.Lanes = 1
+	e, err := p.newLockstep(n, delta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !e.kernel {
+		t.Fatalf("the kernel does not fit %s", p.Name())
+	}
+	startLanes(e, 1, 1)
+	l := &e.l
+	l.s0[0], l.s1[0], l.s2[0], l.s3[0] = state[0], state[1], state[2], state[3]
+	l.step[0] = step
+	for s, c := range counts {
+		l.counts[s][0] = c
+	}
+	return e
+}
+
+// craftedEnd is where a crafted lane ends: its outcome, its ticks, and
+// its final generator state and counts.
+type craftedEnd struct {
+	won    bool
+	ticks  int64
+	state  [4]uint64
+	counts [3]uint32
+}
+
+// finishCrafted runs a crafted engine's lane to its end, with or without
+// the kernel.
+func finishCrafted(t *testing.T, e *lockstepEngine, avx2 bool) craftedEnd {
+	t.Helper()
+	wins := make([]bool, 1)
+	if err := e.sweep4(0, 1, wins, avx2); err != nil {
+		t.Fatal(err)
+	}
+	if avx2 != (e.kernelCalls > 0) {
+		t.Fatalf("avx2=%v: %d kernel calls", avx2, e.kernelCalls)
+	}
+	l := &e.l
+	return craftedEnd{wins[0], e.ticks, [4]uint64{l.s0[0], l.s1[0], l.s2[0], l.s3[0]},
+		[3]uint32{l.counts[0][0], l.counts[1][0], l.counts[2][0]}}
+}
+
+// TestLockstepKernelRefusal crafts a lane whose effective tick draws
+// r₂ = 0, so that Lemire's low word 0 is below w and Uint64N would draw
+// again: the AVX2 kernel must refuse the group without committing it, and
+// the engine must still agree with the Go rounds alone.
+func TestLockstepKernelRefusal(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	}
+	const n, delta = 1024, 98
+	counts := [3]uint32{500, 400, 124} // X, Y, blank: w = 511,600 of 1,047,552
+	state := craftedLane(t, 0, 511_600, n*(n-1))
+	e := craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state)
+	if !e.kernelTicks(1) {
+		t.Fatal("the kernel did not refuse a group whose Lemire draw retries")
+	}
+	if l := &e.l; l.step[0] != 10 || l.s0[0] != state[0] || l.s3[0] != state[3] || l.counts[2][0] != counts[2] {
+		t.Fatalf("the refused group was committed: step %d, counts %d %d %d", l.step[0], l.counts[0][0], l.counts[1][0], l.counts[2][0])
+	}
+	got := finishCrafted(t, craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state), true)
+	want := finishCrafted(t, craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state), false)
+	if got != want {
+		t.Fatalf("after a refusal the engine ends at %+v, the Go rounds alone at %+v", got, want)
+	}
+}
+
+// TestLockstepKernelLemireHighWord crafts lanes whose first effective
+// tick draws an r₂ with r₂·w landing exactly on each prefix sum of the
+// pair weights, with a carry out of the low 32-bit products into the high
+// word: the pair the kernel picks there hinges on that carry. Each lane
+// then runs to its budget with and without the kernel, and both must end
+// in the same counts, generator state and tick total.
+func TestLockstepKernelLemireHighWord(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	}
+	const n, delta = 60_000, 400
+	counts := [3]uint32{24_000, 18_000, 18_000}
+	mk := func() *PopulationProtocol {
+		p := NewThreeStateAM()
+		p.MaxInteractionsFor = func(int) int { return 3000 }
+		return p
+	}
+	e := craftedEngine(t, mk(), n, delta, counts, 0, [4]uint64{1})
+	var prefix [3]uint64
+	var w uint64
+	for i := range 4 {
+		wi := uint64(counts[e.pairS[i]]) * uint64(counts[e.pairT[i]])
+		if i < 3 {
+			prefix[i] = w + wi
+		}
+		w += wi
+	}
+	for k, hi := range prefix {
+		// The smallest r₂ with r₂·w ≥ hi·2⁶⁴, then the first r₂ from
+		// there whose product carries and draws no retry.
+		r2, rem := bits.Div64(hi, 0, w)
+		if rem != 0 {
+			r2++
+		}
+		for ; ; r2++ {
+			h, lo := bits.Mul64(r2, w)
+			if h != hi {
+				t.Fatalf("prefix %d: no carrying r₂ with high word %d", k, hi)
+			}
+			p0, p1 := (r2&math.MaxUint32)*w, (r2>>32)*w
+			if p1&math.MaxUint32+p0>>32 > math.MaxUint32 && lo >= w {
+				break
+			}
+		}
+		state := craftedLane(t, r2, int64(w), n*(n-1))
+		got := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, 0, state), true)
+		want := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, 0, state), false)
+		if got != want {
+			t.Fatalf("prefix %d: with the kernel the lane ends at %+v, on the Go rounds alone at %+v", k, got, want)
+		}
+	}
+}
+
+// TestLockstepKernelMarksZeroCounts crafts a lane of
+// newAMFirstExtinction one interaction from its decision: X = 150, one Y,
+// and an effective first tick whose r₂ = 1 picks the (X, Y) pair. The
+// kernel fires it, and the dirty flag it sets on Y's zero count must make
+// the Go round decide the lane at once, as the batch kernel does.
+func TestLockstepKernelMarksZeroCounts(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	}
+	const n, delta = 300, 4
+	counts := [3]uint32{150, 1, 149} // w = 22,799 of 89,700
+	state := craftedLane(t, 1, 22_799, n*(n-1))
+	got := finishCrafted(t, craftedEngine(t, newAMFirstExtinction(), n, delta, counts, 0, state), true)
+	want := finishCrafted(t, craftedEngine(t, newAMFirstExtinction(), n, delta, counts, 0, state), false)
+	if got != want || !got.won || got.ticks != 1 || got.counts != [3]uint32{150, 0, 150} {
+		t.Fatalf("with the kernel the lane ends at %+v, on the Go rounds alone at %+v; want a win after one tick", got, want)
+	}
+}
+
+// TestLockstepKernelEligibility gives one kernel call two groups of
+// lanes, each lane failing at most one condition of the kernel's
+// eligibility test: a zero count, a dirty step word, the geometric regime
+// and a spent budget. The kernel must leave exactly those lanes untouched
+// and advance every other lane once per visit of its group.
+func TestLockstepKernelEligibility(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	}
+	p := NewThreeStateAM()
+	p.Kernel = KernelLockstep
+	p.Lanes = 8
+	e, err := p.newLockstep(60_000, 400)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startLanes(e, 2, 8)
+	tick := [3]uint32{24_000, 18_000, 18_000}
+	lanes := []struct {
+		name   string
+		counts [3]uint32
+		step   uint64
+		takes  bool
+	}{
+		{"eligible", tick, 0, true},
+		{"zero blank", [3]uint32{30_000, 30_000, 0}, 0, false},
+		{"dirty", tick, dirtyBit | 5, false},
+		{"geometric", [3]uint32{59_000, 1, 999}, 0, false},
+		{"budget spent", tick, uint64(e.maxInteractions), false},
+		{"eligible", tick, 7, true},
+		{"eligible", tick, 0, true},
+		{"eligible", tick, 0, true},
+	}
+	l := &e.l
+	for li, c := range lanes {
+		l.step[li] = c.step
+		for s, v := range c.counts {
+			l.counts[s][li] = v
+		}
+	}
+	before := *l
+	before.counts = append([][MaxLockstepLanes]uint32(nil), l.counts...)
+	if e.kernelTicks(len(lanes)) {
+		t.Fatal("the kernel refused a group")
+	}
+	for li, c := range lanes {
+		moved := l.s0[li] != before.s0[li] || l.s3[li] != before.s3[li] || l.step[li] != before.step[li] ||
+			l.counts[0][li] != before.counts[0][li] || l.counts[1][li] != before.counts[1][li] || l.counts[2][li] != before.counts[2][li]
+		if moved != c.takes {
+			t.Errorf("lane %d (%s): kernel advanced it = %v, want %v", li, c.name, moved, c.takes)
+		}
+		if c.takes && l.step[li]-before.step[li] != kernelIters/2 {
+			t.Errorf("lane %d (%s): advanced %d ticks, want %d", li, c.name, l.step[li]-before.step[li], kernelIters/2)
+		}
+		var w int64
+		for k := range 4 {
+			w += int64(c.counts[e.pairS[k]]) * int64(c.counts[e.pairT[k]])
+		}
+		if got := before.kernelTakes(li, int64(e.maxInteractions), w, e.total); got != c.takes {
+			t.Errorf("lane %d (%s): kernelTakes = %v, want %v", li, c.name, got, c.takes)
+		}
+	}
+}
+
+// TestLockstepKernelSelectionBound pins where the AVX2 kernel stops: it
+// runs for n = 65536, where n(n−1) is just below 2³², and not for
+// n = 65537. A gap of n/2 keeps the lanes in the tick regime, and a small
+// budget keeps the trials short.
+func TestLockstepKernelSelectionBound(t *testing.T) {
+	for _, tc := range []struct {
+		n, delta int
+		kernel   bool
+	}{{65536, 32768, true}, {65537, 32769, false}} {
+		mk := func() *PopulationProtocol {
+			p := NewThreeStateAM()
+			p.MaxInteractionsFor = func(int) int { return 20_000 }
+			return p
+		}
+		p := mk()
+		p.Kernel = KernelLockstep
+		p.Lanes = 8
+		e, err := p.newLockstep(tc.n, tc.delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e.kernel != tc.kernel {
+			t.Fatalf("n=%d: kernel fits = %v, want %v", tc.n, e.kernel, tc.kernel)
+		}
+		wins := make([]bool, 12)
+		if err := e.runBlock(3, 0, 12, wins); err != nil {
+			t.Fatal(err)
+		}
+		if ran := e.kernelCalls > 0; ran != (tc.kernel && cpufeat.AVX2()) {
+			t.Fatalf("n=%d: %d kernel calls on a CPU with AVX2 = %v", tc.n, e.kernelCalls, cpufeat.AVX2())
+		}
+		checkLockstepMatchesBatch(t, mk, 20_000, tc.n, tc.delta, 8, 0, 12, 3)
+	}
+}
+
+// TestLockstepKernelRoundCap checks that one kernel call advances no lane
+// by more than kernelIters ticks. Every lane starts mid-run, deep in the
+// tick regime, and stays eligible for the whole call, so a lone group
+// advances exactly kernelIters ticks and 32 groups kernelIters/32 each.
+// Both runs then finish on the Go rounds and must agree with runs that
+// never called the kernel.
+func TestLockstepKernelRoundCap(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	}
+	for _, lanes := range []int{1, 128} {
+		engine := func() *lockstepEngine {
+			p := NewThreeStateAM()
+			p.Kernel = KernelLockstep
+			p.Lanes = lanes
+			e, err := p.newLockstep(10_000, 400)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startLanes(e, 8, lanes)
+			for li := range lanes {
+				e.l.step[li] = 0
+				e.l.counts[0][li], e.l.counts[1][li], e.l.counts[2][li] = 4000, 3000, 3000
+			}
+			return e
+		}
+		e := engine()
+		if e.kernelTicks(lanes) {
+			t.Fatal("the kernel refused a group")
+		}
+		want := uint64(kernelIters / ((lanes + 3) / 4))
+		for li := range lanes {
+			if got := e.l.step[li]; got != want || got > kernelIters {
+				t.Fatalf("lanes=%d: one call advanced lane %d by %d ticks, want %d (cap %d)", lanes, li, got, want, kernelIters)
+			}
+		}
+		kernelWins := make([]bool, lanes)
+		if err := e.sweep4(0, lanes, kernelWins, true); err != nil {
+			t.Fatal(err)
+		}
+		g := engine()
+		goWins := make([]bool, lanes)
+		if err := g.sweep4(0, lanes, goWins, false); err != nil {
+			t.Fatal(err)
+		}
+		for li := range lanes {
+			if kernelWins[li] != goWins[li] {
+				t.Fatalf("lanes=%d lane %d: %v after a kernel call, %v on the Go rounds alone", lanes, li, kernelWins[li], goWins[li])
+			}
+		}
+		if e.ticks != g.ticks {
+			t.Fatalf("lanes=%d: %d ticks after a kernel call, %d on the Go rounds alone", lanes, e.ticks, g.ticks)
 		}
 	}
 }
@@ -59,26 +572,30 @@ func TestLockstepByteIdenticalToBatch(t *testing.T) {
 // accounting (the benchmark denominator) equals the scalar kernel's
 // reported interaction counts summed over the block.
 func TestLockstepTickAccounting(t *testing.T) {
-	p := NewThreeStateAM()
-	p.Kernel = KernelLockstep
-	p.Lanes = 16
-	e, err := p.newLockstep(60, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const lo, hi = 0, 40
-	wins := make([]bool, hi-lo)
-	if err := e.runBlock(33, lo, hi, wins); err != nil {
-		t.Fatal(err)
-	}
 	oracle := NewThreeStateAM()
+	const lo, hi = 0, 40
 	var want int64
 	for rep := lo; rep < hi; rep++ {
 		_, steps := runBatchOracle(t, oracle, 60, 4, 33, rep)
 		want += int64(steps)
 	}
-	if e.ticks != want {
-		t.Fatalf("lockstep accounted %d ticks, scalar batch kernel %d", e.ticks, want)
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			p := NewThreeStateAM()
+			p.Kernel = KernelLockstep
+			p.Lanes = 16
+			e, err := p.newLockstep(60, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wins := make([]bool, hi-lo)
+			if err := e.run(33, lo, hi, wins, path.avx2); err != nil {
+				t.Fatal(err)
+			}
+			if e.ticks != want {
+				t.Fatalf("lockstep accounted %d ticks, scalar batch kernel %d", e.ticks, want)
+			}
+		})
 	}
 }
 
@@ -89,29 +606,30 @@ func TestLockstepTickAccounting(t *testing.T) {
 func TestLockstepLaneCountInvariance(t *testing.T) {
 	const n, delta, seed = 80, 4, 17
 	const reps = 300
-	var baseline []bool
-	for _, lanes := range []int{1, 64, 256} {
-		p := NewThreeStateAM()
-		p.Kernel = KernelLockstep
-		p.Lanes = lanes
-		block, err := p.NewTrialBlock(n, delta)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wins := make([]bool, reps)
-		if err := block(seed, 0, reps, wins); err != nil {
-			t.Fatal(err)
-		}
-		if baseline == nil {
-			baseline = wins
-			continue
-		}
-		for rep := range wins {
-			if wins[rep] != baseline[rep] {
-				t.Fatalf("lanes=%d rep=%d: outcome %v differs from lanes=1 outcome %v",
-					lanes, rep, wins[rep], baseline[rep])
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			var baseline []bool
+			for _, lanes := range []int{1, 64, 256} {
+				p := NewThreeStateAM()
+				p.Kernel = KernelLockstep
+				p.Lanes = lanes
+				block := blockOn(t, p, n, delta, path.avx2)
+				wins := make([]bool, reps)
+				if err := block(seed, 0, reps, wins); err != nil {
+					t.Fatal(err)
+				}
+				if baseline == nil {
+					baseline = wins
+					continue
+				}
+				for rep := range wins {
+					if wins[rep] != baseline[rep] {
+						t.Fatalf("lanes=%d rep=%d: outcome %v differs from lanes=1 outcome %v",
+							lanes, rep, wins[rep], baseline[rep])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
@@ -119,35 +637,46 @@ func TestLockstepLaneCountInvariance(t *testing.T) {
 // per-trial lengths through blocks that force both refill and compaction,
 // and checks every replicate contributes exactly once and in its own slot:
 // each outcome equals its scalar oracle, and re-running the same engine
-// reproduces the block exactly (no state leaks between blocks).
+// reproduces the block exactly (no state leaks between blocks). The voter
+// model runs on sweepN; the approximate majority, whose absorption times
+// also vary, runs on sweep4 and the AVX2 kernel.
 func TestLockstepRetirementExactlyOnce(t *testing.T) {
-	p := newVoterProtocol() // absorption time varies over orders of magnitude
-	p.Kernel = KernelLockstep
-	p.Lanes = 8
-	e, err := p.newLockstep(30, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const lo, hi = 3, 3 + 3*8 + 5 // refill across several generations, ragged tail
-	first := make([]bool, hi-lo)
-	if err := e.runBlock(77, lo, hi, first); err != nil {
-		t.Fatal(err)
-	}
-	oracle := newVoterProtocol()
-	for rep := lo; rep < hi; rep++ {
-		want, _ := runBatchOracle(t, oracle, 30, 2, 77, rep)
-		if first[rep-lo] != want {
-			t.Fatalf("rep %d: lockstep %v, scalar oracle %v", rep, first[rep-lo], want)
-		}
-	}
-	second := make([]bool, hi-lo)
-	if err := e.runBlock(77, lo, hi, second); err != nil {
-		t.Fatal(err)
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("rep %d: engine reuse changed the outcome", lo+i)
-		}
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			for _, tc := range []struct {
+				mk       func() *PopulationProtocol
+				n, delta int
+			}{{newVoterProtocol, 30, 2}, {NewThreeStateAM, 200, 0}} {
+				p := tc.mk()
+				p.Kernel = KernelLockstep
+				p.Lanes = 8
+				e, err := p.newLockstep(tc.n, tc.delta)
+				if err != nil {
+					t.Fatal(err)
+				}
+				first := make([]bool, hi-lo)
+				if err := e.run(77, lo, hi, first, path.avx2); err != nil {
+					t.Fatal(err)
+				}
+				oracle := tc.mk()
+				for rep := lo; rep < hi; rep++ {
+					want, _ := runBatchOracle(t, oracle, tc.n, tc.delta, 77, rep)
+					if first[rep-lo] != want {
+						t.Fatalf("%s rep %d: lockstep %v, scalar oracle %v", p.Name(), rep, first[rep-lo], want)
+					}
+				}
+				second := make([]bool, hi-lo)
+				if err := e.run(77, lo, hi, second, path.avx2); err != nil {
+					t.Fatal(err)
+				}
+				for i := range first {
+					if first[i] != second[i] {
+						t.Fatalf("%s rep %d: engine reuse changed the outcome", p.Name(), lo+i)
+					}
+				}
+			}
+		})
 	}
 }
 
@@ -156,64 +685,68 @@ func TestLockstepRetirementExactlyOnce(t *testing.T) {
 // undecided in every lane and charges exactly the full budget to the tick
 // accounting, and a one-shot protocol decides every lane.
 func TestLockstepInteractionBudgetLaw(t *testing.T) {
-	stuck := &PopulationProtocol{
-		ProtocolName:       "all-null",
-		NumStates:          2,
-		Rule:               func(a, b int) (int, int) { return a, b },
-		MajorityState:      0,
-		MinorityState:      1,
-		Done:               func([]int) (bool, int) { return false, -1 },
-		MaxInteractionsFor: func(int) int { return 1000 },
-		Kernel:             KernelLockstep,
-		Lanes:              4,
-	}
-	e, err := stuck.newLockstep(10, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins := make([]bool, 6)
-	if err := e.runBlock(1, 0, 6, wins); err != nil {
-		t.Fatal(err)
-	}
-	for rep, won := range wins {
-		if won {
-			t.Errorf("all-null protocol won replicate %d", rep)
-		}
-	}
-	if want := int64(6 * 1000); e.ticks != want {
-		t.Errorf("all-null block accounted %d ticks, want the full budgets %d", e.ticks, want)
-	}
-
-	oneShot := &PopulationProtocol{
-		ProtocolName:  "one-shot",
-		NumStates:     2,
-		Rule:          func(a, b int) (int, int) { return 0, 0 },
-		MajorityState: 0,
-		MinorityState: 1,
-		Done: func(counts []int) (bool, int) {
-			if counts[1] == 0 {
-				return true, 0
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			stuck := &PopulationProtocol{
+				ProtocolName:       "all-null",
+				NumStates:          2,
+				Rule:               func(a, b int) (int, int) { return a, b },
+				MajorityState:      0,
+				MinorityState:      1,
+				Done:               func([]int) (bool, int) { return false, -1 },
+				MaxInteractionsFor: func(int) int { return 1000 },
+				Kernel:             KernelLockstep,
+				Lanes:              4,
 			}
-			return false, -1
-		},
-		Kernel: KernelLockstep,
-		Lanes:  4,
-	}
-	e, err = oneShot.newLockstep(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wins = make([]bool, 9)
-	if err := e.runBlock(5, 0, 9, wins); err != nil {
-		t.Fatal(err)
-	}
-	for rep, won := range wins {
-		if !won {
-			t.Errorf("one-shot protocol lost replicate %d", rep)
-		}
-	}
-	if e.ticks < 9 {
-		t.Errorf("one-shot block accounted %d ticks, want at least one per replicate", e.ticks)
+			e, err := stuck.newLockstep(10, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wins := make([]bool, 6)
+			if err := e.run(1, 0, 6, wins, path.avx2); err != nil {
+				t.Fatal(err)
+			}
+			for rep, won := range wins {
+				if won {
+					t.Errorf("all-null protocol won replicate %d", rep)
+				}
+			}
+			if want := int64(6 * 1000); e.ticks != want {
+				t.Errorf("all-null block accounted %d ticks, want the full budgets %d", e.ticks, want)
+			}
+
+			oneShot := &PopulationProtocol{
+				ProtocolName:  "one-shot",
+				NumStates:     2,
+				Rule:          func(a, b int) (int, int) { return 0, 0 },
+				MajorityState: 0,
+				MinorityState: 1,
+				Done: func(counts []int) (bool, int) {
+					if counts[1] == 0 {
+						return true, 0
+					}
+					return false, -1
+				},
+				Kernel: KernelLockstep,
+				Lanes:  4,
+			}
+			e, err = oneShot.newLockstep(4, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wins = make([]bool, 9)
+			if err := e.run(5, 0, 9, wins, path.avx2); err != nil {
+				t.Fatal(err)
+			}
+			for rep, won := range wins {
+				if !won {
+					t.Errorf("one-shot protocol lost replicate %d", rep)
+				}
+			}
+			if e.ticks < 9 {
+				t.Errorf("one-shot block accounted %d ticks, want at least one per replicate", e.ticks)
+			}
+		})
 	}
 }
 
@@ -228,24 +761,28 @@ func TestLockstepKernelThroughEstimator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 8} {
-		for _, lanes := range []int{1, 64, 256} {
-			p := NewThreeStateAM()
-			p.Kernel = KernelLockstep
-			p.Lanes = lanes
-			got, err := consensus.EstimateWinProbability(p, 100, 10, consensus.EstimateOptions{
-				Trials:  500,
-				Workers: workers,
-				Seed:    13,
-			})
-			if err != nil {
-				t.Fatal(err)
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			for _, workers := range []int{1, 3, 8} {
+				for _, lanes := range []int{1, 64, 256} {
+					p := NewThreeStateAM()
+					p.Kernel = KernelLockstep
+					p.Lanes = lanes
+					got, err := consensus.EstimateWinProbability(onPath(p, path.avx2), 100, 10, consensus.EstimateOptions{
+						Trials:  500,
+						Workers: workers,
+						Seed:    13,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got != want {
+						t.Errorf("workers=%d lanes=%d: lockstep estimate %+v, batch estimate %+v",
+							workers, lanes, got, want)
+					}
+				}
 			}
-			if got != want {
-				t.Errorf("workers=%d lanes=%d: lockstep estimate %+v, batch estimate %+v",
-					workers, lanes, got, want)
-			}
-		}
+		})
 	}
 }
 
@@ -253,23 +790,27 @@ func TestLockstepKernelThroughEstimator(t *testing.T) {
 // suite to the lockstep kernel: the block engine must leave the voter
 // model's exact absorption law ρ = a/(a+b) untouched.
 func TestLockstepKernelMatchesClosedFormVoter(t *testing.T) {
-	for _, tc := range []struct{ n, delta int }{{30, 10}, {24, 4}, {21, 7}} {
-		p := newVoterProtocol()
-		p.Kernel = KernelLockstep
-		est, err := consensus.EstimateWinProbability(p, tc.n, tc.delta, consensus.EstimateOptions{
-			Trials: 6000,
-			Seed:   101,
-			Z:      stats.Z999,
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			for _, tc := range []struct{ n, delta int }{{30, 10}, {24, 4}, {21, 7}} {
+				p := newVoterProtocol()
+				p.Kernel = KernelLockstep
+				est, err := consensus.EstimateWinProbability(onPath(p, path.avx2), tc.n, tc.delta, consensus.EstimateOptions{
+					Trials: 6000,
+					Seed:   101,
+					Z:      stats.Z999,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				a := (tc.n + tc.delta) / 2
+				want := float64(a) / float64(tc.n)
+				if want < est.Lo || want > est.Hi {
+					t.Errorf("voter n=%d delta=%d: lockstep estimate [%v, %v] excludes exact %v",
+						tc.n, tc.delta, est.Lo, est.Hi, want)
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		a := (tc.n + tc.delta) / 2
-		want := float64(a) / float64(tc.n)
-		if want < est.Lo || want > est.Hi {
-			t.Errorf("voter n=%d delta=%d: lockstep estimate [%v, %v] excludes exact %v",
-				tc.n, tc.delta, est.Lo, est.Hi, want)
-		}
 	}
 }
 
@@ -281,34 +822,38 @@ func TestLockstepDistributionallyMatchesPerEvent(t *testing.T) {
 		t.Skip("distributional comparison is slow")
 	}
 	const trials = 4000
-	for _, tc := range []struct{ n, delta int }{{60, 2}, {60, 8}} {
-		wins := [2]int{}
-		for k, kernel := range []PopulationKernel{KernelPerEvent, KernelLockstep} {
-			p := NewThreeStateAM()
-			p.Kernel = kernel
-			est, err := consensus.EstimateWinProbability(p, tc.n, tc.delta, consensus.EstimateOptions{
-				Trials: trials,
-				Seed:   31,
-			})
-			if err != nil {
-				t.Fatal(err)
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			for _, tc := range []struct{ n, delta int }{{60, 2}, {60, 8}} {
+				wins := [2]int{}
+				for k, kernel := range []PopulationKernel{KernelPerEvent, KernelLockstep} {
+					p := NewThreeStateAM()
+					p.Kernel = kernel
+					est, err := consensus.EstimateWinProbability(onPath(p, path.avx2 || kernel != KernelLockstep), tc.n, tc.delta, consensus.EstimateOptions{
+						Trials: trials,
+						Seed:   31,
+					})
+					if err != nil {
+						t.Fatal(err)
+					}
+					wins[k] = int(math.Round(est.P() * trials))
+				}
+				p1 := float64(wins[0]) / trials
+				p2 := float64(wins[1]) / trials
+				pool := (p1 + p2) / 2
+				se := math.Sqrt(2 * pool * (1 - pool) / trials)
+				if se == 0 {
+					if wins[0] != wins[1] {
+						t.Errorf("n=%d delta=%d: degenerate but unequal win counts %v", tc.n, tc.delta, wins)
+					}
+					continue
+				}
+				if z := math.Abs(p1-p2) / se; z > 4 {
+					t.Errorf("n=%d delta=%d: per-event %.4f vs lockstep %.4f (z=%.2f > 4)",
+						tc.n, tc.delta, p1, p2, z)
+				}
 			}
-			wins[k] = int(math.Round(est.P() * trials))
-		}
-		p1 := float64(wins[0]) / trials
-		p2 := float64(wins[1]) / trials
-		pool := (p1 + p2) / 2
-		se := math.Sqrt(2 * pool * (1 - pool) / trials)
-		if se == 0 {
-			if wins[0] != wins[1] {
-				t.Errorf("n=%d delta=%d: degenerate but unequal win counts %v", tc.n, tc.delta, wins)
-			}
-			continue
-		}
-		if z := math.Abs(p1-p2) / se; z > 4 {
-			t.Errorf("n=%d delta=%d: per-event %.4f vs lockstep %.4f (z=%.2f > 4)",
-				tc.n, tc.delta, p1, p2, z)
-		}
+		})
 	}
 }
 

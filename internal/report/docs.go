@@ -97,11 +97,11 @@ by CI as ratios against the batch kernel of the same run):
 |---|---|---|---|
 | ` + "`per-event`" + ` | ~2.2× batch | Two uniforms per interaction; byte-identical to the historical event loop | Replay oracle: debugging, cross-kernel distributional tests |
 | ` + "`batch`" + ` (default) | 1× | One geometric/Bernoulli draw per null run + one weighted draw per effective interaction | Single trials and anything not replication-bound |
-| ` + "`lockstep`" + ` | ~0.67× batch | Lane i consumes exactly the batch draw sequence of ` + "`rng.NewStream(seed, i)`" + ` — byte-identical to batch for any lane width or worker count | Replication-heavy tasks (estimates, thresholds, sweeps): 64–256 replicates advance in lockstep through one shared rule table |
+| ` + "`lockstep`" + ` | ~0.26× batch with the AVX2 tick kernel (amd64), ~0.7× on its Go rounds alone (` + "`BenchmarkLockstepBlock`" + `) | Lane i consumes exactly the batch draw sequence of ` + "`rng.NewStream(seed, i)`" + ` — byte-identical to batch for any lane width or worker count | Replication-heavy tasks (estimates, thresholds, sweeps): 64–256 replicates advance in lockstep through one shared rule table |
 
 The lockstep kernel reaches the estimators through a capability
 interface: a protocol reporting ` + "`TrialBlockLanes() > 0`" + ` is run in
-blocks of that width (block = min(remaining, lanes)), and early stopping
+blocks of at most that width (min(lanes, ⌈window/workers⌉)), and early stopping
 still terminates on the same batch boundaries as the scalar path.
 
 ## §3 Experiment index
