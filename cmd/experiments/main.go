@@ -56,7 +56,6 @@ func run(args []string, w io.Writer) error {
 	var (
 		list      = fs.Bool("list", false, "list experiment IDs and exit")
 		full      = fs.Bool("full", false, "use the heavier (recorded) parameter grids")
-		kernel    = fs.String("kernel", "", "population-protocol event loop: batch, per-event, or lockstep (default batch)")
 		csvDir    = fs.String("csv", "", "directory to also write per-table CSV files into")
 		reportDir = fs.String("report", "", "directory to write one JSON run manifest per experiment into")
 		quiet     = fs.Bool("q", false, "suppress progress logging")
@@ -114,7 +113,6 @@ func run(args []string, w io.Writer) error {
 			spec.Experiment = &scenario.ExperimentSpec{
 				ID:        id,
 				Full:      *full,
-				Kernel:    *kernel,
 				CSVDir:    *csvDir,
 				ReportDir: *reportDir,
 			}

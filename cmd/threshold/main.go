@@ -62,7 +62,6 @@ func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("threshold", flag.ContinueOnError)
 	var (
 		protoName   = fs.String("protocol", "lv-sd", "protocol to measure")
-		kernel      = fs.String("kernel", "", "population-protocol event loop: batch, per-event, or lockstep (default batch)")
 		nSpec       = fs.String("n", "256,512,1024,2048", "comma-separated population sizes")
 		trials      = fs.Int("trials", 0, "Monte-Carlo trials per probed gap (0 = 2n capped at 8000)")
 		target      = fs.Float64("target", 0, "success probability target (0 = 1-1/n)")
@@ -89,7 +88,7 @@ func run(args []string, w io.Writer) error {
 		spec := scenario.New(scenario.TaskSweep)
 		spec.Model = &scenario.Model{
 			Kind:     scenario.ModelProtocol,
-			Protocol: &scenario.ProtocolModel{Name: *protoName, Kernel: *kernel},
+			Protocol: &scenario.ProtocolModel{Name: *protoName},
 		}
 		spec.Seed = common.Seed
 		spec.Workers = common.Workers

@@ -9,17 +9,18 @@ import (
 
 // BlockTrialer is the optional capability of protocols whose engines can
 // advance many trials per call — LVProtocol on the lockstep lv.Block
-// engine, and the lockstep population kernel. When a Protocol also
-// implements BlockTrialer and TrialBlockLanes returns a positive width,
-// CountWins runs it in blocks (mc.Blocks): each worker builds one block
-// runner via NewTrialBlock and receives contiguous trial ranges of that
-// width. Trial rep of a block must draw only from
-// rng.NewStream(seed, rep) — the same stream the scalar Trial would use —
-// so a protocol's estimate is identical whether or not it opts in.
+// engine, and population protocols whose rule tables the lockstep
+// population engine runs. When a Protocol also implements BlockTrialer
+// and TrialBlockLanes returns a positive width, CountWins runs it in
+// blocks (mc.Blocks): each worker builds one block runner via
+// NewTrialBlock and receives contiguous trial ranges of that width. Trial
+// rep of a block must draw only from rng.NewStream(seed, rep) — the same
+// stream the scalar Trial would use — so a protocol's estimate is
+// identical whether or not it opts in.
 type BlockTrialer interface {
 	Protocol
-	// TrialBlockLanes returns the preferred trials-per-call width, or 0
-	// when the protocol's current configuration wants trial-at-a-time.
+	// TrialBlockLanes returns the preferred trials-per-call width, or 0,
+	// trial-at-a-time, when there is no block engine for this rule table.
 	TrialBlockLanes() int
 	// NewTrialBlock validates the (n, delta) configuration and returns a
 	// stateful single-goroutine block runner (see mc.BlockFunc).

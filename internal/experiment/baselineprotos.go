@@ -7,13 +7,8 @@ import (
 )
 
 // baselineProtocols returns every protocol compared in E-BASE, in
-// presentation order. kernel selects the event loop of the population
-// protocols; the other entries have a single engine and ignore it.
-func baselineProtocols(kernel protocols.PopulationKernel) []consensus.Protocol {
-	am := protocols.NewThreeStateAM()
-	am.Kernel = kernel
-	exact := protocols.NewFourStateExact()
-	exact.Kernel = kernel
+// presentation order.
+func baselineProtocols() []consensus.Protocol {
 	return []consensus.Protocol{
 		consensus.LVProtocol{
 			Params: lv.Neutral(1, 1, 1, 0, lv.SelfDestructive),
@@ -29,7 +24,7 @@ func baselineProtocols(kernel protocols.PopulationKernel) []consensus.Protocol {
 		protocols.CondonProtocol{Variant: protocols.DoubleB},
 		protocols.CondonProtocol{Variant: protocols.HeavyB},
 		protocols.CondonProtocol{Variant: protocols.TriMajority},
-		am,
-		exact,
+		protocols.NewThreeStateAM(),
+		protocols.NewFourStateExact(),
 	}
 }

@@ -15,7 +15,6 @@ import (
 	"sort"
 
 	"lvmajority/internal/progress"
-	"lvmajority/internal/protocols"
 	"lvmajority/internal/sweep"
 )
 
@@ -29,12 +28,6 @@ type Config struct {
 	// results; the default (quick) grids keep every experiment in the
 	// tens-of-seconds range.
 	Full bool
-	// Kernel overrides the trial event loop of the population protocols
-	// an experiment measures (currently the 3-state AM and 4-state exact
-	// baselines in E-BASE); the zero value is the default batch kernel.
-	// Kernels agree in law — lockstep is byte-identical to batch — so
-	// this is a performance knob, not a modelling one.
-	Kernel protocols.PopulationKernel
 	// Cache, when non-nil, serves and records threshold-search probes
 	// across runs (see internal/sweep); it never changes results, only
 	// skips already-settled Monte-Carlo work.

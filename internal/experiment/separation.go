@@ -148,7 +148,7 @@ func runBaselines(cfg Config) ([]*Table, error) {
 		Columns: []string{"protocol", "threshold", "thr/log2(n)^2", "thr/sqrt(n)", "probes"},
 	}
 
-	protos := baselineProtocols(cfg.Kernel)
+	protos := baselineProtocols()
 	for i, p := range protos {
 		seed := cfg.Seed + uint64(i)*1009
 		// One-point sweep: no warm chain at a single n, but the probes

@@ -80,8 +80,7 @@ func (w *WorkerInfo) validate() error {
 
 // ShardRequest asks a worker to run trials [Lo, Hi) of one estimation
 // window. The model travels with the shard so the worker builds exactly the
-// protocol — including any kernel override, which changes how trial streams
-// are consumed — that the coordinator's local run would build; Seed is the
+// protocol that the coordinator's local run would build; Seed is the
 // already-derived per-gap seed, so trial rep draws only from
 // rng.NewStream(Seed, rep) wherever it executes.
 type ShardRequest struct {

@@ -9,9 +9,9 @@ import (
 )
 
 // HotPath enforces the 0 allocs/event contract on regions annotated with a
-// `//lint:hotpath` directive — the compiled kernels' inner loops
-// (KernelBatch, KernelLockstep, the fused LV consensus loop, the
-// incremental-propensity SSA step). The directive goes on a function's doc
+// `//lint:hotpath` directive — the compiled kernels' inner loops (the
+// population protocols' batch loop and lockstep rounds, the fused LV
+// consensus loop, the incremental-propensity SSA step). The directive goes on a function's doc
 // comment or on its own line directly above a for/range statement; inside
 // the marked region the analyzer flags allocation-prone constructs:
 //

@@ -32,9 +32,9 @@ func benchKernel(b *testing.B, trial func(n, delta int, src *rng.Source) (bool, 
 
 // BenchmarkPopulationKernel compares the historical event loop (re-validate
 // per trial, Rule call and range check per interaction, Done on every
-// tick) against the compiled per-event kernel and the batch null-skipping
-// kernel on the paper's 3-state approximate-majority baseline (experiment
-// E-BASE) at n = 10⁴.
+// tick) against the compiled per-event oracle, the batch null-skipping
+// loop and the lockstep block engine on the paper's 3-state
+// approximate-majority baseline (experiment E-BASE) at n = 10⁴.
 func BenchmarkPopulationKernel(b *testing.B) {
 	b.Run("old", func(b *testing.B) {
 		p := NewThreeStateAM()
@@ -44,8 +44,9 @@ func BenchmarkPopulationKernel(b *testing.B) {
 	})
 	b.Run("perevent", func(b *testing.B) {
 		p := NewThreeStateAM()
-		p.Kernel = KernelPerEvent
-		benchKernel(b, p.run)
+		benchKernel(b, func(n, delta int, src *rng.Source) (bool, int, error) {
+			return perEventTrial(p, n, delta, src)
+		})
 	})
 	b.Run("batch", func(b *testing.B) {
 		p := NewThreeStateAM()
@@ -63,10 +64,7 @@ func BenchmarkPopulationKernel(b *testing.B) {
 // above. The engine is built once; steady state must not allocate.
 func benchLockstep(b *testing.B, lanes int) {
 	b.Helper()
-	p := NewThreeStateAM()
-	p.Kernel = KernelLockstep
-	p.Lanes = lanes
-	e, err := p.newLockstep(10_000, 400)
+	e, err := NewThreeStateAM().newLockstep(10_000, 400, lanes)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -84,9 +82,9 @@ func benchLockstep(b *testing.B, lanes int) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.ticks), "ns/event")
 }
 
-// BenchmarkLockstepLanes prices the lane-width knob: ILP across per-lane
-// RNG chains saturates well below the maximum width, while wider blocks
-// retire stragglers more smoothly.
+// BenchmarkLockstepLanes prices the lane width DefaultLockstepLanes fixes:
+// ILP across per-lane RNG chains saturates well below the maximum width,
+// while wider blocks retire stragglers more smoothly.
 func BenchmarkLockstepLanes(b *testing.B) {
 	for _, lanes := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("R%d", lanes), func(b *testing.B) {
@@ -101,19 +99,16 @@ func BenchmarkLockstepLanes(b *testing.B) {
 // (portable) and as scalar batch-kernel trials (batch), in ns per
 // simulated interaction and µs per trial. Every engine simulates the same
 // interactions on a stream, so the counts come from the engine's own tick
-// accounting. The 3-state approximate majority is E-BASE's baseline and
-// runs on sweep4; the 4-state exact majority runs on sweepN.
+// accounting. The 3-state approximate majority is E-BASE's baseline.
 func BenchmarkLockstepBlock(b *testing.B) {
 	const lanes = DefaultLockstepLanes
 	for _, c := range []struct {
 		name     string
-		mk       func() *PopulationProtocol
 		n, delta int
 	}{
-		{"am-10000-gap400", NewThreeStateAM, 10_000, 400},
-		{"am-1024-gap98", NewThreeStateAM, 1024, 98},
-		{"am-256-gap46", NewThreeStateAM, 256, 46},
-		{"exact-64-gap8", NewFourStateExact, 64, 8},
+		{"am-10000-gap400", 10_000, 400},
+		{"am-1024-gap98", 1024, 98},
+		{"am-256-gap46", 256, 46},
 	} {
 		report := func(b *testing.B, events int64) {
 			if events == 0 {
@@ -128,10 +123,7 @@ func BenchmarkLockstepBlock(b *testing.B) {
 			avx2 bool
 		}{{"block", cpufeat.AVX2()}, {"portable", false}} {
 			b.Run(c.name+"/"+engine.name, func(b *testing.B) {
-				p := c.mk()
-				p.Kernel = KernelLockstep
-				p.Lanes = lanes
-				e, err := p.newLockstep(c.n, c.delta)
+				e, err := NewThreeStateAM().newLockstep(c.n, c.delta, lanes)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -147,7 +139,7 @@ func BenchmarkLockstepBlock(b *testing.B) {
 			})
 		}
 		b.Run(c.name+"/batch", func(b *testing.B) {
-			p := c.mk()
+			p := NewThreeStateAM()
 			var src rng.Source
 			var events int64
 			b.ReportAllocs()

@@ -39,10 +39,93 @@ func newVoterProtocol() *PopulationProtocol {
 	}
 }
 
+// perEventTrial is the per-event replay oracle: it simulates every
+// interaction individually on the compiled table. For a given random
+// stream it is byte-identical to the historical event loop: one Intn(n)
+// draw for the initiator and one Intn(n−1) draw for the responder per
+// interaction, null or not. Done is only re-evaluated after an interaction
+// actually changed a count — it is a pure function of the counts, so
+// skipping it on null interactions cannot change the stopping time. It
+// samples the same process as Trial, on a different stream consumption,
+// so the law tests compare the two and BenchmarkPopulationKernel prices
+// it as its perevent row.
+func perEventTrial(p *PopulationProtocol, n, delta int, src *rng.Source) (bool, int, error) {
+	tab, err := p.compile()
+	if err != nil {
+		return false, 0, err
+	}
+	b := (n - delta) / 2
+	counts := make([]int, p.NumStates)
+	counts[p.MajorityState] += n - b
+	counts[p.MinorityState] += b
+
+	maxInteractions := p.maxInteractions(n)
+	changed := true
+	for step := 0; step < maxInteractions; step++ {
+		if changed {
+			if done, winner := p.Done(counts); done {
+				return winner == 0, step, nil
+			}
+			changed = false
+		}
+		initiator := sampleState(counts, n, src)
+		// The responder is a distinct agent: discount the initiator.
+		counts[initiator]--
+		responder := sampleState(counts, n-1, src)
+		counts[initiator]++
+
+		k := initiator*tab.states + responder
+		if tab.null[k] {
+			continue
+		}
+		counts[initiator]--
+		counts[responder]--
+		counts[tab.ni[k]]++
+		counts[tab.nr[k]]++
+		changed = true
+	}
+	// Did not stabilize within the budget: count as failure.
+	return false, maxInteractions, nil
+}
+
+// sampleState picks a state index with probability counts[s]/total.
+func sampleState(counts []int, total int, src *rng.Source) int {
+	u := src.Intn(total)
+	acc := 0
+	for s, c := range counts {
+		acc += c
+		if u < acc {
+			return s
+		}
+	}
+	// Unreachable when total == sum(counts); guard for safety.
+	return len(counts) - 1
+}
+
+// perEvent is a protocol whose trials run on the per-event oracle. It
+// wraps the protocol rather than embedding it, so that it never offers
+// the block engine to the estimator.
+type perEvent struct{ p *PopulationProtocol }
+
+func (w perEvent) Name() string { return w.p.Name() }
+
+func (w perEvent) Trial(n, delta int, src *rng.Source) (bool, error) {
+	won, _, err := perEventTrial(w.p, n, delta, src)
+	return won, err
+}
+
+// perTrial is a protocol whose trials run one at a time on Trial, the
+// batch loop, wrapped like perEvent.
+type perTrial struct{ p *PopulationProtocol }
+
+func (w perTrial) Name() string { return w.p.Name() }
+
+func (w perTrial) Trial(n, delta int, src *rng.Source) (bool, error) { return w.p.Trial(n, delta, src) }
+
 // historicalTrial replays the per-event Trial loop exactly as it was before
-// the compiled kernel: re-validate per trial, call Rule and range-check its
+// the compiled table: re-validate per trial, call Rule and range-check its
 // outputs per interaction, evaluate Done on every tick. It is the
-// byte-identity oracle for KernelPerEvent and the "old" side of
+// byte-identity oracle for perEventTrial and the "old" side of
 // BenchmarkPopulationKernel.
 func historicalTrial(p *PopulationProtocol, n, delta int, src *rng.Source) (bool, int, error) {
 	if err := p.validate(); err != nil {
@@ -97,19 +180,18 @@ func referenceTrial(t *testing.T, p *PopulationProtocol, n, delta int, src *rng.
 	return won
 }
 
-// TestPerEventKernelByteIdenticalToSeed drives KernelPerEvent and the
-// historical event loop from identical streams: the compiled transition
-// table, hoisted validation, and lazy Done evaluation must be invisible at
-// the bit level.
+// TestPerEventKernelByteIdenticalToSeed drives the per-event oracle and
+// the historical event loop from identical streams: the compiled
+// transition table, hoisted validation, and lazy Done evaluation must be
+// invisible at the bit level.
 func TestPerEventKernelByteIdenticalToSeed(t *testing.T) {
 	makers := []func() *PopulationProtocol{NewThreeStateAM, NewFourStateExact, NewTernarySignaling, newVoterProtocol}
 	for _, mk := range makers {
 		p := mk()
-		p.Kernel = KernelPerEvent
 		oracle := mk()
 		for _, tc := range []struct{ n, delta int }{{16, 2}, {40, 4}, {61, 3}, {50, 0}} {
 			for seed := uint64(1); seed <= 40; seed++ {
-				got, err := p.Trial(tc.n, tc.delta, rng.New(seed))
+				got, _, err := perEventTrial(p, tc.n, tc.delta, rng.New(seed))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -174,7 +256,6 @@ func TestTrialValidatesOnce(t *testing.T) {
 func TestBatchKernelMatchesClosedFormVoter(t *testing.T) {
 	for _, tc := range []struct{ n, delta int }{{30, 10}, {24, 4}, {21, 7}} {
 		p := newVoterProtocol()
-		p.Kernel = KernelBatch
 		est, err := consensus.EstimateWinProbability(p, tc.n, tc.delta, consensus.EstimateOptions{
 			Trials: 6000,
 			Seed:   101,
@@ -232,10 +313,10 @@ func TestBatchKernelMatchesExactNetworkOracle(t *testing.T) {
 	}
 }
 
-// TestKernelsDistributionallyEquivalent compares per-event and batch win
-// frequencies on the repository's real protocols with a two-proportion
-// z-test: the kernels consume the random stream differently, so their
-// trials differ, but their laws may not.
+// TestKernelsDistributionallyEquivalent compares the per-event oracle's
+// and the batch loop's win frequencies on the repository's real protocols
+// with a two-proportion z-test: the two consume the random stream
+// differently, so their trials differ, but their laws may not.
 func TestKernelsDistributionallyEquivalent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("distributional comparison is slow")
@@ -245,9 +326,7 @@ func TestKernelsDistributionallyEquivalent(t *testing.T) {
 	for _, mk := range makers {
 		for _, tc := range []struct{ n, delta int }{{60, 2}, {60, 8}} {
 			wins := [2]int{}
-			for k, kernel := range []PopulationKernel{KernelPerEvent, KernelBatch} {
-				p := mk()
-				p.Kernel = kernel
+			for k, p := range []consensus.Protocol{perEvent{mk()}, perTrial{mk()}} {
 				est, err := consensus.EstimateWinProbability(p, tc.n, tc.delta, consensus.EstimateOptions{
 					Trials: trials,
 					Seed:   31,
@@ -323,10 +402,10 @@ func TestBatchKernelInteractionBudgetLaw(t *testing.T) {
 		t.Errorf("all-null protocol consumed %d interactions, want the full budget 1000", steps)
 	}
 
-	// Per-event and batch kernels must agree exactly on the consumed
-	// interaction count's law; with a deterministic protocol (every pair
-	// effective, Done after one change) they agree exactly.
-	oneShot := func(kernel PopulationKernel) int {
+	// The per-event oracle and the batch loop must agree exactly on the
+	// consumed interaction count's law; with a deterministic protocol
+	// (every pair effective, Done after one change) they agree exactly.
+	oneShot := func(run func(p *PopulationProtocol, n, delta int, src *rng.Source) (bool, int, error)) int {
 		p := &PopulationProtocol{
 			ProtocolName:  "one-shot",
 			NumStates:     2,
@@ -339,7 +418,6 @@ func TestBatchKernelInteractionBudgetLaw(t *testing.T) {
 				}
 				return false, -1
 			},
-			Kernel: kernel,
 		}
 		// n=4, delta=2: three majority agents, one minority. Every
 		// interaction converts both participants to state 0, so exactly
@@ -347,32 +425,33 @@ func TestBatchKernelInteractionBudgetLaw(t *testing.T) {
 		// (0,0) are also effective-looking no-ops? No: Rule maps every
 		// pair to (0,0); pairs already (0,0) are null. The first
 		// interaction involving the minority agent ends the trial.
-		won, steps, err := p.run(4, 2, rng.New(5))
+		won, steps, err := run(p, 4, 2, rng.New(5))
 		if err != nil || !won {
-			t.Fatalf("one-shot kernel=%v: won=%v err=%v", kernel, won, err)
+			t.Fatalf("one-shot: won=%v err=%v", won, err)
 		}
 		return steps
 	}
-	// Both kernels must report at least one interaction and stop decided.
-	if s := oneShot(KernelPerEvent); s < 1 {
+	// Both must report at least one interaction and stop decided.
+	if s := oneShot(perEventTrial); s < 1 {
 		t.Errorf("per-event one-shot consumed %d interactions", s)
 	}
-	if s := oneShot(KernelBatch); s < 1 {
+	if s := oneShot((*PopulationProtocol).run); s < 1 {
 		t.Errorf("batch one-shot consumed %d interactions", s)
 	}
 }
 
-// TestCacheKeyDistinguishesKernels guards the sweep probe cache: the two
-// kernels legitimately produce different individual trial outcomes, so
-// their cache identities must differ.
-func TestCacheKeyDistinguishesKernels(t *testing.T) {
+// TestCacheKeyIgnoresKernel guards the sweep probe cache: the compiled
+// rule table picks the engine and every engine replays the batch loop's
+// trials, so the deprecated Kernel field must not split a protocol's
+// cached probes.
+func TestCacheKeyIgnoresKernel(t *testing.T) {
 	a := NewThreeStateAM()
 	b := NewThreeStateAM()
-	b.Kernel = KernelPerEvent
-	if a.CacheKey() == b.CacheKey() {
-		t.Errorf("batch and per-event kernels share cache key %q", a.CacheKey())
+	b.Kernel = KernelLockstep
+	if a.CacheKey() != b.CacheKey() {
+		t.Errorf("the Kernel field split the cache key: %q vs %q", a.CacheKey(), b.CacheKey())
 	}
-	if a.Name() != b.Name() {
-		t.Errorf("kernel choice leaked into the display name: %q vs %q", a.Name(), b.Name())
+	if c := NewFourStateExact(); c.CacheKey() == a.CacheKey() {
+		t.Errorf("different protocols share cache key %q", a.CacheKey())
 	}
 }

@@ -38,86 +38,80 @@ const kernelIters = 2048
 // addresses state s's plane at s·planeBytes from plane 0.
 const planeBytes = MaxLockstepLanes * 4
 
-// TrialBlockLanes implements the consensus.BlockTrialer capability: a
-// positive return asks the Monte-Carlo pool to hand this protocol whole
-// trial blocks of that width instead of single trials. Only the lockstep
-// kernel opts in; the other kernels run trial-at-a-time.
+// TrialBlockLanes implements the consensus.BlockTrialer capability. It
+// returns DefaultLockstepLanes when the compiled rule table has the
+// lockstep shape — exactly four effective pairs, none of them diagonal,
+// each moving one agent between two states, DoneWhenZero rules, and at
+// most 255 states — which the 3-state approximate majority and ternary
+// signaling compile to. It returns 0, trial-at-a-time on the batch loop,
+// for every other table, and when the protocol fails to compile, so that
+// Trial reports the error.
 func (p *PopulationProtocol) TrialBlockLanes() int {
-	if p.Kernel != KernelLockstep {
+	if tab, err := p.compile(); err != nil || !tab.lockstep {
 		return 0
-	}
-	if p.Lanes != 0 {
-		return p.Lanes
 	}
 	return DefaultLockstepLanes
 }
 
 // NewTrialBlock validates the configuration once and returns a block
-// runner advancing up to TrialBlockLanes trials in lockstep. The runner is
-// stateful (it owns the lane planes) and not safe for concurrent use; the
-// pool builds one per worker. Replicate rep of a block draws only from
+// runner advancing up to TrialBlockLanes trials in lockstep; it refuses a
+// rule table without the lockstep shape. The runner is stateful (it owns
+// the lane planes) and not safe for concurrent use; the pool builds one
+// per worker. Replicate rep of a block draws only from
 // rng.NewStream(seed, rep) — exactly the stream and exactly the draw
-// sequence the batch kernel's scalar Trial would consume — so results are
-// byte-identical to KernelBatch, for every worker count and every lane
-// packing.
+// sequence the scalar Trial would consume — so results are byte-identical
+// to Trial, for every worker count and every lane packing.
 func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi int, wins []bool) error, error) {
-	e, err := p.newLockstep(n, delta)
+	e, err := p.newLockstep(n, delta, DefaultLockstepLanes)
 	if err != nil {
 		return nil, err
 	}
 	return e.runBlock, nil
 }
 
-// lockstepEngine is the structure-of-arrays block engine behind
-// KernelLockstep. All per-lane state lives in fixed-size planes, one array
-// per field (see lockstepLanes), so one lane's round touches one word of
-// each plane, consecutive lanes share cache lines, and the rest of the
-// round runs in registers.
+// lockstepEngine is the structure-of-arrays block engine of the lockstep
+// shape. All per-lane state lives in fixed-size planes, one array per
+// field (see lockstepLanes), so one lane's round touches one word of each
+// plane, consecutive lanes share cache lines, and the rest of the round
+// runs in registers.
 //
 // One round advances every active lane by exactly one effective
 // interaction (or retires it), replaying the scalar batch loop's phases
-// per lane: decide (budget, Done), weigh (the non-null pair pass), skip
-// nulls (tick-by-tick uniforms or one geometric draw), and fire (Lemire
-// bounded draw, integer-weight pair scan, count update). The phases are
-// fused into a single pass per lane: the generator state loads once per
-// round into registers and every tick draw is an inlined rng.Next4, so a
-// round costs four state loads and stores, a handful of count-plane
-// accesses, and register arithmetic. The speedup over the scalar kernel
-// is instruction-level parallelism: consecutive lanes have no data
-// dependence, so the CPU overlaps their rounds — but only as far as it
-// can speculate past the round's branches. The tick loop's exit is
-// decided by the draw itself, which makes a naive "draw until effective"
-// loop mispredict on most rounds and flush exactly the cross-lane work
-// the layout exists to expose. The rounds therefore speculate in
-// software: each tick iteration draws two uniforms unconditionally,
-// classifies both with sign-bit arithmetic instead of compares-and-
-// branches, and selects the surviving generator state with a mask blend,
-// so the only data-dependent branch left is the loop-back when both
-// draws were nulls (~15% taken in the tick regime, cheap to predict).
-// The unconsumed second draw is discarded by keeping the one-draw state,
-// which preserves the scalar kernel's draw-for-draw stream consumption.
+// per lane: decide (budget, DoneWhenZero), weigh (the four pair weights),
+// skip nulls (tick-by-tick uniforms or one geometric draw), and fire
+// (Lemire bounded draw, pair scan, count update). The phases are fused
+// into a single pass per lane: the generator state loads once per round
+// into registers and every tick draw is an inlined rng.Next4, so a round
+// costs four state loads and stores, a handful of count-plane accesses,
+// and register arithmetic. The speedup over the scalar loop is
+// instruction-level parallelism: consecutive lanes have no data
+// dependence, so the CPU overlaps their rounds — but only as far as it can
+// speculate past the round's branches, which is why sweep4 speculates in
+// software and keeps the tick loop's exit the only data-dependent branch.
 //
 // Decided lanes retire immediately: their slot is refilled with the next
 // replicate of the block while any remain, then swap-compacted away, so
 // the tail of a block never serializes on stragglers.
 //
-// On amd64 CPUs with AVX2, for the fast4 shape with at most four states
-// and n(n−1) < 2³², an assembly kernel (ticksAVX2) runs the tick regime
+// On amd64 CPUs with AVX2, for tables with at most four states and
+// n(n−1) < 2³², an assembly kernel (ticksAVX2) runs the tick regime
 // instead: four lanes per group, one tick per eligible lane per group
 // iteration, visiting the groups round-robin. A lane is eligible when its
-// step word is below the budget (so its dirty flag is clear), no count is
-// zero (so no DoneWhenZero rule can fire), and w, the sum of its four pair
-// weights, has w < total ≤ 8w; kernelTakes is the same predicate in Go.
-// Each iteration draws r₁ and r₂ speculatively. r₁ is effective iff
-// (float64(r₁>>11)·2⁻⁵³)·total < float64(w), the negation of the batch
-// kernel's null test, computed exactly as Go does: r₁>>11 and w convert
-// exactly, the scaling by 2⁻⁵³ is exact, only the multiply by total
-// rounds, and nothing is fused. A null tick commits the one-draw state; an
-// effective tick commits the two-draw state, picks the pair from the high
-// word of r₂·w (Lemire's fast path, exact because w < 2³²) and applies
-// its net count updates, setting the dirty flag on a zero. Every lane
-// therefore draws exactly what the batch kernel draws, and the kernel
-// leaves ineligible lanes untouched.
+// step word is below the budget, so that its dirty flag is clear, and w,
+// the sum of its four pair weights, has w < total ≤ 8w; kernelTakes is the
+// same predicate in Go. A clear dirty flag means that no DoneWhenZero rule
+// can have become true: every count update that makes a count zero sets
+// the flag, which keeps the lane away from the kernel until the Go round's
+// decide pass. Each iteration draws r₁ and r₂ speculatively. r₁ is
+// effective iff (float64(r₁>>11)·2⁻⁵³)·total < float64(w), the negation of
+// the batch loop's null test, computed exactly as Go does: r₁>>11 and w
+// convert exactly, the scaling by 2⁻⁵³ is exact, only the multiply by
+// total rounds, and nothing is fused. A null tick commits the one-draw
+// state; an effective tick commits the two-draw state, picks the pair from
+// the high word of r₂·w (Lemire's fast path, exact because w < 2³²) and
+// applies its net count updates, setting the dirty flag when a count is
+// zero afterwards. Every lane therefore draws exactly what the batch loop
+// draws, and the kernel leaves ineligible lanes untouched.
 //
 // Hand-back: if an effective lane's low word of r₂·w is below w, the
 // scalar Uint64N would enter its retry loop; the kernel then returns
@@ -127,13 +121,13 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 // regime, decisions, budgets, retirement, refill — until the kernel can
 // take it again or it retires, so no lane holds its slot idle across
 // calls. A call runs at most kernelIters group iterations. Everywhere
-// else (other CPUs, other shapes, n > 65536) the Go rounds are the whole
-// engine.
+// else (other CPUs, more than four states, n > 65536) the Go rounds are
+// the whole engine.
 type lockstepEngine struct {
 	p   *PopulationProtocol
 	tab *popTable
 
-	n, a, b         int
+	a, b            int
 	states          int
 	maxInteractions int
 	total           int64
@@ -142,53 +136,11 @@ type lockstepEngine struct {
 
 	l lockstepLanes
 
-	scratch []int // states; gathered counts for the Done closure fallback
-
-	// Flattened DoneWhenZero rules (empty → Done closure fallback):
-	// rule rI is decided when the counts of states
-	// ruleState[ruleStart[rI]:ruleStart[rI+1]] are all zero, and
-	// ruleWin[rI] names the winner.
-	ruleStart []int32
-	ruleState []int32
-	ruleWin   []int32
-
-	// Per-effective-pair tables, in compiled pair order. pairDadj is 1 on
-	// the diagonal (t == s, where one agent must not be counted twice)
-	// and 0 elsewhere, so cs·(ct − dadj) is the selection weight in both
-	// cases. deltaState/deltaVal hold each pair's net count update —
-	// commonly two entries, where the literal four ±1 updates of the
-	// scalar loop often cancel.
-	pairS, pairT []int32
-	pairDadj     []int64
-	deltaStart   []int32
-	deltaState   []int32
-	deltaVal     []uint32 // two's-complement ±k, added to uint32 counts
-	deltaPacked  []uint64 // deltaState<<32 | deltaVal: one load per update
-
-	// wv stages the current lane's per-pair weights between the weigh
-	// pass and the fire scan. One tiny row reused for every lane: the
-	// scan then subtracts staged values instead of redoing the count
-	// loads and multiplies on its serial remainder chain.
-	wv []int64
-
-	// fast4 selects the straight-line sweep specialized for the dominant
-	// compiled shape — exactly four effective off-diagonal pairs, two
-	// net count updates per pair, and DoneWhenZero rules — which every
-	// catalog protocol with three states compiles to. The generic
-	// sweep's tiny dynamic-trip loops (weigh, scan, deltas, rules) each
-	// retire a taken branch per iteration, and the front end redirects
-	// fetch on every one; the specialized sweep unrolls them into
-	// branch-free straight-line code and keeps the four pair weights in
-	// registers. wire4 byte-packs the four (s, t) state pairs so the
-	// whole wiring rides in one register.
-	fast4 bool
-	wire4 uint64
-
-	// kernel reports that ticksAVX2 can run this engine's shape: fast4,
-	// at most four states and total < 2³². kpair holds the byte offsets
-	// of the count planes of pair i's states, s at 2i and t at 2i+1;
-	// kdelta[s][i] is state s's net count change when pair i fires, and
-	// entries 4–7 are zero, the index of a lane that does not fire.
+	// kernel reports that ticksAVX2 can run this engine: at most four
+	// states and total < 2³². kpair holds the byte offsets of the count
+	// planes of pair i's states, s at 2i and t at 2i+1; kdelta[s][i] is
+	// state s's net count change when pair i fires, and entries 4–7 are
+	// zero, the index of a lane that does not fire.
 	kernel bool
 	kpair  [8]int64
 	kdelta [4][8]int32
@@ -198,8 +150,8 @@ type lockstepEngine struct {
 	seed    uint64
 
 	// ticks accumulates the interaction ticks of every finished lane
-	// (including skipped nulls), the same accounting the scalar kernels
-	// report from run; benchmarks read it to price one simulated event.
+	// (including skipped nulls), the same accounting the scalar loop
+	// reports from run; benchmarks read it to price one simulated event.
 	ticks int64
 	// kernelCalls counts ticksAVX2 calls, for tests.
 	kernelCalls int
@@ -211,7 +163,8 @@ type lockstepEngine struct {
 // win[li] of its result in the block's wins slice, and the count
 // counts[s][li] of each state s. There are at least four count planes; a
 // plane past NumStates holds 1 in every lane, so that the AVX2 kernel's
-// all-non-zero test ignores it and its zero deltas leave it alone.
+// zero check after a count update, which reads all four planes, never
+// finds a zero there, and its zero deltas leave it alone.
 type lockstepLanes struct {
 	s0, s1, s2, s3 [MaxLockstepLanes]uint64
 	step           [MaxLockstepLanes]uint64
@@ -220,13 +173,11 @@ type lockstepLanes struct {
 }
 
 // kernelTakes reports whether ticksAVX2 can advance lane i, whose pair
-// weights sum to w: the step word is below the budget, no count is zero,
-// and w < total ≤ 8w. The kernel tests the same conditions on four lanes
-// at once.
+// weights sum to w: the step word is below the budget and
+// w < total ≤ 8w. The kernel tests the same conditions on four lanes at
+// once.
 func (l *lockstepLanes) kernelTakes(i int, maxI, w, total int64) bool {
-	return l.step[i] < uint64(maxI) &&
-		min(l.counts[0][i], l.counts[1][i], l.counts[2][i], l.counts[3][i]) != 0 &&
-		w < total && 8*w >= total
+	return l.step[i] < uint64(maxI) && w < total && 8*w >= total
 }
 
 // move copies lane src into lane dst.
@@ -239,13 +190,18 @@ func (l *lockstepLanes) move(dst, src, states int) {
 }
 
 // newLockstep validates the protocol and the (n, delta) configuration once
-// and allocates the lane planes. Everything runBlock touches afterwards is
-// preallocated here, so the steady state of a block run performs no
-// allocation at all.
-func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) {
+// and allocates the lane planes for lanes lanes, 1..MaxLockstepLanes:
+// NewTrialBlock passes DefaultLockstepLanes, and tests other widths. It
+// refuses a rule table without the lockstep shape. Everything runBlock
+// touches afterwards is preallocated here, so the steady state of a block
+// run performs no allocation at all.
+func (p *PopulationProtocol) newLockstep(n, delta, lanes int) (*lockstepEngine, error) {
 	tab, err := p.compile()
 	if err != nil {
 		return nil, err
+	}
+	if !tab.lockstep {
+		return nil, fmt.Errorf("protocols: %q does not compile to the lockstep shape", p.ProtocolName)
 	}
 	if n < 2 {
 		return nil, fmt.Errorf("protocols: population %d too small", n)
@@ -256,26 +212,16 @@ func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) 
 	if uint64(n) > math.MaxUint32 {
 		return nil, fmt.Errorf("protocols: population %d overflows the lockstep count planes", n)
 	}
-	if p.Lanes < 0 || p.Lanes > MaxLockstepLanes {
-		return nil, fmt.Errorf("protocols: lockstep lane width %d outside 1..%d", p.Lanes, MaxLockstepLanes)
-	}
-	r := p.TrialBlockLanes()
-	if r == 0 {
-		// The engine is usable with any kernel setting (tests drive it
-		// directly); default the width when the capability is off.
-		r = DefaultLockstepLanes
-	}
 	states := p.NumStates
 	b := (n - delta) / 2
 	e := &lockstepEngine{
 		p: p, tab: tab,
-		n: n, a: n - b, b: b,
+		a: n - b, b: b,
 		states:          states,
 		maxInteractions: p.maxInteractions(n),
 		total:           int64(n) * int64(n-1),
 		ftotal:          float64(int64(n) * int64(n-1)),
-		lanes:           r,
-		scratch:         make([]int, states),
+		lanes:           lanes,
 	}
 	e.l.counts = make([][MaxLockstepLanes]uint32, max(states, 4))
 	for s := states; s < len(e.l.counts); s++ {
@@ -283,60 +229,13 @@ func (p *PopulationProtocol) newLockstep(n, delta int) (*lockstepEngine, error) 
 			e.l.counts[s][li] = 1
 		}
 	}
-	e.ruleStart = append(e.ruleStart, 0)
-	for _, rule := range tab.doneZero {
-		e.ruleState = append(e.ruleState, rule.zero...)
-		e.ruleStart = append(e.ruleStart, int32(len(e.ruleState)))
-		e.ruleWin = append(e.ruleWin, rule.winner)
-	}
-	e.deltaStart = append(e.deltaStart, 0)
-	delta4 := make([]int, states)
-	for i := range tab.eff {
-		s, t := tab.effS[i], tab.effT[i]
-		e.pairS = append(e.pairS, s)
-		e.pairT = append(e.pairT, t)
-		var dadj int64
-		if s == t {
-			dadj = 1
-		}
-		e.pairDadj = append(e.pairDadj, dadj)
-		for st := range delta4 {
-			delta4[st] = 0
-		}
-		delta4[s]--
-		delta4[t]--
-		delta4[tab.effNi[i]]++
-		delta4[tab.effNr[i]]++
-		for st, dv := range delta4 {
-			if dv != 0 {
-				e.deltaState = append(e.deltaState, int32(st))
-				e.deltaVal = append(e.deltaVal, uint32(int32(dv)))
-			}
-		}
-		e.deltaStart = append(e.deltaStart, int32(len(e.deltaState)))
-	}
-	for d := range e.deltaState {
-		e.deltaPacked = append(e.deltaPacked, uint64(uint32(e.deltaState[d]))<<32|uint64(e.deltaVal[d]))
-	}
-	e.wv = make([]int64, len(e.pairS))
-	e.fast4 = len(e.pairS) == 4 && len(tab.doneZero) > 0 && states <= math.MaxUint8
-	for i := 0; e.fast4 && i < 4; i++ {
-		if e.deltaStart[i+1]-e.deltaStart[i] != 2 || e.pairDadj[i] != 0 {
-			e.fast4 = false
-		}
-	}
-	if e.fast4 {
-		for i := 0; i < 4; i++ {
-			e.wire4 |= uint64(uint8(e.pairS[i]))<<(16*i) | uint64(uint8(e.pairT[i]))<<(16*i+8)
-		}
-	}
-	e.kernel = e.fast4 && states <= 4 && e.total < 1<<32
+	e.kernel = states <= 4 && e.total < 1<<32
 	if e.kernel {
 		for i := 0; i < 4; i++ {
-			e.kpair[2*i] = int64(e.pairS[i]) * planeBytes
-			e.kpair[2*i+1] = int64(e.pairT[i]) * planeBytes
-			for d := e.deltaStart[i]; d < e.deltaStart[i+1]; d++ {
-				e.kdelta[e.deltaState[d]][i] += int32(e.deltaVal[d])
+			e.kpair[2*i] = int64(tab.effS[i]) * planeBytes
+			e.kpair[2*i+1] = int64(tab.effT[i]) * planeBytes
+			for _, d := range tab.deltaPacked[2*i : 2*i+2] {
+				e.kdelta[d>>32][i] += int32(uint32(d))
 			}
 		}
 	}
@@ -384,8 +283,8 @@ func (e *lockstepEngine) runBlock(seed uint64, lo, hi int, wins []bool) error {
 }
 
 // run is runBlock with the engine explicit: avx2 lets ticksAVX2 run the
-// tick regime of a shape it fits, and without it the Go rounds are the
-// whole engine.
+// tick regime where it fits, and without it the Go rounds are the whole
+// engine.
 func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, avx2 bool) error {
 	if hi < lo {
 		return fmt.Errorf("protocols: lockstep block [%d, %d) is inverted", lo, hi)
@@ -399,10 +298,7 @@ func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, avx2 bool) er
 	for li := 0; li < e.active; li++ {
 		e.initLane(li, lo+li, lo)
 	}
-	if e.fast4 {
-		return e.sweep4(lo, hi, wins, avx2 && e.kernel)
-	}
-	return e.sweepN(lo, hi, wins)
+	return e.sweep4(lo, hi, wins, avx2 && e.kernel)
 }
 
 // kernelTicks runs one ticksAVX2 call over the groups covering lanes
@@ -417,49 +313,61 @@ func (e *lockstepEngine) kernelTicks(active int) (refused bool) {
 	return ticksAVX2(e, (active+3)/4)
 }
 
-// sweepN is the generic round loop, correct for any compiled shape. It
-// decides every round (the Done closure fallback has no zero-crossing
-// structure to exploit) and walks the pair and delta tables with short
-// dynamic-trip loops.
+// sweep4 is the engine's round loop. The four pair weights stay in
+// registers end to end, the pair scan and the two net count updates are
+// straight-line code, and the decide pass is gated on the dirty flag, so
+// it runs only on rounds that follow a count update that left a zero (or
+// open a fresh replicate).
+//
+// With avx2 each pass of the lanes first calls ticksAVX2. Unless the
+// kernel refused, the pass is the hand-back: a lane the kernel can take
+// is skipped, and any other lane runs rounds until the kernel can take it
+// or it retires. After a refusal, and without avx2, every lane runs one
+// round per pass.
 //
 //lint:hotpath
-func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
-	ns := e.states
-	pairs := len(e.pairS)
+func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, avx2 bool) error {
 	maxI := e.maxInteractions
 	total, ftotal := e.total, e.ftotal
 	tscale := float64(1<<53) / ftotal
 	l := &e.l
 	counts := l.counts
-	pairS, pairT, pairDadj, wv := e.pairS, e.pairT, e.pairDadj, e.wv
-	deltaStart, deltaState, deltaVal := e.deltaStart, e.deltaState, e.deltaVal
-	ruleStart, ruleState, ruleWin := e.ruleStart, e.ruleState, e.ruleWin
-	nRules := len(ruleWin)
+	deltaPk := &e.tab.deltaPacked
+	// The pair wiring rides in one register; the rule tables load inside
+	// the cold dirty branch. Everything the hot path keeps live has to
+	// fit the register file, or the loop head turns into stack reloads.
+	wire := e.tab.wire
 
 	for active := e.active; active > 0; active = e.active {
+		// adv is how far a lane's round moves the pass on: 0 in the
+		// hand-back, which re-examines the lane.
+		adv := 1
+		if avx2 && !e.kernelTicks(active) {
+			adv = 0
+		}
 		for li := 0; li < active; {
 			i := li & (MaxLockstepLanes - 1) // i == li: the mask only drops the bounds checks
-			step := int(l.step[i] & stepMask)
-			// Budget before Done, matching the scalar loop — a lane whose
-			// final permitted interaction reaches consensus still scores
-			// as undecided, because it never observes the final state.
+			sd := l.step[i]
+			step := int(sd & stepMask)
+			// Budget before the decision, as in the scalar loop: a lane
+			// whose final permitted interaction reaches consensus still
+			// scores as undecided, because it never observes the final
+			// state.
 			if step >= maxI {
 				e.finishLane(i, false, wins, hi, lo)
 				active = e.active
 				continue
 			}
-			// Decide. The flattened DoneWhenZero rules need a couple of
-			// loads from this lane's count planes; the closure fallback
-			// gathers the counts and pays an indirect call.
-			if nRules > 0 {
+			if sd >= dirtyBit {
+				l.step[i] = sd &^ dirtyBit
 				winner := int32(-2)
-				for rI := 0; rI < nRules; rI++ {
+				for _, rule := range e.tab.doneZero {
 					var acc uint32
-					for d := ruleStart[rI]; d < ruleStart[rI+1]; d++ {
-						acc |= counts[ruleState[d]][i]
+					for _, st := range rule.zero {
+						acc |= counts[st][i]
 					}
 					if acc == 0 {
-						winner = ruleWin[rI]
+						winner = rule.winner
 						break
 					}
 				}
@@ -468,37 +376,24 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					active = e.active
 					continue
 				}
-			} else {
-				scratch := e.scratch
-				for s := 0; s < ns; s++ {
-					scratch[s] = int(counts[s][i])
-				}
-				if isDone, winner := e.p.Done(scratch); isDone {
-					e.finishLane(i, winner == 0, wins, hi, lo)
-					active = e.active
-					continue
-				}
 			}
 
-			// Weigh: total selection weight of the non-null pairs, staged
-			// per pair for the fire scan. The diagonal adjustment
-			// cs·(cs−1) is never negative, so the scalar kernel's clamp
-			// is implied.
-			var w int64
-			for k := 0; k < pairs; k++ {
-				cs := int64(counts[pairS[k]][i])
-				ct := int64(counts[pairT[k]][i])
-				wk := cs * (ct - pairDadj[k])
-				wv[k] = wk
-				w += wk
+			w0 := int64(counts[wire&0xff][i]) * int64(counts[wire>>8&0xff][i])
+			w1 := int64(counts[wire>>16&0xff][i]) * int64(counts[wire>>24&0xff][i])
+			w2 := int64(counts[wire>>32&0xff][i]) * int64(counts[wire>>40&0xff][i])
+			w3 := int64(counts[wire>>48&0xff][i]) * int64(counts[wire>>56][i])
+			w := w0 + w1 + w2 + w3
+			if adv == 0 && l.kernelTakes(i, int64(maxI), w, total) {
+				li++
+				continue
 			}
 			if w == 0 {
 				// No selectable effective pair: the counts can never
 				// change again, and the scalar loop would spin to the
-				// budget. Charge the full budget; the next decide pass
-				// retires the lane undecided.
+				// budget. Charge the full budget; the next pass retires
+				// the lane undecided.
 				l.step[i] = uint64(maxI)
-				li++
+				li += adv
 				continue
 			}
 
@@ -512,15 +407,21 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					// one uniform each, ending on the first effective
 					// tick — cheaper than the geometric's logarithm.
 					//
-					// Each iteration draws a speculative pair of
-					// uniforms and rolls the generator back to the
-					// one-draw state when the first tick was already
-					// effective, so the stream consumption matches the
-					// scalar draw-until-effective loop exactly while the
-					// loop body stays free of data-dependent branches:
-					// n1/n2 classify the two ticks with one integer
-					// subtract against thr, and the surviving state is
-					// a mask blend.
+					// A naive "draw until effective" loop would exit on
+					// a branch decided by the draw itself, mispredict on
+					// most rounds and flush exactly the cross-lane work
+					// the layout exists to expose. So each iteration
+					// draws a speculative pair of uniforms and rolls the
+					// generator back to the one-draw state when the
+					// first tick was already effective: the stream
+					// consumption matches the scalar draw-until-effective
+					// loop exactly, while the loop body stays free of
+					// data-dependent branches. n1/n2 classify the two
+					// ticks with one integer subtract against thr, and
+					// the surviving state is a mask blend; the only
+					// data-dependent branch left is the loop-back when
+					// both draws were nulls (~15% taken in the tick
+					// regime, cheap to predict).
 					//
 					// thr approximates the integer form of the scalar
 					// Float64 compare: fl(k·2⁻⁵³·total) is monotone in
@@ -534,7 +435,7 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					// with pure integer arithmetic; the window around
 					// it (hit with probability ~2⁻⁴⁹) falls back to
 					// the original predicate, keeping classification
-					// byte-identical to the scalar kernel.
+					// byte-identical to the scalar loop.
 					fw := float64(w)
 					thr := uint64(fw * tscale)
 					blown := false
@@ -585,7 +486,7 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					if blown {
 						l.step[i] = uint64(step)
 						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
-						li++
+						li += adv
 						continue
 					}
 				} else {
@@ -597,7 +498,7 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 					if nulls >= remaining {
 						l.step[i] = uint64(maxI)
 						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
-						li++
+						li += adv
 						continue
 					}
 					step += nulls
@@ -607,194 +508,16 @@ func (e *lockstepEngine) sweepN(lo, hi int, wins []bool) error {
 			step++
 
 			// Fire: Lemire bounded draw (fast path inline, rejection out
-			// of line), then the integer-weight pair scan over the staged
-			// weights. The scan is branch-free over all compiled pairs:
+			// of line), then a branch-free scan of the register weights:
 			// once the running remainder goes negative it stays negative,
 			// so counting the non-negative prefixes (the inverted sign
-			// bit) names the sampled pair.
+			// bit) names the sampled pair. The draw lies under the total
+			// weight (mhi < w), so the last pair needs no subtraction.
 			u, s0, s1, s2, s3 = rng.Next4(s0, s1, s2, s3)
 			mhi, mlo := bits.Mul64(u, uint64(w))
 			if mlo < uint64(w) {
 				mhi, s0, s1, s2, s3 = rng.Uint64NRetry4(s0, s1, s2, s3, mhi, mlo, uint64(w))
 			}
-			// The draw lies under one of the staged weights (mhi < w), so
-			// the last pair needs no subtraction: reaching it non-negative
-			// already names it.
-			v := int64(mhi)
-			pair := 0
-			for k := 0; k < pairs-1; k++ {
-				v -= wv[k]
-				pair += int(^uint64(v) >> 63)
-			}
-			for d := deltaStart[pair]; d < deltaStart[pair+1]; d++ {
-				counts[deltaState[d]][i] += deltaVal[d]
-			}
-			l.step[i] = uint64(step)
-			l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
-			li++
-		}
-	}
-	return nil
-}
-
-// sweep4 is the round loop specialized for the fast4 shape: four
-// effective pairs, two net count updates per pair, DoneWhenZero rules.
-// It is byte-for-byte the same computation as sweepN — every draw, every
-// comparison, every count update in the same order — with the dynamic
-// pair loops unrolled into straight-line code, the four pair weights
-// held in registers end to end, and the decide pass gated on the dirty
-// flag so it runs only on rounds that follow a zero-crossing count
-// update (or open a fresh replicate).
-//
-// With avx2 each pass of the lanes first calls ticksAVX2. Unless the
-// kernel refused, the pass is the hand-back: a lane the kernel can take
-// is skipped, and any other lane runs rounds until the kernel can take it
-// or it retires. After a refusal, and without avx2, every lane runs one
-// round per pass.
-//
-//lint:hotpath
-func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, avx2 bool) error {
-	maxI := e.maxInteractions
-	total, ftotal := e.total, e.ftotal
-	tscale := float64(1<<53) / ftotal
-	l := &e.l
-	counts := l.counts
-	deltaPk := e.deltaPacked
-	// The pair wiring rides in one register; the rule tables load inside
-	// the cold dirty branch. Everything the hot path keeps live has to
-	// fit the register file, or the loop head turns into stack reloads.
-	wire := e.wire4
-
-	for active := e.active; active > 0; active = e.active {
-		// adv is how far a lane's round moves the pass on: 0 in the
-		// hand-back, which re-examines the lane.
-		adv := 1
-		if avx2 && !e.kernelTicks(active) {
-			adv = 0
-		}
-		for li := 0; li < active; {
-			i := li & (MaxLockstepLanes - 1) // i == li: the mask only drops the bounds checks
-			sd := l.step[i]
-			step := int(sd & stepMask)
-			if step >= maxI {
-				e.finishLane(i, false, wins, hi, lo)
-				active = e.active
-				continue
-			}
-			if sd >= dirtyBit {
-				l.step[i] = sd &^ dirtyBit
-				ruleStart, ruleState, ruleWin := e.ruleStart, e.ruleState, e.ruleWin
-				winner := int32(-2)
-				for rI := 0; rI < len(ruleWin); rI++ {
-					var acc uint32
-					for d := ruleStart[rI]; d < ruleStart[rI+1]; d++ {
-						acc |= counts[ruleState[d]][i]
-					}
-					if acc == 0 {
-						winner = ruleWin[rI]
-						break
-					}
-				}
-				if winner != -2 {
-					e.finishLane(i, winner == 0, wins, hi, lo)
-					active = e.active
-					continue
-				}
-			}
-
-			w0 := int64(counts[wire&0xff][i]) * int64(counts[wire>>8&0xff][i])
-			w1 := int64(counts[wire>>16&0xff][i]) * int64(counts[wire>>24&0xff][i])
-			w2 := int64(counts[wire>>32&0xff][i]) * int64(counts[wire>>40&0xff][i])
-			w3 := int64(counts[wire>>48&0xff][i]) * int64(counts[wire>>56][i])
-			w := w0 + w1 + w2 + w3
-			if adv == 0 && l.kernelTakes(i, int64(maxI), w, total) {
-				li++
-				continue
-			}
-			if w == 0 {
-				l.step[i] = uint64(maxI)
-				li += adv
-				continue
-			}
-
-			s0, s1, s2, s3 := l.s0[i], l.s1[i], l.s2[i], l.s3[i]
-			var u uint64
-			if w < total {
-				if 8*w >= total {
-					// The speculative two-draw tick loop of sweepN,
-					// verbatim; see the comments there.
-					fw := float64(w)
-					thr := uint64(fw * tscale)
-					blown := false
-					for {
-						var u1, u2 uint64
-						var t0, t1, t2, t3 uint64
-						u1, t0, t1, t2, t3 = rng.Next4(s0, s1, s2, s3)
-						u2, s0, s1, s2, s3 = rng.Next4(t0, t1, t2, t3)
-						k1 := u1 >> 11
-						k2 := u2 >> 11
-						n1 := ((k1 - thr) >> 63) ^ 1
-						n2 := ((k2 - thr) >> 63) ^ 1
-						if k1-thr+8 < 17 {
-							n1 = 1
-							if float64(k1)/(1<<53)*ftotal < fw {
-								n1 = 0
-							}
-						}
-						if k2-thr+8 < 17 {
-							n2 = 1
-							if float64(k2)/(1<<53)*ftotal < fw {
-								n2 = 0
-							}
-						}
-						m := -n1
-						s0 = t0 ^ (m & (t0 ^ s0))
-						s1 = t1 ^ (m & (t1 ^ s1))
-						s2 = t2 ^ (m & (t2 ^ s2))
-						s3 = t3 ^ (m & (t3 ^ s3))
-						step += int(n1)
-						if step >= maxI {
-							s0, s1, s2, s3 = t0, t1, t2, t3
-							blown = true
-							break
-						}
-						if n1&n2 == 0 {
-							break
-						}
-						step++
-						if step >= maxI {
-							blown = true
-							break
-						}
-					}
-					if blown {
-						l.step[i] = uint64(step)
-						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
-						li += adv
-						continue
-					}
-				} else {
-					remaining := maxI - step
-					var nulls int
-					nulls, s0, s1, s2, s3 = rng.GeometricCapped4(s0, s1, s2, s3, float64(w)/ftotal, remaining)
-					if nulls >= remaining {
-						l.step[i] = uint64(maxI)
-						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
-						li += adv
-						continue
-					}
-					step += nulls
-				}
-			}
-			step++
-
-			u, s0, s1, s2, s3 = rng.Next4(s0, s1, s2, s3)
-			mhi, mlo := bits.Mul64(u, uint64(w))
-			if mlo < uint64(w) {
-				mhi, s0, s1, s2, s3 = rng.Uint64NRetry4(s0, s1, s2, s3, mhi, mlo, uint64(w))
-			}
-			// Unrolled non-negative-prefix scan over the register weights;
-			// the last pair needs no subtraction (mhi < w).
 			v := int64(mhi)
 			v -= w0
 			pair := int(^uint64(v) >> 63)

@@ -51,18 +51,10 @@ group:
 	LEAQ (R8)(BX*4), R9
 
 	// Eligible (Y1): the step word is below the budget as unsigned, so a
-	// dirty one never is; no count is zero; and w < total ≤ 8w.
-	VMOVDQU   lockstepLanes_step(SI)(BX*8), Y0
-	VPXOR     signBit<>(SB), Y0, Y1
-	VPCMPGTQ  Y1, Y15, Y1                      // maxInteractions > step
-	VMOVDQU   (R9), X2
-	VPMINUD   const_planeBytes(R9), X2, X2
-	VPMINUD   (2*const_planeBytes)(R9), X2, X2
-	VPMINUD   (3*const_planeBytes)(R9), X2, X2
-	VPXOR     X3, X3, X3
-	VPCMPEQD  X3, X2, X2
-	VPMOVSXDQ X2, Y2                           // some count is zero
-	VPANDN    Y1, Y2, Y1
+	// dirty one never is, and w < total ≤ 8w.
+	VMOVDQU  lockstepLanes_step(SI)(BX*8), Y0
+	VPXOR    signBit<>(SB), Y0, Y1
+	VPCMPGTQ Y1, Y15, Y1                       // maxInteractions > step
 
 	// The pair weights c[s]·c[t], all below 2³², and their prefix sums:
 	// Y3 = w0, Y4 = w0+w1, Y5 = w0+w1+w2, Y6 = w.
@@ -199,7 +191,8 @@ group:
 	VPMINUD X5, X4, X4
 
 	// step + 1 on eligible lanes, and the dirty flag on a lane that fired
-	// into a zero count.
+	// and now has a zero count: one it fired into, or one it was already
+	// at, which only sends the lane through one more decide pass.
 	VPXOR     X5, X5, X5
 	VPCMPEQD  X5, X4, X4
 	VPMOVSXDQ X4, Y4

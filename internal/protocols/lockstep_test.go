@@ -8,7 +8,6 @@ import (
 	"lvmajority/internal/consensus"
 	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
-	"lvmajority/internal/stats"
 )
 
 // lockstepPaths are the two ways a lockstep block can run: the dispatching
@@ -19,10 +18,11 @@ var lockstepPaths = []struct {
 	avx2 bool
 }{{"dispatch", cpufeat.AVX2()}, {"go", false}}
 
-// blockOn returns p's block runner for (n, delta) on the given path.
-func blockOn(t testing.TB, p *PopulationProtocol, n, delta int, avx2 bool) func(seed uint64, lo, hi int, wins []bool) error {
+// blockOn returns p's block runner for (n, delta) at the given lane width
+// on the given path.
+func blockOn(t testing.TB, p *PopulationProtocol, n, delta, lanes int, avx2 bool) func(seed uint64, lo, hi int, wins []bool) error {
 	t.Helper()
-	e, err := p.newLockstep(n, delta)
+	e, err := p.newLockstep(n, delta, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,26 +31,25 @@ func blockOn(t testing.TB, p *PopulationProtocol, n, delta int, avx2 bool) func(
 	}
 }
 
-// goOnly is a lockstep protocol whose blocks run on the Go rounds alone, so
-// that the estimator tests reach that path through consensus.
-type goOnly struct{ *PopulationProtocol }
+// onPath is a lockstep protocol whose blocks have the given lane width and
+// run on the given path, so that the estimator tests reach every width and
+// the Go rounds alone through consensus.
+type onPath struct {
+	*PopulationProtocol
+	lanes int
+	avx2  bool
+}
 
-func (p goOnly) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi int, wins []bool) error, error) {
-	e, err := p.newLockstep(n, delta)
+func (p onPath) TrialBlockLanes() int { return p.lanes }
+
+func (p onPath) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi int, wins []bool) error, error) {
+	e, err := p.newLockstep(n, delta, p.lanes)
 	if err != nil {
 		return nil, err
 	}
 	return func(seed uint64, lo, hi int, wins []bool) error {
-		return e.run(seed, lo, hi, wins, false)
+		return e.run(seed, lo, hi, wins, p.avx2)
 	}, nil
-}
-
-// onPath wraps p for the estimator so that its blocks run on the path.
-func onPath(p *PopulationProtocol, avx2 bool) consensus.Protocol {
-	if avx2 {
-		return p
-	}
-	return goOnly{p}
 }
 
 // runBatchOracle runs replicate rep the way the scalar batch kernel would
@@ -87,9 +86,7 @@ func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budg
 	}
 	for _, path := range lockstepPaths {
 		p := with()
-		p.Kernel = KernelLockstep
-		p.Lanes = lanes
-		e, err := p.newLockstep(n, delta)
+		e, err := p.newLockstep(n, delta, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -112,22 +109,20 @@ func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budg
 
 // TestLockstepByteIdenticalToBatch is the engine's ground truth: every
 // lane of a lockstep block must reproduce the scalar batch kernel's
-// outcome for the same replicate stream, byte for byte, on every protocol
+// outcome for the same replicate stream, byte for byte, on every lockstep
 // shape in the repository — including blocks larger than the lane width
 // (exercising refill) and blocks smaller than it (exercising
 // swap-compaction of a partially filled engine).
 func TestLockstepByteIdenticalToBatch(t *testing.T) {
-	makers := []func() *PopulationProtocol{NewThreeStateAM, NewFourStateExact, NewTernarySignaling, newVoterProtocol}
+	makers := []func() *PopulationProtocol{NewThreeStateAM, NewTernarySignaling, newAMFirstExtinction}
 	for _, path := range lockstepPaths {
 		t.Run(path.name, func(t *testing.T) {
 			for _, mk := range makers {
 				oracle := mk()
 				p := mk()
-				p.Kernel = KernelLockstep
-				p.Lanes = 8
 				for _, tc := range []struct{ n, delta int }{{16, 2}, {40, 4}, {61, 3}, {50, 0}} {
 					for _, span := range []struct{ lo, hi int }{{0, 3}, {0, 8}, {5, 32}} {
-						block := blockOn(t, p, tc.n, tc.delta, path.avx2)
+						block := blockOn(t, p, tc.n, tc.delta, 8, path.avx2)
 						wins := make([]bool, span.hi-span.lo)
 						if err := block(9, span.lo, span.hi, wins); err != nil {
 							t.Fatal(err)
@@ -169,10 +164,10 @@ func newAMFirstExtinction() *PopulationProtocol {
 
 // TestLockstepMatchesBatchInTickRegime runs populations large enough that
 // most rounds are in the tick regime, which the AVX2 kernel takes, on the
-// three shapes it fits and the one it does not: full blocks, ragged ones,
-// single lanes, the widest lanes, and budgets that bind mid-run.
+// three lockstep shapes: full blocks, ragged ones, single lanes, the
+// widest lanes, and budgets that bind mid-run.
 func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
-	am, ternary, exact := NewThreeStateAM, NewTernarySignaling, NewFourStateExact
+	am, ternary := NewThreeStateAM, NewTernarySignaling
 	for _, tc := range []struct {
 		name                            string
 		mk                              func() *PopulationProtocol
@@ -187,7 +182,6 @@ func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
 		{"ternary-1024", ternary, 0, 1024, 98, 128, 0, 200},
 		{"ternary-255-lanes5", ternary, 0, 255, 11, 5, 1, 40},
 		{"ternary-512-budget", ternary, 900, 512, 0, 32, 0, 70},
-		{"exact-200", exact, 0, 200, 10, 16, 0, 40},
 		{"am-first-extinction-300", newAMFirstExtinction, 0, 300, 4, 32, 0, 100},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -197,10 +191,10 @@ func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
 }
 
 // FuzzLockstepMatchesBatch checks both paths of a lockstep block against
-// the batch kernel on the 3-state approximate majority, ternary signaling,
-// the 4-state exact majority and the voter model: every lane's win and
-// the block's tick total, for any population up to 300, gap, lane width,
-// window, seed and interaction budget.
+// the batch kernel on the 3-state approximate majority, ternary signaling
+// and the approximate majority decided at the first extinction: every
+// lane's win and the block's tick total, for any population up to 300,
+// gap, lane width, window, seed and interaction budget.
 func FuzzLockstepMatchesBatch(f *testing.F) {
 	f.Add(uint8(0), uint16(256), uint16(46), uint16(128), uint16(0), uint16(200), uint64(1), uint32(0))
 	f.Add(uint8(1), uint16(300), uint16(30), uint16(7), uint16(5), uint16(40), uint64(2), uint32(0))
@@ -209,7 +203,7 @@ func FuzzLockstepMatchesBatch(f *testing.F) {
 	f.Add(uint8(3), uint16(30), uint16(6), uint16(3), uint16(1), uint16(12), uint64(5), uint32(0))
 	f.Add(uint8(1), uint16(2), uint16(0), uint16(1), uint16(0), uint16(4), uint64(6), uint32(1))
 	f.Fuzz(func(t *testing.T, proto uint8, n, delta, lanes, lo, width uint16, seed uint64, budget uint32) {
-		mk := []func() *PopulationProtocol{NewThreeStateAM, NewTernarySignaling, NewFourStateExact, newVoterProtocol}[proto%4]
+		mk := []func() *PopulationProtocol{NewThreeStateAM, NewTernarySignaling, newAMFirstExtinction}[proto%3]
 		nn := 2 + int(n)%299
 		gap := int(delta) % (nn - 1)
 		if (nn-gap)%2 != 0 {
@@ -272,9 +266,7 @@ func startLanes(e *lockstepEngine, seed uint64, k int) {
 // state.
 func craftedEngine(t *testing.T, p *PopulationProtocol, n, delta int, counts [3]uint32, step uint64, state [4]uint64) *lockstepEngine {
 	t.Helper()
-	p.Kernel = KernelLockstep
-	p.Lanes = 1
-	e, err := p.newLockstep(n, delta)
+	e, err := p.newLockstep(n, delta, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +354,7 @@ func TestLockstepKernelLemireHighWord(t *testing.T) {
 	var prefix [3]uint64
 	var w uint64
 	for i := range 4 {
-		wi := uint64(counts[e.pairS[i]]) * uint64(counts[e.pairT[i]])
+		wi := uint64(counts[e.tab.effS[i]]) * uint64(counts[e.tab.effT[i]])
 		if i < 3 {
 			prefix[i] = w + wi
 		}
@@ -415,17 +407,15 @@ func TestLockstepKernelMarksZeroCounts(t *testing.T) {
 
 // TestLockstepKernelEligibility gives one kernel call two groups of
 // lanes, each lane failing at most one condition of the kernel's
-// eligibility test: a zero count, a dirty step word, the geometric regime
-// and a spent budget. The kernel must leave exactly those lanes untouched
-// and advance every other lane once per visit of its group.
+// eligibility test: a dirty step word, the geometric regime and a spent
+// budget. The kernel must leave exactly those lanes untouched and advance
+// every other lane once per visit of its group, a lane with a zero count
+// among them: its clean step word already says that no rule has fired.
 func TestLockstepKernelEligibility(t *testing.T) {
 	if !cpufeat.AVX2() {
 		t.Skip("the AVX2 tick kernel does not run on this CPU")
 	}
-	p := NewThreeStateAM()
-	p.Kernel = KernelLockstep
-	p.Lanes = 8
-	e, err := p.newLockstep(60_000, 400)
+	e, err := NewThreeStateAM().newLockstep(60_000, 400, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +428,7 @@ func TestLockstepKernelEligibility(t *testing.T) {
 		takes  bool
 	}{
 		{"eligible", tick, 0, true},
-		{"zero blank", [3]uint32{30_000, 30_000, 0}, 0, false},
+		{"zero blank", [3]uint32{30_000, 30_000, 0}, 0, true},
 		{"dirty", tick, dirtyBit | 5, false},
 		{"geometric", [3]uint32{59_000, 1, 999}, 0, false},
 		{"budget spent", tick, uint64(e.maxInteractions), false},
@@ -469,7 +459,7 @@ func TestLockstepKernelEligibility(t *testing.T) {
 		}
 		var w int64
 		for k := range 4 {
-			w += int64(c.counts[e.pairS[k]]) * int64(c.counts[e.pairT[k]])
+			w += int64(c.counts[e.tab.effS[k]]) * int64(c.counts[e.tab.effT[k]])
 		}
 		if got := before.kernelTakes(li, int64(e.maxInteractions), w, e.total); got != c.takes {
 			t.Errorf("lane %d (%s): kernelTakes = %v, want %v", li, c.name, got, c.takes)
@@ -491,10 +481,7 @@ func TestLockstepKernelSelectionBound(t *testing.T) {
 			p.MaxInteractionsFor = func(int) int { return 20_000 }
 			return p
 		}
-		p := mk()
-		p.Kernel = KernelLockstep
-		p.Lanes = 8
-		e, err := p.newLockstep(tc.n, tc.delta)
+		e, err := mk().newLockstep(tc.n, tc.delta, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -524,10 +511,7 @@ func TestLockstepKernelRoundCap(t *testing.T) {
 	}
 	for _, lanes := range []int{1, 128} {
 		engine := func() *lockstepEngine {
-			p := NewThreeStateAM()
-			p.Kernel = KernelLockstep
-			p.Lanes = lanes
-			e, err := p.newLockstep(10_000, 400)
+			e, err := NewThreeStateAM().newLockstep(10_000, 400, lanes)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -581,10 +565,7 @@ func TestLockstepTickAccounting(t *testing.T) {
 	}
 	for _, path := range lockstepPaths {
 		t.Run(path.name, func(t *testing.T) {
-			p := NewThreeStateAM()
-			p.Kernel = KernelLockstep
-			p.Lanes = 16
-			e, err := p.newLockstep(60, 4)
+			e, err := NewThreeStateAM().newLockstep(60, 4, 16)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -610,10 +591,7 @@ func TestLockstepLaneCountInvariance(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			var baseline []bool
 			for _, lanes := range []int{1, 64, 256} {
-				p := NewThreeStateAM()
-				p.Kernel = KernelLockstep
-				p.Lanes = lanes
-				block := blockOn(t, p, n, delta, path.avx2)
+				block := blockOn(t, NewThreeStateAM(), n, delta, lanes, path.avx2)
 				wins := make([]bool, reps)
 				if err := block(seed, 0, reps, wins); err != nil {
 					t.Fatal(err)
@@ -637,9 +615,7 @@ func TestLockstepLaneCountInvariance(t *testing.T) {
 // per-trial lengths through blocks that force both refill and compaction,
 // and checks every replicate contributes exactly once and in its own slot:
 // each outcome equals its scalar oracle, and re-running the same engine
-// reproduces the block exactly (no state leaks between blocks). The voter
-// model runs on sweepN; the approximate majority, whose absorption times
-// also vary, runs on sweep4 and the AVX2 kernel.
+// reproduces the block exactly (no state leaks between blocks).
 func TestLockstepRetirementExactlyOnce(t *testing.T) {
 	const lo, hi = 3, 3 + 3*8 + 5 // refill across several generations, ragged tail
 	for _, path := range lockstepPaths {
@@ -647,11 +623,9 @@ func TestLockstepRetirementExactlyOnce(t *testing.T) {
 			for _, tc := range []struct {
 				mk       func() *PopulationProtocol
 				n, delta int
-			}{{newVoterProtocol, 30, 2}, {NewThreeStateAM, 200, 0}} {
+			}{{NewTernarySignaling, 30, 2}, {NewThreeStateAM, 200, 0}} {
 				p := tc.mk()
-				p.Kernel = KernelLockstep
-				p.Lanes = 8
-				e, err := p.newLockstep(tc.n, tc.delta)
+				e, err := p.newLockstep(tc.n, tc.delta, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -681,82 +655,43 @@ func TestLockstepRetirementExactlyOnce(t *testing.T) {
 }
 
 // TestLockstepInteractionBudgetLaw mirrors the batch kernel's budget test
-// through the block path: an all-null protocol exhausts its budget
-// undecided in every lane and charges exactly the full budget to the tick
-// accounting, and a one-shot protocol decides every lane.
+// through the block path: with a budget far below any decision, every
+// lane runs out undecided and the block charges exactly the full budgets
+// to the tick accounting, in the tick regime and in the geometric one.
 func TestLockstepInteractionBudgetLaw(t *testing.T) {
 	for _, path := range lockstepPaths {
 		t.Run(path.name, func(t *testing.T) {
-			stuck := &PopulationProtocol{
-				ProtocolName:       "all-null",
-				NumStates:          2,
-				Rule:               func(a, b int) (int, int) { return a, b },
-				MajorityState:      0,
-				MinorityState:      1,
-				Done:               func([]int) (bool, int) { return false, -1 },
-				MaxInteractionsFor: func(int) int { return 1000 },
-				Kernel:             KernelLockstep,
-				Lanes:              4,
-			}
-			e, err := stuck.newLockstep(10, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wins := make([]bool, 6)
-			if err := e.run(1, 0, 6, wins, path.avx2); err != nil {
-				t.Fatal(err)
-			}
-			for rep, won := range wins {
-				if won {
-					t.Errorf("all-null protocol won replicate %d", rep)
+			for _, delta := range []int{2, 996} {
+				p := NewThreeStateAM()
+				p.MaxInteractionsFor = func(int) int { return 300 }
+				e, err := p.newLockstep(1000, delta, 4)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if want := int64(6 * 1000); e.ticks != want {
-				t.Errorf("all-null block accounted %d ticks, want the full budgets %d", e.ticks, want)
-			}
-
-			oneShot := &PopulationProtocol{
-				ProtocolName:  "one-shot",
-				NumStates:     2,
-				Rule:          func(a, b int) (int, int) { return 0, 0 },
-				MajorityState: 0,
-				MinorityState: 1,
-				Done: func(counts []int) (bool, int) {
-					if counts[1] == 0 {
-						return true, 0
+				wins := make([]bool, 6)
+				if err := e.run(1, 0, 6, wins, path.avx2); err != nil {
+					t.Fatal(err)
+				}
+				for rep, won := range wins {
+					if won {
+						t.Errorf("delta=%d: replicate %d decided within a budget of 300", delta, rep)
 					}
-					return false, -1
-				},
-				Kernel: KernelLockstep,
-				Lanes:  4,
-			}
-			e, err = oneShot.newLockstep(4, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wins = make([]bool, 9)
-			if err := e.run(5, 0, 9, wins, path.avx2); err != nil {
-				t.Fatal(err)
-			}
-			for rep, won := range wins {
-				if !won {
-					t.Errorf("one-shot protocol lost replicate %d", rep)
 				}
-			}
-			if e.ticks < 9 {
-				t.Errorf("one-shot block accounted %d ticks, want at least one per replicate", e.ticks)
+				if want := int64(6 * 300); e.ticks != want {
+					t.Errorf("delta=%d: block accounted %d ticks, want the full budgets %d", delta, e.ticks, want)
+				}
 			}
 		})
 	}
 }
 
 // TestLockstepKernelThroughEstimator checks the full dispatch stack:
-// consensus.EstimateWinProbability must route a lockstep-kernel protocol
+// consensus.EstimateWinProbability must route a lockstep-shape protocol
 // through the block path and — because lanes replay the batch kernel byte
-// for byte — return the batch kernel's estimate exactly, for every worker
+// for byte — return the scalar Trial's estimate exactly, for every worker
 // and lane count.
 func TestLockstepKernelThroughEstimator(t *testing.T) {
-	batch := NewThreeStateAM()
+	batch := perTrial{NewThreeStateAM()}
 	want, err := consensus.EstimateWinProbability(batch, 100, 10, consensus.EstimateOptions{Trials: 500, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
@@ -765,10 +700,8 @@ func TestLockstepKernelThroughEstimator(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				for _, lanes := range []int{1, 64, 256} {
-					p := NewThreeStateAM()
-					p.Kernel = KernelLockstep
-					p.Lanes = lanes
-					got, err := consensus.EstimateWinProbability(onPath(p, path.avx2), 100, 10, consensus.EstimateOptions{
+					p := onPath{NewThreeStateAM(), lanes, path.avx2}
+					got, err := consensus.EstimateWinProbability(p, 100, 10, consensus.EstimateOptions{
 						Trials:  500,
 						Workers: workers,
 						Seed:    13,
@@ -780,34 +713,6 @@ func TestLockstepKernelThroughEstimator(t *testing.T) {
 						t.Errorf("workers=%d lanes=%d: lockstep estimate %+v, batch estimate %+v",
 							workers, lanes, got, want)
 					}
-				}
-			}
-		})
-	}
-}
-
-// TestLockstepKernelMatchesClosedFormVoter extends PR 4's distributional
-// suite to the lockstep kernel: the block engine must leave the voter
-// model's exact absorption law ρ = a/(a+b) untouched.
-func TestLockstepKernelMatchesClosedFormVoter(t *testing.T) {
-	for _, path := range lockstepPaths {
-		t.Run(path.name, func(t *testing.T) {
-			for _, tc := range []struct{ n, delta int }{{30, 10}, {24, 4}, {21, 7}} {
-				p := newVoterProtocol()
-				p.Kernel = KernelLockstep
-				est, err := consensus.EstimateWinProbability(onPath(p, path.avx2), tc.n, tc.delta, consensus.EstimateOptions{
-					Trials: 6000,
-					Seed:   101,
-					Z:      stats.Z999,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				a := (tc.n + tc.delta) / 2
-				want := float64(a) / float64(tc.n)
-				if want < est.Lo || want > est.Hi {
-					t.Errorf("voter n=%d delta=%d: lockstep estimate [%v, %v] excludes exact %v",
-						tc.n, tc.delta, est.Lo, est.Hi, want)
 				}
 			}
 		})
@@ -826,10 +731,8 @@ func TestLockstepDistributionallyMatchesPerEvent(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			for _, tc := range []struct{ n, delta int }{{60, 2}, {60, 8}} {
 				wins := [2]int{}
-				for k, kernel := range []PopulationKernel{KernelPerEvent, KernelLockstep} {
-					p := NewThreeStateAM()
-					p.Kernel = kernel
-					est, err := consensus.EstimateWinProbability(onPath(p, path.avx2 || kernel != KernelLockstep), tc.n, tc.delta, consensus.EstimateOptions{
+				for k, p := range []consensus.Protocol{perEvent{NewThreeStateAM()}, onPath{NewThreeStateAM(), DefaultLockstepLanes, path.avx2}} {
+					est, err := consensus.EstimateWinProbability(p, tc.n, tc.delta, consensus.EstimateOptions{
 						Trials: trials,
 						Seed:   31,
 					})
@@ -857,25 +760,29 @@ func TestLockstepDistributionallyMatchesPerEvent(t *testing.T) {
 	}
 }
 
-// TestLockstepLaneWidthValidation pins the Lanes contract: zero defaults,
-// the maximum is accepted, and out-of-range widths are configuration
-// errors, not silent clamps.
-func TestLockstepLaneWidthValidation(t *testing.T) {
-	p := NewThreeStateAM()
-	p.Kernel = KernelLockstep
-	if got := p.TrialBlockLanes(); got != DefaultLockstepLanes {
-		t.Errorf("default lane width %d, want %d", got, DefaultLockstepLanes)
-	}
-	p.Lanes = MaxLockstepLanes
-	if _, err := p.NewTrialBlock(20, 2); err != nil {
-		t.Errorf("maximum lane width rejected: %v", err)
-	}
-	p.Lanes = MaxLockstepLanes + 1
-	if _, err := p.NewTrialBlock(20, 2); err == nil {
-		t.Error("lane width above the maximum accepted")
-	}
-	batch := NewThreeStateAM()
-	if got := batch.TrialBlockLanes(); got != 0 {
-		t.Errorf("batch kernel advertises block width %d, want 0", got)
+// TestTrialBlockLanesFollowsShape pins which rule tables the block engine
+// serves: the lockstep shapes, the 3-state approximate majority and
+// ternary signaling, in DefaultLockstepLanes-wide blocks, and no other
+// table, which NewTrialBlock refuses. A protocol that fails to compile
+// reports no width either, so that Trial reports its error.
+func TestTrialBlockLanesFollowsShape(t *testing.T) {
+	for _, tc := range []struct {
+		mk    func() *PopulationProtocol
+		lanes int
+	}{
+		{NewThreeStateAM, DefaultLockstepLanes},
+		{NewTernarySignaling, DefaultLockstepLanes},
+		{newAMFirstExtinction, DefaultLockstepLanes},
+		{NewFourStateExact, 0},
+		{newVoterProtocol, 0},
+		{func() *PopulationProtocol { return &PopulationProtocol{ProtocolName: "bad", NumStates: 1} }, 0},
+	} {
+		p := tc.mk()
+		if got := p.TrialBlockLanes(); got != tc.lanes {
+			t.Errorf("%s: TrialBlockLanes = %d, want %d", p.Name(), got, tc.lanes)
+		}
+		if _, err := p.NewTrialBlock(20, 2); (err == nil) != (tc.lanes > 0) {
+			t.Errorf("%s: NewTrialBlock error %v with block width %d", p.Name(), err, tc.lanes)
+		}
 	}
 }

@@ -20,82 +20,36 @@ package protocols
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"lvmajority/internal/rng"
 )
 
-// PopulationKernel selects the event loop a PopulationProtocol trial runs
-// on. Both kernels simulate exactly the same process — uniformly random
-// ordered pairs, one interaction per clock tick — but consume the random
-// stream differently, so individual trials differ while every distribution
-// (winner, interaction counts, budget behaviour) is unchanged.
+// PopulationKernel is the type of the deprecated Kernel field.
+//
+// Deprecated: the compiled rule table picks the engine (see
+// TrialBlockLanes), so a PopulationKernel has no effect.
 type PopulationKernel int
 
+// KernelBatch and KernelLockstep are the values the Kernel field took.
+//
+// Deprecated: no effect.
 const (
-	// KernelBatch (the default) skips runs of null interactions in one
-	// shot: it draws the number of consecutive pair selections that
-	// change no agent from the exact geometric law, advances the
-	// interaction counter by that many ticks, then samples the next
-	// effective pair from the conditional distribution. Near convergence
-	// almost every interaction is null, so this is the fast kernel for
-	// the small state spaces used here. Its per-effective-interaction
-	// cost is O(NumStates²) (one pass over the non-null pair weights), so
-	// a protocol with many states and few null interactions is better
-	// served by KernelPerEvent, whose per-interaction cost is
-	// O(NumStates).
 	KernelBatch PopulationKernel = iota
-	// KernelPerEvent simulates every interaction individually, drawing
-	// the initiator and responder per tick. It is byte-for-byte identical
-	// to the historical event loop for a given random stream.
-	KernelPerEvent
-	// KernelLockstep is the structure-of-arrays block engine: it advances
-	// up to MaxLockstepLanes replicates of the same protocol in lockstep
-	// against one shared compiled rule table, with per-lane counts in
-	// flat planes and per-lane null-skip draws (see lockstep.go). Each
-	// lane consumes its own index-keyed stream in exactly the order the
-	// batch kernel would, so per-trial outcomes are byte-identical to
-	// KernelBatch and independent of how trials are packed into lanes. A
-	// plain Trial call therefore runs the scalar batch loop; the block
-	// path is reached through NewTrialBlock (consensus.BlockTrialer).
 	KernelLockstep
 )
-
-// String returns the kernel name.
-func (k PopulationKernel) String() string {
-	switch k {
-	case KernelBatch:
-		return "batch"
-	case KernelPerEvent:
-		return "per-event"
-	case KernelLockstep:
-		return "lockstep"
-	default:
-		return fmt.Sprintf("PopulationKernel(%d)", int(k))
-	}
-}
-
-// ParseKernel maps a kernel name — "", "batch", "per-event", or
-// "lockstep" — to its PopulationKernel; the empty string selects the
-// default batch kernel. It is the inverse of String and the one parser
-// shared by the spec layer and the experiment harness.
-func ParseKernel(name string) (PopulationKernel, error) {
-	switch name {
-	case "", "batch":
-		return KernelBatch, nil
-	case "per-event":
-		return KernelPerEvent, nil
-	case "lockstep":
-		return KernelLockstep, nil
-	default:
-		return 0, fmt.Errorf("protocols: unknown kernel %q (want batch, per-event, or lockstep)", name)
-	}
-}
 
 // PopulationProtocol is a population protocol over a small state space with
 // uniformly random ordered pairwise interactions: at each step an ordered
 // pair of distinct agents (initiator, responder) is chosen uniformly at
 // random and both agents update according to Rule.
+//
+// The compiled rule table picks the engine. A table of the lockstep shape
+// (see TrialBlockLanes), which the 3-state approximate majority and ternary
+// signaling compile to, runs its estimates in blocks on the lockstep
+// engine; every other table runs trial-at-a-time. Trial always runs the
+// scalar batch loop, which a lockstep lane replays draw for draw.
 //
 // The configuration fields must not be mutated after the first Trial call:
 // the protocol compiles Rule into a flat transition table once, on first
@@ -117,27 +71,21 @@ type PopulationProtocol struct {
 	// DoneWhenZero, when non-empty, restates Done in compiled form: the
 	// execution is decided the first time every state in some rule's
 	// Zero set has count zero, and the first matching rule (in order)
-	// names the winner. The lockstep kernel checks these rules with a
-	// handful of loads per lane instead of gathering counts and making
-	// an indirect Done call — which would otherwise be a third of its
-	// per-round budget. The scalar kernels deliberately keep calling
-	// Done, so the kernel-equivalence suite cross-checks the two forms
-	// on every reachable trajectory; TestDoneWhenZeroMatchesDone checks
-	// them against each other directly.
+	// names the winner. The lockstep engine decides with these rules, a
+	// handful of loads per lane, and a table without them never runs on
+	// it. The batch loop deliberately keeps calling Done, so the
+	// lockstep-vs-batch suite cross-checks the two forms on every
+	// reachable trajectory; TestDoneWhenZeroMatchesDone checks them
+	// against each other directly.
 	DoneWhenZero []DoneRule
 	// MaxInteractionsFor bounds the trial length as a function of n;
 	// nil uses 400·n·(log₂ n + 1), generous for protocols converging in
 	// O(n log n) interactions.
 	MaxInteractionsFor func(n int) int
-	// Kernel selects the trial event loop (default KernelBatch).
+	// Kernel once selected the trial event loop.
+	//
+	// Deprecated: no effect; the compiled rule table picks the engine.
 	Kernel PopulationKernel
-	// Lanes is the lane width R of the lockstep kernel: how many
-	// replicates one block engine advances per instruction stream. Zero
-	// selects DefaultLockstepLanes; valid values are 1..MaxLockstepLanes.
-	// Because every lane consumes its own index-keyed stream, the lane
-	// width never changes any trial outcome — it is a throughput knob
-	// only, which is why it does not appear in CacheKey.
-	Lanes int
 
 	// compileOnce guards the one-time validate-and-compile step; all
 	// per-pair work (validation, Rule evaluation, range checks, null
@@ -165,11 +113,10 @@ type DoneRule struct {
 func (p *PopulationProtocol) Name() string { return p.ProtocolName }
 
 // CacheKey implements sweep.CacheKeyer: unlike Name it includes the state
-// count and the kernel, so switching kernels (which legitimately changes
-// individual trial outcomes, though not their law) cannot replay stale
-// cached probes.
+// count. It leaves out the deprecated Kernel field: the rule table picks
+// the engine, and every engine plays the same trial from the same stream.
 func (p *PopulationProtocol) CacheKey() string {
-	return fmt.Sprintf("pop:%s|states=%d|kernel=%s", p.ProtocolName, p.NumStates, p.Kernel)
+	return fmt.Sprintf("pop:%s|states=%d", p.ProtocolName, p.NumStates)
 }
 
 // validate checks the protocol wiring.
@@ -213,14 +160,19 @@ type popTable struct {
 	// the hot loop.
 	eff        []int32
 	effS, effT []int32
-	// effNi and effNr are ni and nr re-indexed by effective-pair position,
-	// so the lockstep fire path applies a sampled transition without the
-	// second indirection through eff.
-	effNi, effNr []int32
 	// doneZero is the compiled DoneWhenZero predicate in rule order, each
-	// rule its zero set plus winner; empty when the protocol declares
-	// none, in which case kernels must call the Done closure.
+	// rule its zero set plus winner.
 	doneZero []compiledDoneRule
+	// lockstep reports the lockstep shape: exactly four effective pairs,
+	// none of them diagonal, each moving one agent between two states (two
+	// net count updates), DoneWhenZero rules, and at most 255 states.
+	// deltaPacked holds pair i's two net updates at 2i and 2i+1, each the
+	// state<<32 | its two's-complement change, so that the lockstep rounds
+	// add one to a uint32 count with a single load; wire packs the four
+	// (s, t) state pairs a byte each, s at bit 16i and t at 16i+8.
+	lockstep    bool
+	deltaPacked [8]uint64
+	wire        uint64
 }
 
 // compiledDoneRule is DoneRule with the state set in the int32 form the
@@ -261,8 +213,6 @@ func (p *PopulationProtocol) compile() (*popTable, error) {
 					tab.eff = append(tab.eff, int32(k))
 					tab.effS = append(tab.effS, int32(a))
 					tab.effT = append(tab.effT, int32(b))
-					tab.effNi = append(tab.effNi, int32(na))
-					tab.effNr = append(tab.effNr, int32(nb))
 				}
 			}
 		}
@@ -272,6 +222,25 @@ func (p *PopulationProtocol) compile() (*popTable, error) {
 				zero[i] = int32(st)
 			}
 			tab.doneZero = append(tab.doneZero, compiledDoneRule{zero: zero, winner: int32(rule.Winner)})
+		}
+		tab.lockstep = len(tab.eff) == 4 && len(tab.doneZero) > 0 && s <= math.MaxUint8
+		net := make([]int32, s)
+		for i := 0; tab.lockstep && i < 4; i++ {
+			k := tab.eff[i]
+			clear(net)
+			net[tab.effS[i]]--
+			net[tab.effT[i]]--
+			net[tab.ni[k]]++
+			net[tab.nr[k]]++
+			var upd []uint64
+			for st, v := range net {
+				if v != 0 {
+					upd = append(upd, uint64(st)<<32|uint64(uint32(v)))
+				}
+			}
+			tab.lockstep = tab.effS[i] != tab.effT[i] && len(upd) == 2
+			copy(tab.deltaPacked[2*i:2*i+2], upd)
+			tab.wire |= uint64(tab.effS[i])<<(16*i) | uint64(tab.effT[i])<<(16*i+8)
 		}
 		p.compiled = tab
 	})
@@ -301,7 +270,7 @@ func (p *PopulationProtocol) Trial(n, delta int, src *rng.Source) (bool, error) 
 }
 
 // run is Trial plus the number of interactions consumed, for benchmarks
-// and the kernel-equivalence tests.
+// and the engine-equivalence tests.
 func (p *PopulationProtocol) run(n, delta int, src *rng.Source) (won bool, interactions int, err error) {
 	tab, err := p.compile()
 	if err != nil {
@@ -319,55 +288,10 @@ func (p *PopulationProtocol) run(n, delta int, src *rng.Source) (won bool, inter
 	counts := make([]int, p.NumStates)
 	counts[p.MajorityState] += a
 	counts[p.MinorityState] += b
-
-	if p.Kernel == KernelPerEvent {
-		return p.runPerEvent(tab, counts, n, src)
-	}
-	// KernelLockstep deliberately shares this path: one lockstep lane
-	// consumes its stream exactly as runBatch does, so a single Trial is
-	// the scalar replay of what the block engine computes for that lane.
 	return p.runBatch(tab, counts, n, src)
 }
 
-// runPerEvent simulates every interaction individually. For a given random
-// stream it is byte-identical to the historical event loop: one Intn(n)
-// draw for the initiator and one Intn(n−1) draw for the responder per
-// interaction, null or not. Done is only re-evaluated after an interaction
-// actually changed a count — it is a pure function of the counts, so
-// skipping it on null interactions cannot change the stopping time.
-//
-//lint:hotpath
-func (p *PopulationProtocol) runPerEvent(tab *popTable, counts []int, n int, src *rng.Source) (bool, int, error) {
-	maxInteractions := p.maxInteractions(n)
-	changed := true
-	for step := 0; step < maxInteractions; step++ {
-		if changed {
-			if done, winner := p.Done(counts); done {
-				return winner == 0, step, nil
-			}
-			changed = false
-		}
-		initiator := sampleState(counts, n, src)
-		// The responder is a distinct agent: discount the initiator.
-		counts[initiator]--
-		responder := sampleState(counts, n-1, src)
-		counts[initiator]++
-
-		k := initiator*tab.states + responder
-		if tab.null[k] {
-			continue
-		}
-		counts[initiator]--
-		counts[responder]--
-		counts[tab.ni[k]]++
-		counts[tab.nr[k]]++
-		changed = true
-	}
-	// Did not stabilize within the budget: count as failure.
-	return false, maxInteractions, nil
-}
-
-// runBatch simulates the same process, skipping runs of null interactions
+// runBatch simulates the process, skipping runs of null interactions
 // without touching the counts.
 //
 // In a state with counts c over a population of n agents, an ordered pair
@@ -380,7 +304,7 @@ func (p *PopulationProtocol) runPerEvent(tab *popTable, counts []int, n int, src
 // single Geometric draw (null-dominated states, where the geometric's
 // logarithm amortizes over many ticks). Both charge the skipped ticks to
 // the interaction counter, so the MaxInteractionsFor budget binds exactly
-// as in the per-event kernel. The effective pair itself follows the
+// as if every interaction were simulated. The effective pair itself follows the
 // conditional distribution weight/W, sampled by integer weights with no
 // floating-point error.
 func (p *PopulationProtocol) runBatch(tab *popTable, counts []int, n int, src *rng.Source) (bool, int, error) {
@@ -392,7 +316,7 @@ func (p *PopulationProtocol) runBatch(tab *popTable, counts []int, n int, src *r
 	step := 0
 	//lint:hotpath
 	for {
-		// Budget before Done, matching the per-event loop: a trial whose
+		// Budget before Done, as in a per-interaction loop: a trial whose
 		// final permitted interaction reaches consensus still scores as
 		// undecided, because the loop never observes the final state.
 		if step >= maxInteractions {
@@ -420,7 +344,7 @@ func (p *PopulationProtocol) runBatch(tab *popTable, counts []int, n int, src *r
 		}
 		if w == 0 {
 			// Every selectable pair is null: no count can ever change
-			// again and Done can never flip, so the per-event loop
+			// again and Done can never flip, so a per-interaction loop
 			// would spin until the budget ran out.
 			return false, maxInteractions, nil
 		}
@@ -475,20 +399,6 @@ func (p *PopulationProtocol) runBatch(tab *popTable, counts []int, n int, src *r
 		counts[tab.ni[k]]++
 		counts[tab.nr[k]]++
 	}
-}
-
-// sampleState picks a state index with probability counts[s]/total.
-func sampleState(counts []int, total int, src *rng.Source) int {
-	u := src.Intn(total)
-	acc := 0
-	for s, c := range counts {
-		acc += c
-		if u < acc {
-			return s
-		}
-	}
-	// Unreachable when total == sum(counts); guard for safety.
-	return len(counts) - 1
 }
 
 // Three-state approximate majority protocol (Angluin, Aspnes, Eisenstat

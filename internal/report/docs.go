@@ -83,26 +83,27 @@ baselines at matched population sizes:
   a deme-structured spatial model (` + "`internal/spatial`" + `), and an
   exploitative-competition chemostat (` + "`internal/exploit`" + `).
 
-### Population-protocol event kernels
+### Population-protocol engines
 
-Population protocols run on one of three interchangeable kernels
-(` + "`PopulationProtocol.Kernel`" + `, spec field ` + "`kernel`" + `). All
-three sample the same stochastic process; they differ in how they consume
-the random stream and in cost per simulated interaction (ns/event figures
-are the committed trajectory in ` + "`results/bench/BENCH_kernel.json`" + `,
+A population protocol's compiled rule table picks its engine; no setting
+does. Both engines sample the same stochastic process and draw a trial
+from the same stream in the same order (ns/event figures are the
+committed trajectory in ` + "`results/bench/BENCH_kernel.json`" + `,
 measured on the 3-state approximate-majority baseline at n = 10⁴ and gated
-by CI as ratios against the batch kernel of the same run):
+by CI as ratios against the batch loop of the same run):
 
-| Kernel | Cost | RNG-stream semantics | When the Runner picks it |
+| Engine | Rule tables | Cost | RNG-stream semantics |
 |---|---|---|---|
-| ` + "`per-event`" + ` | ~2.2× batch | Two uniforms per interaction; byte-identical to the historical event loop | Replay oracle: debugging, cross-kernel distributional tests |
-| ` + "`batch`" + ` (default) | 1× | One geometric/Bernoulli draw per null run + one weighted draw per effective interaction | Single trials and anything not replication-bound |
-| ` + "`lockstep`" + ` | ~0.26× batch with the AVX2 tick kernel (amd64), ~0.7× on its Go rounds alone (` + "`BenchmarkLockstepBlock`" + `) | Lane i consumes exactly the batch draw sequence of ` + "`rng.NewStream(seed, i)`" + ` — byte-identical to batch for any lane width or worker count | Replication-heavy tasks (estimates, thresholds, sweeps): 64–256 replicates advance in lockstep through one shared rule table |
+| batch (` + "`Trial`" + `) | every table; the only engine of the 4-state exact majority | 1× | One geometric/Bernoulli draw per null run + one weighted draw per effective interaction |
+| lockstep blocks | the lockstep shape: four effective off-diagonal pairs, each moving one agent between two states, and ` + "`DoneWhenZero`" + ` rules (3-state approximate majority, ternary signaling) | ~0.26× batch with the AVX2 tick kernel (amd64), ~0.7× on its Go rounds alone (` + "`BenchmarkLockstepBlock`" + `) | Lane i consumes exactly the batch draw sequence of ` + "`rng.NewStream(seed, i)`" + ` — byte-identical to batch for any lane width or worker count |
 
-The lockstep kernel reaches the estimators through a capability
+The lockstep engine reaches the estimators through a capability
 interface: a protocol reporting ` + "`TrialBlockLanes() > 0`" + ` is run in
 blocks of at most that width (min(lanes, ⌈window/workers⌉)), and early stopping
-still terminates on the same batch boundaries as the scalar path.
+still terminates on the same batch boundaries as the scalar path. A
+per-event loop (two uniforms per interaction, ~2.2× batch, byte-identical
+to the historical event loop) is the test suite's replay oracle for the
+distributional tests.
 
 ## §3 Experiment index
 

@@ -26,10 +26,11 @@ const (
 	ModelCRN = "crn"
 )
 
-// The population-protocol kernels a ProtocolModel selects.
+// The kernel names a ProtocolModel still accepts, and ignores.
+//
+// Deprecated: a population protocol's rule table picks its engine.
 const (
 	KernelBatch    = "batch"
-	KernelPerEvent = "per-event"
 	KernelLockstep = "lockstep"
 )
 
@@ -61,16 +62,15 @@ func (m *Model) validate() error {
 		}
 		switch m.Protocol.Kernel {
 		case "":
-		case KernelBatch, KernelPerEvent, KernelLockstep:
-			// A kernel only means something for population protocols;
-			// rejecting the mismatch here keeps the contract that a
-			// Validate-clean spec is executable (the server answers 400,
-			// not a failed run the client must poll to discover).
+		case KernelBatch, KernelLockstep:
+			// A kernel only ever meant something for population
+			// protocols; rejecting the mismatch here keeps the contract
+			// that a Validate-clean spec means what it says.
 			if _, ok := p.(*protocols.PopulationProtocol); !ok {
 				return fmt.Errorf("scenario: protocol %q is not a population protocol; it has no kernel", m.Protocol.Name)
 			}
 		default:
-			return fmt.Errorf("scenario: unknown kernel %q (want batch, per-event, or lockstep)", m.Protocol.Kernel)
+			return fmt.Errorf("scenario: unknown kernel %q (want batch or lockstep, which are ignored)", m.Protocol.Kernel)
 		}
 	case ModelCRN:
 		if m.CRN == nil || m.LV != nil || m.Protocol != nil {
@@ -131,8 +131,7 @@ func LVModelOf(p lv.Params) *LVModel {
 
 // BuildProtocol builds the consensus.Protocol the estimate, threshold, and
 // sweep tasks measure. It is exported for the fabric worker, which receives
-// a Model over the wire and must build exactly the protocol — including any
-// kernel override, which changes how trial streams are consumed — that the
+// a Model over the wire and must build exactly the protocol that the
 // coordinator's local run would build; every other caller goes through the
 // Runner.
 func (m *Model) BuildProtocol() (consensus.Protocol, error) {
@@ -153,22 +152,7 @@ func (m *Model) BuildProtocol() (consensus.Protocol, error) {
 			Label:    m.LV.Label,
 		}, nil
 	case ModelProtocol:
-		p, err := ProtocolByName(m.Protocol.Name)
-		if err != nil {
-			return nil, err
-		}
-		if m.Protocol.Kernel != "" {
-			pop, ok := p.(*protocols.PopulationProtocol)
-			if !ok {
-				return nil, fmt.Errorf("scenario: protocol %q is not a population protocol; it has no kernel", m.Protocol.Name)
-			}
-			kernel, err := protocols.ParseKernel(m.Protocol.Kernel)
-			if err != nil {
-				return nil, err
-			}
-			pop.Kernel = kernel
-		}
-		return p, nil
+		return ProtocolByName(m.Protocol.Name)
 	case ModelCRN:
 		net, err := crn.Parse(m.CRN.Text)
 		if err != nil {
@@ -229,8 +213,7 @@ func (p *crnProtocol) Trial(n, delta int, src *rng.Source) (bool, error) {
 }
 
 // protocolRegistry maps registry names to constructors. A function rather
-// than a package variable keeps the package free of mutable globals, and a
-// fresh protocol per call keeps kernel overrides from leaking between runs.
+// than a package variable keeps the package free of mutable globals.
 func protocolRegistry() map[string]func() consensus.Protocol {
 	return map[string]func() consensus.Protocol{
 		"lv-sd": func() consensus.Protocol {

@@ -18,7 +18,6 @@ import (
 	"lvmajority/internal/lv"
 	"lvmajority/internal/mc"
 	"lvmajority/internal/progress"
-	"lvmajority/internal/protocols"
 	"lvmajority/internal/report"
 	"lvmajority/internal/rng"
 	"lvmajority/internal/stats"
@@ -809,15 +808,10 @@ func (r *Runner) runExperiment(ctx context.Context, spec *Spec, cache *sweep.Cac
 	if err != nil {
 		return err
 	}
-	kernel, err := protocols.ParseKernel(spec.Experiment.Kernel)
-	if err != nil {
-		return err
-	}
 	cfg := experiment.Config{
 		Seed:      spec.Seed,
 		Workers:   spec.Workers,
 		Full:      spec.Experiment.Full,
-		Kernel:    kernel,
 		Cache:     cache,
 		Interrupt: interruptFrom(ctx),
 		Log:       r.Log,

@@ -63,6 +63,34 @@ func TestRunnerEstimateMatchesConsensus(t *testing.T) {
 	}
 }
 
+// TestRunnerIgnoresProtocolKernel checks that the deprecated kernel field
+// of a protocol model changes nothing: the rule table picks the engine, so
+// "", "batch" and "lockstep" give the same estimate on 3-state-am.
+func TestRunnerIgnoresProtocolKernel(t *testing.T) {
+	r := &Runner{Now: zeroNow}
+	var want *Result
+	for _, kernel := range []string{"", KernelBatch, KernelLockstep} {
+		spec := New(TaskEstimate)
+		spec.Model = &Model{Kind: ModelProtocol, Protocol: &ProtocolModel{Name: "3-state-am", Kernel: kernel}}
+		spec.Seed = 5
+		spec.Estimate = &EstimateSpec{N: 128, Delta: 12, Trials: 600}
+		if err := spec.Validate(); err != nil {
+			t.Fatalf("kernel %q: %v", kernel, err)
+		}
+		res, err := r.Run(context.Background(), spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = res
+			continue
+		}
+		if *res.Estimate != *want.Estimate {
+			t.Errorf("kernel %q: estimate %v, without a kernel %v", kernel, *res.Estimate, *want.Estimate)
+		}
+	}
+}
+
 func TestRunnerSweepMatchesDirect(t *testing.T) {
 	spec := New(TaskSweep)
 	spec.Model = &Model{Kind: ModelProtocol, Protocol: &ProtocolModel{Name: "3-state-am"}}

@@ -1,6 +1,6 @@
 // Package scenario is the repository's declarative run API. Every workload
 // the six CLIs (and the cmd/serve HTTP facade) execute is an instance of one
-// shape — a model, an engine/kernel choice, a task, a parameter grid, a
+// shape — a model, an engine choice, a task, a parameter grid, a
 // budget, a seed — so it is described by one serializable Spec and executed
 // by one Runner:
 //
@@ -28,8 +28,6 @@ import (
 	"fmt"
 	"os"
 	"time"
-
-	"lvmajority/internal/protocols"
 )
 
 // SpecVersion is the Spec schema version. Parse rejects specs written by an
@@ -138,12 +136,15 @@ type LVModel struct {
 }
 
 // ProtocolModel names a protocol from the registry (ProtocolNames lists the
-// valid names) with an optional kernel override.
+// valid names).
 type ProtocolModel struct {
 	// Name is the registry name, e.g. "lv-sd" or "3-state-am".
 	Name string `json:"name"`
-	// Kernel overrides the trial event loop of population protocols:
-	// "" (the protocol's default), "batch", or "per-event".
+	// Kernel once selected a population protocol's event loop. Validate
+	// accepts "", "batch" and "lockstep" on a population protocol and
+	// rejects every other value; Run ignores it.
+	//
+	// Deprecated: a population protocol's rule table picks its engine.
 	Kernel string `json:"kernel,omitempty"`
 }
 
@@ -285,10 +286,6 @@ type ExperimentSpec struct {
 	CSVDir string `json:"csv_dir,omitempty"`
 	// ReportDir, when non-empty, also writes the JSON run manifest there.
 	ReportDir string `json:"report_dir,omitempty"`
-	// Kernel overrides the event loop of the population protocols the
-	// experiment measures: "" (default batch), "batch", "per-event", or
-	// "lockstep". A performance knob only — the kernels agree in law.
-	Kernel string `json:"kernel,omitempty"`
 }
 
 // ReportSpec parameterizes TaskReport: documentation generation and
@@ -471,9 +468,6 @@ func (s *Spec) Validate() error {
 	case TaskExperiment:
 		if s.Experiment.ID == "" {
 			return fmt.Errorf("scenario: experiment spec without an id")
-		}
-		if _, err := protocols.ParseKernel(s.Experiment.Kernel); err != nil {
-			return err
 		}
 	case TaskReport:
 		r := s.Report

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"encoding/json"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -17,7 +18,7 @@ func sampleSpecs() map[string]Spec {
 	lvModel := &Model{Kind: ModelLV, LV: &LVModel{
 		Beta: 1, Death: 1, Alpha0: 1, Alpha1: 1, Competition: "sd", Label: "lv-sd",
 	}}
-	protoModel := &Model{Kind: ModelProtocol, Protocol: &ProtocolModel{Name: "3-state-am", Kernel: KernelPerEvent}}
+	protoModel := &Model{Kind: ModelProtocol, Protocol: &ProtocolModel{Name: "3-state-am", Kernel: KernelLockstep}}
 	crnModel := &Model{Kind: ModelCRN, CRN: &CRNModel{Text: "X0 -> 2 X0 @ 1\nX0 + X1 -> 0 @ 1\nX1 -> 2 X1 @ 1\nX0 -> 0 @ 1\nX1 -> 0 @ 1\n"}}
 
 	estimate := New(TaskEstimate)
@@ -111,6 +112,15 @@ func TestSpecUnknownFieldRejected(t *testing.T) {
 	if _, err := ParseSpec([]byte(string(data) + "{}")); err == nil {
 		t.Error("trailing data accepted")
 	}
+	// The experiment task's kernel field is gone: an old spec naming it
+	// must fail to parse, not run on an engine it did not ask for.
+	exp := `{"version":1,"task":"experiment","experiment":{"id":"E-BASE"%s}}`
+	if _, err := ParseSpec([]byte(fmt.Sprintf(exp, ""))); err != nil {
+		t.Fatalf("experiment spec rejected: %v", err)
+	}
+	if _, err := ParseSpec([]byte(fmt.Sprintf(exp, `,"kernel":"lockstep"`))); err == nil {
+		t.Error("experiment kernel field accepted")
+	}
 }
 
 func TestSpecVersionRejected(t *testing.T) {
@@ -172,6 +182,14 @@ func TestSpecValidateRejects(t *testing.T) {
 		"unknown kernel": func() Spec {
 			s := New(TaskThreshold)
 			s.Model = &Model{Kind: ModelProtocol, Protocol: &ProtocolModel{Name: "voter", Kernel: "warp"}}
+			s.Threshold = &ThresholdSpec{N: 128}
+			return s
+		},
+		"per-event kernel": func() Spec {
+			// The per-event loop is a test oracle, not an engine a spec
+			// can select.
+			s := New(TaskThreshold)
+			s.Model = &Model{Kind: ModelProtocol, Protocol: &ProtocolModel{Name: "3-state-am", Kernel: "per-event"}}
 			s.Threshold = &ThresholdSpec{N: 128}
 			return s
 		},
