@@ -1,6 +1,9 @@
 package cpufeat
 
-var hasAVX2 = detectAVX2()
+var (
+	hasAVX2   = detectAVX2()
+	hasAVX512 = hasAVX2 && detectAVX512()
+)
 
 // detectAVX2 reads CPUID leaf 7 EBX bit 5 (AVX2), leaf 1 ECX bits 27
 // (OSXSAVE) and 28 (AVX), and XCR0, whose bits 1 and 2 show that the OS
@@ -17,6 +20,19 @@ func detectAVX2() bool {
 	}
 	_, ebx, _, _ := cpuid(7, 0)
 	return ebx&(1<<5) != 0
+}
+
+// detectAVX512 reads CPUID leaf 7 EBX bits 16 (AVX512F) and 17
+// (AVX512DQ), and XCR0, whose bits 1, 2, 5, 6 and 7 (0xE6) show that the
+// OS saves the XMM, YMM, opmask and full ZMM state. Call it only once
+// detectAVX2 has reported true: that checks leaf 7 exists and OSXSAVE is
+// set, without which XGETBV faults.
+func detectAVX512() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&(1<<16) != 0 && ebx&(1<<17) != 0
 }
 
 // cpuid executes CPUID with EAX = leaf and ECX = sub.

@@ -3,7 +3,6 @@ package lv
 import (
 	"testing"
 
-	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 )
 
@@ -86,9 +85,10 @@ func BenchmarkStep(b *testing.B) {
 }
 
 // BenchmarkLVBlock measures the block engine and the scalar kernel on
-// identical replicate streams, in ns per event, in three rows: block, the
-// dispatching engine (the AVX2 round kernel where the CPU has it);
-// portable, the Go round alone; and scalar, Run. The states are
+// identical replicate streams, in ns per event, in these rows: block, the
+// dispatching engine (the widest round kernel the CPU has); avx512 and
+// avx2, each round kernel as the widest, printed only where the CPU has
+// it; portable, the Go round alone; and scalar, Run. The states are
 // BenchmarkLVKernel's, n = 1024 near the SD and NSD thresholds (gaps 12
 // and 100), and n = 4096 near the NSD threshold (gap 226, about 3,900
 // events per trial), the lv-nsd sweep's costliest point. One iteration
@@ -120,11 +120,9 @@ func BenchmarkLVBlock(b *testing.B) {
 		perEvent := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
 		}
-		for _, engine := range []struct {
-			name string
-			avx2 bool
-		}{{"block", cpufeat.AVX2()}, {"portable", false}} {
-			b.Run(c.name+"/"+engine.name, func(b *testing.B) {
+		engines := append([]Engine{{Name: "block", k: cpuKernel()}}, Engines()...)
+		for _, engine := range engines {
+			b.Run(c.name+"/"+engine.Name, func(b *testing.B) {
 				blk, err := NewBlock(c.params, c.initial, 0, false)
 				if err != nil {
 					b.Fatal(err)
@@ -133,7 +131,7 @@ func BenchmarkLVBlock(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					for lo := 0; lo < window; lo += BlockLanes {
-						if err := blk.run(1, lo, lo+BlockLanes, wins, engine.avx2); err != nil {
+						if err := blk.run(1, lo, lo+BlockLanes, wins, engine.k); err != nil {
 							b.Fatal(err)
 						}
 					}

@@ -9,16 +9,19 @@ import (
 )
 
 // BlockLanes is the number of replicates a Block advances in lockstep:
-// two groups of four for the AVX2 round kernel, which runs only while all
-// of them are live. The narrowest width splits a small trial window across
-// workers most evenly.
-const BlockLanes = 8
+// two groups of eight for the AVX-512 round kernel, or four groups of four
+// for the AVX2 one. The AVX-512 kernel needs both groups in flight: one
+// alone waits on latency, at 4.4 ns per event against 2.5 for two on a
+// 2-core Sapphire Rapids VM. The AVX2 kernel, bound by its vector µops,
+// runs as fast on four groups as on two.
+const BlockLanes = 16
 
-// kernelRounds caps the rounds one call of the AVX2 round kernel runs. The
-// runtime never preempts assembly asynchronously, so a call must return
-// within tens of microseconds even when no lane stops, or every
-// stop-the-world would wait for it: 1024 rounds of eight events take about
-// 35 µs on a 2-core Xeon VM.
+// kernelRounds caps the rounds one call of a round kernel runs per group.
+// The runtime never preempts assembly asynchronously, so a call must
+// return within tens of microseconds even when no lane stops, or every
+// stop-the-world would wait for it: 1024 rounds of sixteen events take
+// 40–45 µs in the AVX-512 kernel and 75–90 µs in the AVX2 one on a 2-core
+// Sapphire Rapids VM.
 const kernelRounds = 1024
 
 // Block is the lockstep, winner-only LV engine: it runs many replicates of
@@ -26,34 +29,42 @@ const kernelRounds = 1024
 // won, scored as consensus.LVProtocol scores Run's Outcome. For each
 // replicate stream it fires exactly the events of Run and draws exactly
 // the same numbers, so its results are byte-identical to the scalar
-// kernel's for every block width and lane packing.
+// kernel's for every block width, lane packing and round kernel.
 //
 // Each replicate in flight owns one lane: its generator state, its
 // configuration and its step count, held in planes with one array per
 // field. A round of the Go code, the Go round, advances every active lane
 // by one event. Consecutive lanes have no data dependence, so the CPU
 // overlaps their events, as far as it can speculate past the round's
-// branches; the channel pick is therefore branch-free. A lane that stops retires at once: its slot takes
-// the block's next replicate while any remain, and is otherwise filled
-// from the last active lane, so the tail of a block never waits on
+// branches; the channel pick is therefore branch-free. A lane that stops
+// retires at once: its slot takes the block's next replicate while any
+// remain, and is otherwise filled from the last active lane, so the live
+// lanes always fill [0, active) and the tail of a block never waits on
 // stragglers. The Outcome accounting of Run (gap, event counts, population
 // maximum) is not kept.
 //
-// On amd64 CPUs with AVX2, while all BlockLanes lanes are live, an
-// assembly kernel runs the rounds instead: two groups of four lanes, one
-// event per lane per round, in the Go round's arithmetic. Before a group
-// fires it hands back, returning to Go, if a lane has x₀ = 0, x₁ = 0,
-// steps ≥ maxSteps or a count outside [1, 2⁵¹]; after drawing the group's
-// uniforms it hands back without committing the group unless every lane
-// has u < total, which fails for a zero total, for a total that overflows
-// to +Inf and for Run's last-non-zero-channel fallback. A group already
-// committed stays committed: lanes are independent, so the next Go round
-// simply advances every lane by one more event, retiring, refilling and
-// falling back as Run does. The kernel's sums are the Go round's,
-// operation for operation and never fused, and every integer it converts
-// is below 2⁵³, so each lane fires the event the Go round would. A call
-// runs at most kernelRounds rounds.
+// On amd64, an assembly round kernel runs the rounds of the full groups of
+// live lanes at the front of the planes, one event per lane per round, in
+// the Go round's arithmetic: on a CPU with AVX-512, groups of eight while
+// at least eight lanes are live, and otherwise, with AVX2, groups of four
+// while at least four are. A lane past the last full group waits for the
+// Go round. Before a group fires, a kernel hands back, returning to Go, if
+// a lane has x₀ = 0, x₁ = 0, steps ≥ maxSteps or a count outside
+// [1, 2⁵¹]; after drawing the group's uniforms it hands back without
+// committing the group unless every lane has u < total, which fails for a
+// zero total, for a total that overflows to +Inf and for Run's
+// last-non-zero-channel fallback. A group already committed stays
+// committed: lanes are independent, so the next Go round simply advances
+// every lane by one more event, retiring, refilling and falling back as
+// Run does. The kernels' sums are the Go round's, operation for operation
+// and never fused, and every integer they convert is below 2⁵³, so each
+// lane fires the event the Go round would. A call runs at most
+// kernelRounds rounds per group.
 type Block struct {
+	// The planes come first, on the object's base. Block's size class is
+	// a multiple of 64 bytes, so the AVX-512 kernel's 64-byte groups do
+	// not straddle cache lines.
+	lanes blockLanes
 	// Rates with the sign of −0.0 cleared: the channel pick compares
 	// bit patterns, which order non-negative values only. A −0.0 rate
 	// yields −0.0 propensities, which Run's scan skips like +0.0.
@@ -64,7 +75,26 @@ type Block struct {
 	coinFlip bool
 	// dx0[k], dx1[k] are the changes to x₀ and x₁ when channel k fires.
 	dx0, dx1 [NumEventKinds]int32
-	lanes    blockLanes
+}
+
+// kernel names the widest round kernel a Block may call.
+type kernel uint8
+
+const (
+	goRound      kernel = iota // none: the Go round is the whole engine
+	avx2Kernel                 // roundsAVX2 on full groups of four
+	avx512Kernel               // rounds512 on full groups of eight, else roundsAVX2
+)
+
+// cpuKernel returns the widest round kernel this CPU runs.
+func cpuKernel() kernel {
+	switch {
+	case cpufeat.AVX512():
+		return avx512Kernel
+	case cpufeat.AVX2():
+		return avx2Kernel
+	}
+	return goRound
 }
 
 // blockLanes holds the replicates in flight as planes: lane li has the
@@ -114,12 +144,12 @@ func NewBlock(params Params, initial State, maxSteps int, coinFlip bool) (*Block
 // and writes whether its initial majority won to wins[rep-lo]. It has the
 // shape of an mc.BlockFunc. A Block is not safe for concurrent use.
 func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
-	return b.run(seed, lo, hi, wins, cpufeat.AVX2())
+	return b.run(seed, lo, hi, wins, cpuKernel())
 }
 
-// run is Run with the engine explicit: avx2 lets the AVX2 kernel run the
-// all-live rounds, and without it the Go round is the whole engine.
-func (b *Block) run(seed uint64, lo, hi int, wins []bool, avx2 bool) error {
+// run is Run with the widest round kernel explicit: goRound makes the Go
+// round the whole engine.
+func (b *Block) run(seed uint64, lo, hi int, wins []bool, k kernel) error {
 	if hi < lo || len(wins) != hi-lo {
 		return fmt.Errorf("lv: block [%d, %d) with %d result slots", lo, hi, len(wins))
 	}
@@ -134,8 +164,12 @@ func (b *Block) run(seed uint64, lo, hi int, wins []bool, avx2 bool) error {
 
 	//lint:hotpath
 	for active > 0 {
-		if avx2 && active == BlockLanes {
-			roundsAVX2(b)
+		// The widest kernel with a full group of live lanes runs first.
+		switch {
+		case k == avx512Kernel && active >= 8:
+			rounds512(b, active/8)
+		case k != goRound && active >= 4:
+			roundsAVX2(b, active/4)
 		}
 		// The Go round: every active lane stops or fires one event.
 		for li := 0; li < active; {

@@ -1,9 +1,16 @@
 package lv
 
-// roundsAVX2 is Block's AVX2 round kernel: it advances all BlockLanes
-// lanes of b by up to kernelRounds events each and returns when a lane
-// needs the Go round (see Block). Call it only when cpufeat.AVX2 reports
-// true and every lane is live.
+// rounds512 is Block's AVX-512 round kernel: it advances the first
+// 8·groups lanes of b, in groups of eight, by up to kernelRounds events
+// each and returns when a lane needs the Go round (see Block). Call it
+// only when cpufeat.AVX512 reports true and those lanes are live.
 //
 //go:noescape
-func roundsAVX2(b *Block)
+func rounds512(b *Block, groups int)
+
+// roundsAVX2 is Block's AVX2 round kernel: rounds512 for the first
+// 4·groups lanes, in groups of four. Call it only when cpufeat.AVX2
+// reports true and those lanes are live.
+//
+//go:noescape
+func roundsAVX2(b *Block, groups int)

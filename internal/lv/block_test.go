@@ -5,16 +5,15 @@ import (
 	"testing"
 
 	"lvmajority/internal/consensus"
-	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 )
 
 // checkBlockMatchesTrial runs replicates [lo, hi) of p at (n, delta) on
-// both block engines, in blocks of width: the dispatching Block.Run, which
-// hands all-live rounds to the AVX2 kernel where the CPU has it, and the
-// Go round alone. It fails on the first replicate whose win differs from
-// Trial's on rng.NewStream(seed, rep).
+// every block engine, in blocks of width: the dispatching Block.Run, each
+// round kernel the CPU has (with the narrower kernels and the Go round
+// under it), and the Go round alone. It fails on the first replicate whose
+// win differs from Trial's on rng.NewStream(seed, rep).
 func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, seed uint64, lo, hi, width int) {
 	t.Helper()
 	run, err := p.NewTrialBlock(n, delta)
@@ -35,10 +34,17 @@ func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, 
 			t.Fatal(err)
 		}
 	}
-	for _, engine := range []struct {
+	type engine struct {
 		name string
 		run  func(seed uint64, lo, hi int, wins []bool) error
-	}{{"block", run}, {"portable", blk.RunPortable}} {
+	}
+	engines := []engine{{"block", run}}
+	for _, e := range lv.Engines() {
+		engines = append(engines, engine{e.Name, func(seed uint64, lo, hi int, wins []bool) error {
+			return e.Run(blk, seed, lo, hi, wins)
+		}})
+	}
+	for _, engine := range engines {
 		wins := make([]bool, hi-lo)
 		for b := lo; b < hi; b += width {
 			e := min(b+width, hi)
@@ -60,8 +66,10 @@ func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, 
 // tie rules where double extinction is common, chains that can fire no
 // reaction, −0.0 rates, a total that overflows to +Inf from the first
 // event, and blocks narrower than, equal to and wider than the lane width
-// starting past replicate 0. Only blocks at least BlockLanes wide enter
-// the AVX2 kernel, and the widest refill lanes.
+// starting past replicate 0. Blocks of three lanes never enter a round
+// kernel; blocks of thirteen start with partial groups in both kernels
+// (one group of eight and five lanes waiting, three groups of four and
+// one waiting); the widest blocks refill lanes.
 func TestBlockMatchesTrial(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases := []struct {
@@ -83,7 +91,7 @@ func TestBlockMatchesTrial(t *testing.T) {
 		{"neg-zero-gamma", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 1, Alpha: [2]float64{1, 1}, Gamma: [2]float64{negZero, negZero}, Competition: lv.NonSelfDestructive}}, 30, 4},
 		{"inf-total", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), MaxSteps: 64}, 40000, 0},
 	}
-	widths := []int{3, lv.BlockLanes, 5*lv.BlockLanes + 3}
+	widths := []int{3, 13, lv.BlockLanes, 5*lv.BlockLanes + 3}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 3; seed++ {
@@ -95,44 +103,69 @@ func TestBlockMatchesTrial(t *testing.T) {
 	}
 }
 
-// TestKernelCall checks one call of the AVX2 round kernel against Run on
-// each lane's stream. At (10⁶, 10⁶) no lane stops for millions of events,
-// so every lane must fire exactly KernelRounds events, the round cap, and
-// land where Run lands after as many. With α = 1e300 at (20000, 20000) the
-// total is +Inf from the first event, so the kernel must hand back before
-// it fires any.
+// TestKernelCall checks one call of each round kernel the CPU has against
+// Run on each lane's stream. At (10⁶, 10⁶) no lane stops for millions of
+// events, so a call on every group must fire exactly KernelRounds events,
+// the round cap, in every lane and land where Run lands after as many; a
+// call on the first group alone must do so in that group's lanes and
+// leave every other lane bit for bit as it was. With a budget of 100
+// events, every lane must stop at exactly 100. With α = 1e300 at
+// (20000, 20000) the total is +Inf from the first event, so a kernel must
+// hand back before it fires any.
 func TestKernelCall(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 round kernel does not run on this CPU")
+	var kernels []lv.Engine
+	for _, e := range lv.Engines() {
+		if e.Group > 0 {
+			kernels = append(kernels, e)
+		}
 	}
+	if len(kernels) == 0 {
+		t.Skip("no round kernel runs on this CPU")
+	}
+	nsd := lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive)
 	for _, tc := range []struct {
-		name    string
-		params  lv.Params
-		initial lv.State
-		events  int
+		name     string
+		params   lv.Params
+		initial  lv.State
+		maxSteps int
+		oneGroup bool
+		events   int
 	}{
-		{"nsd-1e6", lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive), lv.State{X0: 1_000_000, X1: 1_000_000}, lv.KernelRounds},
-		{"inf-total", lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), lv.State{X0: 20000, X1: 20000}, 0},
+		{"nsd-1e6", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, false, lv.KernelRounds},
+		{"nsd-1e6-one-group", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, true, lv.KernelRounds},
+		{"budget", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 100, false, 100},
+		{"inf-total", lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), lv.State{X0: 20000, X1: 20000}, 0, false, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			blk, err := lv.NewBlock(tc.params, tc.initial, 0, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			const seed = 5
-			x0, x1, steps := blk.KernelCall(seed)
-			for li := range lv.BlockLanes {
-				want := tc.initial
-				if tc.events > 0 {
-					out, err := lv.Run(tc.params, tc.initial, rng.NewStream(seed, uint64(li)), lv.RunOptions{MaxSteps: tc.events})
+			for _, e := range kernels {
+				t.Run(e.Name, func(t *testing.T) {
+					blk, err := lv.NewBlock(tc.params, tc.initial, tc.maxSteps, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want = out.Final
-				}
-				if got := (lv.State{X0: x0[li], X1: x1[li]}); steps[li] != tc.events || got != want {
-					t.Errorf("lane %d: kernel at %+v after %d events, want %+v after %d", li, got, steps[li], want, tc.events)
-				}
+					groups := lv.BlockLanes / e.Group
+					if tc.oneGroup {
+						groups = 1
+					}
+					const seed = 5
+					before, after := e.KernelCall(blk, seed, groups)
+					for li := range lv.BlockLanes {
+						got := after[li]
+						if li >= groups*e.Group || tc.events == 0 {
+							if got != before[li] {
+								t.Errorf("lane %d: kernel left %+v, want it untouched at %+v", li, got, before[li])
+							}
+							continue
+						}
+						out, err := lv.Run(tc.params, tc.initial, rng.NewStream(seed, uint64(li)), lv.RunOptions{MaxSteps: tc.events})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if at := (lv.State{X0: got.X0, X1: got.X1}); got.Steps != tc.events || at != out.Final {
+							t.Errorf("lane %d: kernel at %+v after %d events, want %+v after %d", li, at, got.Steps, out.Final, tc.events)
+						}
+					}
+				})
 			}
 		})
 	}

@@ -155,6 +155,19 @@ type lockstepEngine struct {
 	ticks int64
 	// kernelCalls counts ticksAVX2 calls, for tests.
 	kernelCalls int
+	// mark is the lanes' progress when kernelTicks last ran (see
+	// kernelTicks); sweep4 zeroes it when it starts.
+	mark progress
+}
+
+// progress fingerprints how far the active lanes have come: the sum of
+// their interaction counters, the number of dirty flags, the active lane
+// count and the next replicate. Counters only grow, and a dirty flag is
+// set only by a tick, so between two fingerprints with no retirement the
+// lanes are unchanged exactly when both sums are.
+type progress struct {
+	ticks, dirty uint64
+	active, next int
 }
 
 // lockstepLanes holds the lanes in flight as fixed-size planes: lane li
@@ -305,7 +318,23 @@ func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, avx2 bool) er
 // [0, active) and reports whether the kernel refused a group. The pad
 // lanes of the last group get a dirty step word first, which the kernel
 // never takes.
+//
+// It panics when the lanes have not moved since its previous call: then
+// that call advanced no lane and the hand-back pass after it skipped every
+// lane as the kernel's, so ticksAVX2 and kernelTakes disagree about some
+// lane, and every later pass would repeat the same nothing. Only a bug can
+// produce that state; mc reports the panic as a TrialPanicError, where a
+// loop would spin beyond the reach of any interrupt.
 func (e *lockstepEngine) kernelTicks(active int) (refused bool) {
+	now := progress{active: active, next: e.nextRep}
+	for _, sd := range e.l.step[:active] {
+		now.ticks += sd & stepMask
+		now.dirty += sd >> 63
+	}
+	if now == e.mark {
+		panic("protocols: lockstep engine stalled: ticksAVX2 advanced no lane that kernelTakes assigns to it")
+	}
+	e.mark = now
 	for li := active; li&3 != 0; li++ {
 		e.l.step[li] = dirtyBit
 	}
@@ -323,10 +352,12 @@ func (e *lockstepEngine) kernelTicks(active int) (refused bool) {
 // kernel refused, the pass is the hand-back: a lane the kernel can take
 // is skipped, and any other lane runs rounds until the kernel can take it
 // or it retires. After a refusal, and without avx2, every lane runs one
-// round per pass.
+// round per pass. kernelTicks panics when a kernel call and its hand-back
+// pass leave every lane as it was.
 //
 //lint:hotpath
 func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, avx2 bool) error {
+	e.mark = progress{}
 	maxI := e.maxInteractions
 	total, ftotal := e.total, e.ftotal
 	tscale := float64(1<<53) / ftotal

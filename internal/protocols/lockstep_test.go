@@ -1,8 +1,10 @@
 package protocols
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 	"testing"
 
 	"lvmajority/internal/consensus"
@@ -550,6 +552,35 @@ func TestLockstepKernelRoundCap(t *testing.T) {
 			t.Fatalf("lanes=%d: %d ticks after a kernel call, %d on the Go rounds alone", lanes, e.ticks, g.ticks)
 		}
 	}
+}
+
+// TestLockstepStallPanics checks the guard against a kernel that disagrees
+// with kernelTakes: when a kernel call and the pass after it leave every
+// lane as it was, the next kernelTicks must panic, naming both, instead of
+// letting sweep4 spin. Lanes that have spent their budget are never the
+// kernel's, so two calls with nothing in between replay that state.
+func TestLockstepStallPanics(t *testing.T) {
+	if !cpufeat.AVX2() {
+		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	}
+	e, err := NewThreeStateAM().newLockstep(1024, 98, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startLanes(e, 1, 8)
+	for li := range 8 {
+		e.l.step[li] = uint64(e.maxInteractions)
+	}
+	if e.kernelTicks(8) {
+		t.Fatal("the kernel refused a group")
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "ticksAVX2") || !strings.Contains(msg, "kernelTakes") {
+			t.Fatalf("a second call with no progress recovered %q, want the stall panic", msg)
+		}
+	}()
+	e.kernelTicks(8)
 }
 
 // TestLockstepTickAccounting checks that the engine's interaction-tick

@@ -113,22 +113,6 @@ func (m *LVModel) Params() (lv.Params, error) {
 	return p, nil
 }
 
-// LVModelOf is the inverse of LVModel.Params: it describes existing
-// lv.Params as a spec model, which is how the lvsim and rho front-ends turn
-// their rate flags into a Spec.
-func LVModelOf(p lv.Params) *LVModel {
-	comp := "sd"
-	if p.Competition == lv.NonSelfDestructive {
-		comp = "nsd"
-	}
-	return &LVModel{
-		Beta: p.Beta, Death: p.Delta,
-		Alpha0: p.Alpha[0], Alpha1: p.Alpha[1],
-		Gamma0: p.Gamma[0], Gamma1: p.Gamma[1],
-		Competition: comp,
-	}
-}
-
 // BuildProtocol builds the consensus.Protocol the estimate, threshold, and
 // sweep tasks measure. It is exported for the fabric worker, which receives
 // a Model over the wire and must build exactly the protocol that the
