@@ -6,7 +6,7 @@
 // The command is a thin front-end over the declarative run API
 // (internal/scenario): the network text is inlined into a simulate Spec —
 // so the spec is self-contained — whose batch statistics scenario.Runner
-// computes with the selected crn engine (-engine direct, nrm, or leap).
+// computes with the selected crn engine (-engine direct or leap).
 // The -trace rendering stays in the front-end: it replays the batch's first
 // run on the same engine, stream and clock, printing every event. Print
 // the spec with -dump-spec; replay one with -spec.
@@ -15,7 +15,7 @@
 //
 //	crnrun -network lv-sd.crn -init "X0=60,X1=40" -runs 1000
 //	crnrun -network lv-sd.crn -init "X0=60,X1=40" -trace
-//	crnrun -network big.crn -init "X0=500" -runs 100 -engine nrm
+//	crnrun -network big.crn -init "X0=500" -runs 100 -engine leap
 //	echo 'X -> 2 X @ 1
 //	X -> 0 @ 1.1' | crnrun -init "X=100"
 //
@@ -54,7 +54,7 @@ func run(args []string, stdin io.Reader, w io.Writer) error {
 		networkPath = fs.String("network", "", "path to the network file (default: read from stdin)")
 		initText    = fs.String("init", "", `initial counts, e.g. "X0=60,X1=40" (unlisted species start at 0)`)
 		runs        = fs.Int("runs", 1, "number of independent runs")
-		engine      = fs.String("engine", "direct", `simulation engine: "direct" (exact SSA), "nrm" (next-reaction method), or "leap" (tau-leaping)`)
+		engine      = fs.String("engine", "direct", `simulation engine: "direct" (exact SSA) or "leap" (tau-leaping)`)
 		maxSteps    = fs.Int("max-steps", 10_000_000, "reaction budget per run")
 		maxTime     = fs.Float64("max-time", 0, "simulated-time budget per run (0 = unlimited)")
 		traceRun    = fs.Bool("trace", false, "print each event of the first run")
@@ -202,7 +202,7 @@ func printTrace(w io.Writer, net *crn.Network, initial []int, spec scenario.Spec
 	if err != nil {
 		return err
 	}
-	timed := sm.MaxTime > 0 || engine == crn.EngineNRM || engine == crn.EngineLeap
+	timed := sm.MaxTime > 0 || engine == crn.EngineLeap
 	row := func(name string) {
 		if timed {
 			fmt.Fprintf(w, "%8d  %-24s  %12.4f  %s\n", e.Steps(), name, e.Time(), formatState(net, e.StateView()))

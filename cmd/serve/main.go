@@ -63,7 +63,7 @@ func main() {
 		queue    = fs.Int("queue", 64, "maximum queued (not yet running) runs; further submissions get 503")
 		history  = fs.Int("history", 1024, "finished runs retained for GET /v1/runs/{id}; the oldest are evicted beyond this")
 		maxBody  = fs.Int64("max-body", 1<<20, "maximum request body size in bytes")
-		bench    = fs.String("bench-trajectory", "results/bench/BENCH_kernel.json", "benchmark trajectory backing the kernel ns/event gauges on /metrics; missing file disables them")
+		_        = fs.String("bench-trajectory", "", "deprecated and ignored; /metrics exports no per-kernel gauges")
 		journal  = fs.String("journal", "", "directory persisting queued/running run specs across restarts; empty disables the journal")
 		fleet    = fs.Bool("fleet", false, "act as a fabric coordinator: accept worker registrations, shard Monte-Carlo windows across the fleet, and serve the shared probe cache at /fabric/v1/cache")
 		shardTr  = fs.Int("shard-trials", 0, "largest trial window dispatched as one fleet shard (0 = default); never changes results")
@@ -81,7 +81,6 @@ func main() {
 	logger := log.New(os.Stderr, "serve: ", log.LstdFlags)
 	srv := newServer(*runners, *queue, *maxBody, logger)
 	srv.history = *history
-	srv.kernelBench = loadKernelBench(*bench)
 	if *journal != "" {
 		if err := srv.attachJournal(*journal); err != nil {
 			logger.Fatal(err)
@@ -205,9 +204,6 @@ type server struct {
 	// summary; durSum tracks the exact total alongside it. Guarded by mu.
 	durations *stats.QuantileSketch
 	durSum    float64
-	// kernelBench is the per-kernel ns/event gauge set, loaded once at
-	// startup from the committed benchmark trajectory (may be empty).
-	kernelBench map[string]float64
 	// fleet is the fabric coordinator in -fleet mode; nil otherwise. When
 	// set, the runner's probe estimates shard across registered workers and
 	// the /fabric/v1 endpoints are mounted.

@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"net/http"
 	"runtime"
-	"sort"
 	"strings"
 	"time"
 
-	"lvmajority/internal/benchgate"
 	"lvmajority/internal/progress"
 	"lvmajority/internal/scenario"
 )
@@ -107,7 +105,7 @@ func writeSSE(w http.ResponseWriter, e progress.Event) {
 // by hand since the server takes no dependencies beyond the standard
 // library: build info, queue depth against capacity, runs by state, sweep
 // probe-cache traffic, run-duration quantiles from the merging digest, and
-// per-kernel ns/event from the committed benchmark trajectory.
+// in fleet mode the coordinator's counters.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	s.mu.Lock()
 	counts := map[runStatus]int{}
@@ -185,42 +183,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		fmt.Fprintf(&sb, "lvmajority_fleet_remote_cache_merged_total %d\n", st.CacheMerges)
 	}
 
-	if len(s.kernelBench) > 0 {
-		family("lvmajority_kernel_ns_per_event", "Per-event cost of the population kernels from the committed benchmark trajectory.", "gauge")
-		names := make([]string, 0, len(s.kernelBench))
-		for name := range s.kernelBench {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(&sb, "lvmajority_kernel_ns_per_event{kernel=%q} %g\n", name, s.kernelBench[name])
-		}
-	}
-
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprint(w, sb.String())
-}
-
-// loadKernelBench maps the newest benchmark-trajectory record to metric
-// labels: "BenchmarkPopulationKernel/batch" becomes kernel="batch". A
-// missing or malformed trajectory yields no kernel family — the server must
-// come up on machines that never ran the benchmarks.
-func loadKernelBench(path string) map[string]float64 {
-	t, err := benchgate.Load(path)
-	if err != nil {
-		return nil
-	}
-	out := make(map[string]float64)
-	for name, m := range t.Latest().Benchmarks {
-		if m.NsPerEvent == nil {
-			continue
-		}
-		label := name
-		if i := strings.LastIndex(name, "/"); i >= 0 {
-			label = name[i+1:]
-		}
-		out[label] = *m.NsPerEvent
-	}
-	return out
 }

@@ -319,10 +319,9 @@ func TestCancelLifecycleMatrix(t *testing.T) {
 
 // TestMetricsEndpoint: /metrics speaks the Prometheus text format and
 // carries every documented family, with run and duration counters that
-// reflect completed work and kernel gauges from the benchmark trajectory.
+// reflect completed work.
 func TestMetricsEndpoint(t *testing.T) {
-	s, ts := newTestServer(t, 1, 4)
-	s.kernelBench = map[string]float64{"batch": 11.7}
+	_, ts := newTestServer(t, 1, 4)
 
 	code, created := postSpec(t, ts, estimateSpec())
 	if code != http.StatusAccepted {
@@ -366,27 +365,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		"# TYPE lvmajority_run_duration_seconds summary",
 		`lvmajority_run_duration_seconds{quantile="0.5"}`,
 		"lvmajority_run_duration_seconds_count 1",
-		`lvmajority_kernel_ns_per_event{kernel="batch"} 11.7`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("metrics missing %q\n%s", want, body)
 		}
-	}
-}
-
-// TestLoadKernelBench: the committed trajectory yields labelled gauges and
-// a missing file degrades to none.
-func TestLoadKernelBench(t *testing.T) {
-	got := loadKernelBench("../../results/bench/BENCH_kernel.json")
-	if len(got) == 0 {
-		t.Fatal("committed benchmark trajectory yields no kernel gauges")
-	}
-	for label, v := range got {
-		if strings.Contains(label, "/") || v <= 0 {
-			t.Errorf("bad kernel gauge %q=%v", label, v)
-		}
-	}
-	if loadKernelBench("no/such/file.json") != nil {
-		t.Error("missing trajectory should yield no gauges")
 	}
 }

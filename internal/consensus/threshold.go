@@ -314,20 +314,6 @@ func FitCurve(points []CurvePoint) (stats.PowerLawFit, error) {
 	return stats.PowerLaw(xs, ys)
 }
 
-// NormalizedAgainst returns the threshold values divided by the reference
-// shape f(n), e.g. f = log²n or √n. A roughly flat sequence indicates the
-// thresholds scale like f.
-func NormalizedAgainst(points []CurvePoint, f func(n float64) float64) []float64 {
-	out := make([]float64, 0, len(points))
-	for _, pt := range points {
-		if !pt.Found || pt.Threshold <= 0 {
-			continue
-		}
-		out = append(out, float64(pt.Threshold)/f(float64(pt.N)))
-	}
-	return out
-}
-
 // ShapeLog2 is the reference shape log₂²(n) for the self-destructive upper
 // bound (Theorem 14).
 func ShapeLog2(n float64) float64 {

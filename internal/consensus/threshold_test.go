@@ -359,21 +359,6 @@ func TestFitCurveTooFewPoints(t *testing.T) {
 	}
 }
 
-func TestNormalizedAgainst(t *testing.T) {
-	points := []CurvePoint{
-		{N: 16, Threshold: 4, Found: true},
-		{N: 64, Threshold: 8, Found: true},
-		{N: 100, Threshold: -1, Found: false},
-	}
-	vals := NormalizedAgainst(points, ShapeSqrt)
-	if len(vals) != 2 {
-		t.Fatalf("got %d values, want 2", len(vals))
-	}
-	if vals[0] != 1 || vals[1] != 1 {
-		t.Errorf("normalized = %v, want [1 1]", vals)
-	}
-}
-
 func TestShapes(t *testing.T) {
 	if got := ShapeSqrt(64); got != 8 {
 		t.Errorf("ShapeSqrt(64) = %v", got)

@@ -7,7 +7,7 @@ import (
 )
 
 // lvBenchNetwork builds the two-species NSD Lotka–Volterra network used to
-// compare the three simulation methods on identical dynamics.
+// compare the direct method and tau-leaping on identical dynamics.
 func lvBenchNetwork(b *testing.B) *Network {
 	b.Helper()
 	net, err := NewNetwork("X0", "X1")
@@ -116,24 +116,6 @@ func BenchmarkDirectMethod(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		sim, err := NewEngine(net, []int{600, 400}, EngineDirect, true, src)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Run(sim, stop, 0, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkNextReactionMethod measures the Gibson–Bruck simulator on the
-// same dynamics.
-func BenchmarkNextReactionMethod(b *testing.B) {
-	net := lvBenchNetwork(b)
-	src := rng.New(1)
-	stop := func(state []int) bool { return state[0] == 0 || state[1] == 0 }
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sim, err := NewNRMSimulator(net, []int{600, 400}, src)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -10,15 +10,13 @@ import (
 // The engine names NewEngine accepts; "" selects EngineDirect.
 const (
 	EngineDirect = "direct"
-	EngineNRM    = "nrm"
 	EngineLeap   = "leap"
 )
 
-// Engine is the face the package's three simulators share — Simulator
-// (the direct method), NRMSimulator (the next-reaction method) and
-// LeapSimulator (tau-leaping) — so that Run drives each of them and a
-// replicated batch can reuse one per worker through Reset. An Engine is not
-// safe for concurrent use.
+// Engine is the face the package's two simulators share — Simulator (the
+// direct method, exact) and LeapSimulator (tau-leaping, approximate) — so
+// that Run drives either and a replicated batch can reuse one per worker
+// through Reset. An Engine is not safe for concurrent use.
 type Engine interface {
 	// Step fires one event and returns the fired reaction, or -1 for a
 	// tau-leap, which fires many channels at once. It returns ErrExhausted,
@@ -38,10 +36,10 @@ type Engine interface {
 }
 
 // NewEngine builds the simulator an engine name selects: "" or "direct"
-// for the direct method, "nrm" for the next-reaction method, "leap" for
-// tau-leaping with default options. timed selects the direct method's
-// clock — the continuous-time chain instead of the jump chain, which draws
-// no holding times; the other two engines always track continuous time.
+// for the direct method, "leap" for tau-leaping with default options.
+// timed selects the direct method's clock — the continuous-time chain
+// instead of the jump chain, which draws no holding times; tau-leaping
+// always tracks continuous time.
 func NewEngine(net *Network, initial []int, engine string, timed bool, src *rng.Source) (Engine, error) {
 	switch engine {
 	case "", EngineDirect:
@@ -51,12 +49,10 @@ func NewEngine(net *Network, initial []int, engine string, timed bool, src *rng.
 		}
 		sim.timed = timed
 		return sim, nil
-	case EngineNRM:
-		return NewNRMSimulator(net, initial, src)
 	case EngineLeap:
 		return NewLeapSimulator(net, initial, src, LeapOptions{})
 	default:
-		return nil, fmt.Errorf("crn: unknown engine %q (want direct, nrm, or leap)", engine)
+		return nil, fmt.Errorf("crn: unknown engine %q (want direct or leap)", engine)
 	}
 }
 

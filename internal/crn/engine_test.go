@@ -32,7 +32,6 @@ type engineCase struct {
 var engineCases = []engineCase{
 	{"direct", EngineDirect, true, []int{24, 16}},
 	{"jump", EngineDirect, false, []int{24, 16}},
-	{"nrm", EngineNRM, true, []int{24, 16}},
 	{"leap", EngineLeap, true, []int{360, 240}},
 }
 
@@ -248,8 +247,10 @@ func TestEngineConformanceViaRun(t *testing.T) {
 
 func TestNewEngineUnknownName(t *testing.T) {
 	net := deathNetwork(t, 1)
-	if _, err := NewEngine(net, []int{1}, "warp", false, rng.New(1)); err == nil {
-		t.Error("unknown engine accepted")
+	for _, name := range []string{"warp", "nrm"} {
+		if _, err := NewEngine(net, []int{1}, name, false, rng.New(1)); err == nil {
+			t.Errorf("unknown engine %q accepted", name)
+		}
 	}
 }
 

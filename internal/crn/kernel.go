@@ -1,8 +1,9 @@
 package crn
 
-// This file holds the event-kernel machinery shared by the exact
-// simulators: the cached-propensity channel selector and the Fenwick
-// (binary-indexed) propensity tree used by large networks.
+// This file holds the direct method's event-kernel machinery (which
+// tau-leaping's exact fallback reuses): the cached-propensity channel
+// selector and the Fenwick (binary-indexed) propensity tree used by large
+// networks.
 //
 // The direct method spends its time in two places per event: recomputing
 // every propensity (O(R) falling-factorial products) and linear-scanning

@@ -3,9 +3,9 @@
 // Lotka–Volterra models (§1.3). It supports reactions with up to three
 // reactants (the Condon et al. baselines in internal/protocols use
 // trimolecular rules), exact Gillespie simulation in continuous time,
-// discrete-time jump-chain stepping, the next-reaction method and
-// tau-leaping. The three simulators share the Engine interface, which
-// NewEngine builds by name and Run drives.
+// discrete-time jump-chain stepping and tau-leaping. The two simulators
+// share the Engine interface, which NewEngine builds by name and Run
+// drives.
 //
 // Propensities follow standard stochastic mass-action kinetics with unit
 // volume: a reaction with reactant multiset {m_s copies of species s} and

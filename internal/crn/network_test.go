@@ -219,3 +219,31 @@ func TestReactionDefensiveCopy(t *testing.T) {
 		t.Error("AddReaction aliased caller's reactant slice")
 	}
 }
+
+func TestDependencyGraph(t *testing.T) {
+	// A → B (r0) changes A and B; r1 reads A, r2 reads B, r3 reads C.
+	net := mustNetwork(t, "A", "B", "C")
+	net.MustAddReaction(Reaction{Name: "convert", Reactants: []Species{0}, Products: []Species{1}, Rate: 1})
+	net.MustAddReaction(Reaction{Name: "readA", Reactants: []Species{0}, Products: []Species{0}, Rate: 1})
+	net.MustAddReaction(Reaction{Name: "readB", Reactants: []Species{1}, Products: []Species{1}, Rate: 1})
+	net.MustAddReaction(Reaction{Name: "readC", Reactants: []Species{2}, Products: []Species{2}, Rate: 1})
+	deps := net.dependencyGraph()
+	has := func(r, dep int) bool {
+		for _, d := range deps[r] {
+			if d == dep {
+				return true
+			}
+		}
+		return false
+	}
+	if !has(0, 0) || !has(0, 1) || !has(0, 2) {
+		t.Errorf("convert should affect itself, readA and readB: %v", deps[0])
+	}
+	if has(0, 3) {
+		t.Errorf("convert should not affect readC: %v", deps[0])
+	}
+	// readA changes nothing (A -> A), so it affects only itself.
+	if len(deps[1]) != 1 || deps[1][0] != 1 {
+		t.Errorf("readA deps = %v, want [1]", deps[1])
+	}
+}

@@ -447,21 +447,6 @@ func absInt(v int) int {
 	return v
 }
 
-// ExpectedDeterministicWinner returns the species that wins under the
-// deterministic mass-action ODE approximation (Eq. 4 of the paper) in the
-// neutral case with α′ > γ′: the species with strictly larger initial
-// density. It returns −1 for a tie.
-func ExpectedDeterministicWinner(initial State) int {
-	switch {
-	case initial.X0 > initial.X1:
-		return 0
-	case initial.X1 > initial.X0:
-		return 1
-	default:
-		return -1
-	}
-}
-
 // ConsensusProbabilityExact returns the exact majority-consensus probability
 // ρ(S) = a/(a+b) that Theorems 20 and 23 establish for the solvable regimes
 // (SD with α = γ; NSD with γ = 2α; and the no-competition case), where a is

@@ -119,15 +119,3 @@ func TestConsensusProbabilityExact(t *testing.T) {
 		t.Errorf("got %v for empty state, want 0", got)
 	}
 }
-
-func TestExpectedDeterministicWinner(t *testing.T) {
-	if got := ExpectedDeterministicWinner(State{5, 3}); got != 0 {
-		t.Errorf("got %d, want 0", got)
-	}
-	if got := ExpectedDeterministicWinner(State{3, 5}); got != 1 {
-		t.Errorf("got %d, want 1", got)
-	}
-	if got := ExpectedDeterministicWinner(State{4, 4}); got != -1 {
-		t.Errorf("got %d, want -1", got)
-	}
-}

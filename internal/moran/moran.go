@@ -1,18 +1,18 @@
 // Package moran implements the two-type Moran process, the classical
 // fixed-size birth–death model of population genetics, together with its
-// exact fixation-probability and absorption-time formulas.
+// exact fixation-probability formula.
 //
 // The Moran process is the natural static-population counterpart of the
 // paper's Lotka–Volterra chains: in every step one individual reproduces
 // (chosen proportionally to fitness) and one individual dies (chosen
 // uniformly), so the population size n never changes. Its embedded jump
 // chain is a gambler's-ruin random walk with constant up-probability
-// r/(1+r), which yields closed forms for the fixation probability and the
-// expected number of jumps. The neutral case (r = 1) fixes the initial
-// majority with probability exactly a/n — the same martingale behaviour the
-// paper proves for LV systems with no competition (Table 1 row 5) and with
-// balanced intra/interspecific competition (Theorems 20 and 23) — making
-// the package both a baseline protocol and an analytic test oracle.
+// r/(1+r), which yields a closed form for the fixation probability. The
+// neutral case (r = 1) fixes the initial majority with probability exactly
+// a/n — the same martingale behaviour the paper proves for LV systems with
+// no competition (Table 1 row 5) and with balanced intra/interspecific
+// competition (Theorems 20 and 23) — making the package both a baseline
+// protocol and an analytic test oracle.
 package moran
 
 import (
@@ -158,30 +158,6 @@ func FixationProbability(r float64, n, a int) float64 {
 		return float64(a) / float64(n)
 	}
 	return num / den
-}
-
-// ExpectedJumpSteps returns the exact expected number of state-changing
-// steps before absorption, i.e. the expected duration of the embedded
-// gambler's-ruin walk from a with boundaries 0 and n and up-probability
-// p = r/(1+r). For the neutral process this is a(n−a).
-func ExpectedJumpSteps(r float64, n, a int) float64 {
-	if n < 1 || a < 0 || a > n {
-		return math.NaN()
-	}
-	if a == 0 || a == n {
-		return 0
-	}
-	if r == 1 {
-		return float64(a) * float64(n-a)
-	}
-	p := r / (1 + r)
-	q := 1 - p
-	// Standard biased gambler's-ruin duration:
-	//   E[T] = a/(q−p) − n/(q−p) · (1−(q/p)^a)/(1−(q/p)^n).
-	ratio := q / p
-	fa, fn := float64(a), float64(n)
-	frac := -math.Expm1(fa*math.Log(ratio)) / -math.Expm1(fn*math.Log(ratio))
-	return fa/(q-p) - fn/(q-p)*frac
 }
 
 // Protocol adapts the Moran process to the consensus.Protocol interface:

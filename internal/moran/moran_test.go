@@ -163,11 +163,36 @@ func TestRunMatchesExactFixation(t *testing.T) {
 	}
 }
 
+// expectedJumpSteps returns the exact expected number of state-changing
+// steps before absorption, i.e. the expected duration of the embedded
+// gambler's-ruin walk from a with boundaries 0 and n and up-probability
+// p = r/(1+r). For the neutral process this is a(n−a). It is the test
+// oracle for Run's jump-step count.
+func expectedJumpSteps(r float64, n, a int) float64 {
+	if n < 1 || a < 0 || a > n {
+		return math.NaN()
+	}
+	if a == 0 || a == n {
+		return 0
+	}
+	if r == 1 {
+		return float64(a) * float64(n-a)
+	}
+	p := r / (1 + r)
+	q := 1 - p
+	// Standard biased gambler's-ruin duration:
+	//   E[T] = a/(q−p) − n/(q−p) · (1−(q/p)^a)/(1−(q/p)^n).
+	ratio := q / p
+	fa, fn := float64(a), float64(n)
+	frac := -math.Expm1(fa*math.Log(ratio)) / -math.Expm1(fn*math.Log(ratio))
+	return fa/(q-p) - fn/(q-p)*frac
+}
+
 func TestExpectedJumpStepsNeutral(t *testing.T) {
-	if got := ExpectedJumpSteps(1, 100, 30); got != 30*70 {
+	if got := expectedJumpSteps(1, 100, 30); got != 30*70 {
 		t.Errorf("neutral expected jumps = %g, want %d", got, 30*70)
 	}
-	if got := ExpectedJumpSteps(1, 10, 0); got != 0 {
+	if got := expectedJumpSteps(1, 10, 0); got != 0 {
 		t.Errorf("absorbed start has expected jumps %g", got)
 	}
 }
@@ -194,7 +219,7 @@ func TestExpectedJumpStepsMatchesSimulation(t *testing.T) {
 			}
 			acc.Add(float64(out.JumpSteps))
 		}
-		want := ExpectedJumpSteps(tc.r, tc.n, tc.a)
+		want := expectedJumpSteps(tc.r, tc.n, tc.a)
 		tol := 5 * acc.StdErr()
 		if math.Abs(acc.Mean()-want) > tol {
 			t.Errorf("r=%g a=%d: mean jumps %.1f vs exact %.1f (tol %.1f)",

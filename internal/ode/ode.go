@@ -1,10 +1,10 @@
 // Package ode provides the small numeric ODE toolkit needed to integrate the
 // deterministic mass-action counterpart of the stochastic Lotka–Volterra
-// models (Eq. 4 of the paper): a fixed-step classical Runge–Kutta (RK4)
-// integrator and an adaptive Runge–Kutta–Fehlberg 4(5) integrator.
+// models (Eq. 4 of the paper): an adaptive Runge–Kutta–Fehlberg 4(5)
+// integrator.
 //
 // The package exists because the reproduction environment has no numeric
-// ecosystem; everything is stdlib. The integrators are general-purpose; the
+// ecosystem; everything is stdlib. The integrator is general-purpose; the
 // Lotka–Volterra vector field lives in lotka.go.
 package ode
 
@@ -16,55 +16,6 @@ import (
 // Func is a first-order vector field: it writes dy/dt into dydt given (t, y).
 // Implementations must not retain or resize the slices.
 type Func func(t float64, y []float64, dydt []float64)
-
-// RK4 integrates dy/dt = f(t, y) from t0 to t1 with the classical
-// fourth-order Runge–Kutta method using the given number of equal steps.
-// It returns the state at t1. The initial state is not modified.
-func RK4(f Func, y0 []float64, t0, t1 float64, steps int) ([]float64, error) {
-	if f == nil {
-		return nil, fmt.Errorf("ode: nil vector field")
-	}
-	if steps <= 0 {
-		return nil, fmt.Errorf("ode: RK4 needs a positive step count, got %d", steps)
-	}
-	if len(y0) == 0 {
-		return nil, fmt.Errorf("ode: empty initial state")
-	}
-	if t1 < t0 {
-		return nil, fmt.Errorf("ode: t1=%v before t0=%v", t1, t0)
-	}
-	dim := len(y0)
-	y := make([]float64, dim)
-	copy(y, y0)
-	k1 := make([]float64, dim)
-	k2 := make([]float64, dim)
-	k3 := make([]float64, dim)
-	k4 := make([]float64, dim)
-	tmp := make([]float64, dim)
-
-	h := (t1 - t0) / float64(steps)
-	t := t0
-	for s := 0; s < steps; s++ {
-		f(t, y, k1)
-		for i := range tmp {
-			tmp[i] = y[i] + h/2*k1[i]
-		}
-		f(t+h/2, tmp, k2)
-		for i := range tmp {
-			tmp[i] = y[i] + h/2*k2[i]
-		}
-		f(t+h/2, tmp, k3)
-		for i := range tmp {
-			tmp[i] = y[i] + h*k3[i]
-		}
-		f(t+h, tmp, k4)
-		for i := range y {
-			y[i] += h / 6 * (k1[i] + 2*k2[i] + 2*k3[i] + k4[i])
-		}
-		t = t0 + float64(s+1)*h
-	}
-	return y, nil
-}
 
 // AdaptiveOptions configures Adaptive.
 type AdaptiveOptions struct {

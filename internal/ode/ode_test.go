@@ -5,81 +5,6 @@ import (
 	"testing"
 )
 
-func TestRK4Validation(t *testing.T) {
-	f := func(t float64, y, dydt []float64) { dydt[0] = 0 }
-	if _, err := RK4(nil, []float64{1}, 0, 1, 10); err == nil {
-		t.Error("nil field accepted")
-	}
-	if _, err := RK4(f, []float64{1}, 0, 1, 0); err == nil {
-		t.Error("zero steps accepted")
-	}
-	if _, err := RK4(f, nil, 0, 1, 10); err == nil {
-		t.Error("empty state accepted")
-	}
-	if _, err := RK4(f, []float64{1}, 1, 0, 10); err == nil {
-		t.Error("reversed interval accepted")
-	}
-}
-
-func TestRK4ExponentialDecay(t *testing.T) {
-	// y' = −2y, y(0) = 3 → y(t) = 3·e^{−2t}.
-	f := func(_ float64, y, dydt []float64) { dydt[0] = -2 * y[0] }
-	got, err := RK4(f, []float64{3}, 0, 1, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 3 * math.Exp(-2)
-	if math.Abs(got[0]-want) > 1e-7 {
-		t.Errorf("y(1) = %v, want %v", got[0], want)
-	}
-}
-
-func TestRK4DoesNotModifyInput(t *testing.T) {
-	f := func(_ float64, y, dydt []float64) { dydt[0] = 1 }
-	y0 := []float64{5}
-	if _, err := RK4(f, y0, 0, 1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if y0[0] != 5 {
-		t.Errorf("initial state modified: %v", y0)
-	}
-}
-
-func TestRK4HarmonicOscillatorEnergy(t *testing.T) {
-	// y'' = −y as a system; energy (y² + v²)/2 is conserved.
-	f := func(_ float64, y, dydt []float64) {
-		dydt[0] = y[1]
-		dydt[1] = -y[0]
-	}
-	got, err := RK4(f, []float64{1, 0}, 0, 2*math.Pi, 1000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One full period returns to the start.
-	if math.Abs(got[0]-1) > 1e-8 || math.Abs(got[1]) > 1e-8 {
-		t.Errorf("after one period: (%v, %v), want (1, 0)", got[0], got[1])
-	}
-}
-
-func TestRK4FourthOrderConvergence(t *testing.T) {
-	// Halving the step size should reduce the error by roughly 2⁴.
-	f := func(_ float64, y, dydt []float64) { dydt[0] = y[0] }
-	exact := math.E
-	errAt := func(steps int) float64 {
-		got, err := RK4(f, []float64{1}, 0, 1, steps)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return math.Abs(got[0] - exact)
-	}
-	e1 := errAt(10)
-	e2 := errAt(20)
-	ratio := e1 / e2
-	if ratio < 10 || ratio > 25 {
-		t.Errorf("error ratio = %v, want ~16 for 4th order", ratio)
-	}
-}
-
 func TestAdaptiveValidation(t *testing.T) {
 	f := func(_ float64, y, dydt []float64) { dydt[0] = 0 }
 	if _, err := Adaptive(nil, []float64{1}, 0, 1, AdaptiveOptions{}); err == nil {

@@ -186,7 +186,7 @@ result.
 | Running estimate | ` + "`internal/mc`" + ` estimators at batch boundaries, cumulative under early stopping | ` + "`estimate`" + ` (Wilson interval) | ` + "`-progress`" + `; SSE stream |
 | Probe provenance | ` + "`internal/sweep`" + `, which owns the probe cache | ` + "`probe-start`" + `, ` + "`probe`" + ` (cached/fresh), ` + "`point`" + ` | ` + "`-progress`" + `; SSE stream |
 | Task lifecycle | ` + "`scenario.Runner`" + ` (task phases) and ` + "`cmd/serve`" + ` (run states) | ` + "`phase`" + `, ` + "`heartbeat`" + ` | SSE stream (` + "`GET /v1/runs/{id}/events`" + `) |
-| Fleet health | ` + "`cmd/serve`" + ` counters plus ` + "`internal/stats`" + ` online sketches (Welford, p², mergeable quantile digest) | — | Prometheus text (` + "`GET /metrics`" + `): queue, runs by state, cache traffic, run-duration quantiles, kernel ns/event from the committed benchmark trajectory |
+| Fleet health | ` + "`cmd/serve`" + ` counters plus the ` + "`internal/stats`" + ` mergeable quantile digest | — | Prometheus text (` + "`GET /metrics`" + `): queue, runs by state, cache traffic, run-duration quantiles |
 
 Sinks that need monotone counters (the SSE endpoint, the stderr
 renderer) wrap themselves in ` + "`progress.Throttled`" + `, which

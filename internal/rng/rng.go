@@ -126,28 +126,6 @@ func (src *Source) Split() *Source {
 	return &child
 }
 
-// Jump advances the generator by 2^192 steps in O(1), equivalent to that
-// many Uint64 calls. Successive Jump calls partition the period into
-// non-overlapping streams of length 2^192 — an alternative to Split when a
-// caller wants provably disjoint subsequences rather than rehashed seeds.
-func (src *Source) Jump() {
-	// xoshiro256++ long-jump polynomial (Blackman & Vigna).
-	jump := [4]uint64{0x76e15d3efefdcbbf, 0xc5004e441c522fb3, 0x77710069854ee241, 0x39109bb02acbe635}
-	var s0, s1, s2, s3 uint64
-	for _, j := range jump {
-		for b := 0; b < 64; b++ {
-			if j&(1<<uint(b)) != 0 {
-				s0 ^= src.s[0]
-				s1 ^= src.s[1]
-				s2 ^= src.s[2]
-				s3 ^= src.s[3]
-			}
-			src.Uint64()
-		}
-	}
-	src.s = [4]uint64{s0, s1, s2, s3}
-}
-
 // Float64 returns a uniformly distributed value in [0, 1) with 53 random bits.
 func (src *Source) Float64() float64 {
 	return float64(src.Uint64()>>11) / (1 << 53)

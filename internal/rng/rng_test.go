@@ -156,43 +156,6 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
-func TestJumpDisjointStreams(t *testing.T) {
-	// Jumped streams must be deterministic and not collide with the
-	// original stream over a window.
-	a := New(5)
-	b := New(5)
-	b.Jump()
-	same := 0
-	const n = 4096
-	for i := 0; i < n; i++ {
-		if a.Uint64() == b.Uint64() {
-			same++
-		}
-	}
-	if same > 0 {
-		t.Errorf("jumped stream collided %d/%d times", same, n)
-	}
-	// Deterministic.
-	c := New(5)
-	c.Jump()
-	d := New(5)
-	d.Jump()
-	for i := 0; i < 100; i++ {
-		if c.Uint64() != d.Uint64() {
-			t.Fatal("Jump is not deterministic")
-		}
-	}
-}
-
-func TestJumpChangesState(t *testing.T) {
-	src := New(7)
-	before := src.s
-	src.Jump()
-	if src.s == before {
-		t.Error("Jump left the state unchanged")
-	}
-}
-
 func TestBernoulliEdgeCases(t *testing.T) {
 	src := New(17)
 	for i := 0; i < 100; i++ {

@@ -47,7 +47,7 @@ func crnGoldenEntries(t *testing.T) map[string]json.RawMessage {
 		out[key] = data
 	}
 	r := &Runner{Now: zeroNow}
-	for _, engine := range []string{"", crn.EngineDirect, crn.EngineNRM, crn.EngineLeap} {
+	for _, engine := range []string{"", crn.EngineDirect, crn.EngineLeap} {
 		for _, maxTime := range []float64{0, 1.5} {
 			spec := New(TaskSimulate)
 			spec.Model = &Model{Kind: ModelCRN, CRN: &CRNModel{Text: crnGoldenSimulate, Engine: engine}}

@@ -80,9 +80,9 @@ func (m *Model) validate() error {
 			return err
 		}
 		switch m.CRN.Engine {
-		case "", crn.EngineDirect, crn.EngineNRM, crn.EngineLeap:
+		case "", crn.EngineDirect, crn.EngineLeap:
 		default:
-			return fmt.Errorf("scenario: unknown crn engine %q (want direct, nrm, or leap)", m.CRN.Engine)
+			return fmt.Errorf("scenario: unknown crn engine %q (want direct or leap)", m.CRN.Engine)
 		}
 	default:
 		return fmt.Errorf("scenario: unknown model kind %q (want lv, protocol, or crn)", m.Kind)

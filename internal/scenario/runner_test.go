@@ -156,7 +156,7 @@ func TestRunnerSimulateLV(t *testing.T) {
 
 func TestRunnerSimulateCRNEngines(t *testing.T) {
 	text := "X0 -> 2 X0 @ 1\nX0 -> 0 @ 1.1\n"
-	for _, engine := range []string{"", crn.EngineDirect, crn.EngineNRM, crn.EngineLeap} {
+	for _, engine := range []string{"", crn.EngineDirect, crn.EngineLeap} {
 		spec := New(TaskSimulate)
 		spec.Model = &Model{Kind: ModelCRN, CRN: &CRNModel{Text: text, Engine: engine}}
 		spec.Seed = 3

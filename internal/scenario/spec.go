@@ -155,8 +155,7 @@ type CRNModel struct {
 	// Text is the network description in the internal/crn text format.
 	Text string `json:"text"`
 	// Engine names the crn.Engine that crn.NewEngine builds: "" or
-	// "direct" (exact Gillespie SSA), "nrm" (Gibson–Bruck next-reaction
-	// method), or "leap" (explicit tau-leaping).
+	// "direct" (exact Gillespie SSA) or "leap" (explicit tau-leaping).
 	Engine string `json:"engine,omitempty"`
 }
 

@@ -213,6 +213,12 @@ func TestSpecValidateRejects(t *testing.T) {
 			s.Threshold = &ThresholdSpec{N: 128}
 			return s
 		},
+		"nrm engine": func() Spec {
+			s := New(TaskThreshold)
+			s.Model = &Model{Kind: ModelCRN, CRN: &CRNModel{Text: "X -> 0 @ 1\n", Engine: "nrm"}}
+			s.Threshold = &ThresholdSpec{N: 128}
+			return s
+		},
 		"empty sweep grid": func() Spec {
 			s := New(TaskSweep)
 			s.Model = lvModel

@@ -1,8 +1,7 @@
 // Package stats provides the statistical machinery used by the experiment
 // harness and the test suite: streaming moments, quantiles, empirical CDFs,
 // binomial confidence intervals, regression for scaling-exponent fits, and
-// the concentration-bound helpers (Chernoff, Hoeffding) that the paper's
-// proofs rely on and that our tests use as oracles.
+// the mergeable quantile digest behind the server's duration summaries.
 //
 // The pieces the rest of the repository builds on: Running (streaming
 // mean/variance/extrema without storing samples), Quantile and NewECDF

@@ -25,57 +25,6 @@ func FuzzWilsonInterval(f *testing.F) {
 	})
 }
 
-// FuzzP2Quantile checks the p² estimator's structural guarantees on
-// arbitrary streams: the estimate stays inside the observed sample range,
-// the marker heights stay sorted, and the observation count is faithful.
-func FuzzP2Quantile(f *testing.F) {
-	f.Add([]byte{1, 2, 3, 4, 5, 6}, uint8(128))
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint8(0))
-	f.Add([]byte{255, 0, 255, 0, 255, 0}, uint8(255))
-	f.Add([]byte{9, 8, 7, 6, 5, 4, 3, 2, 1}, uint8(64))
-	f.Fuzz(func(t *testing.T, raw []byte, qRaw uint8) {
-		if len(raw) == 0 {
-			return
-		}
-		q := float64(qRaw) / 255
-		p, err := NewP2(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		lo, hi := 255.0, 0.0
-		for _, b := range raw {
-			x := float64(b)
-			p.Add(x)
-			if x < lo {
-				lo = x
-			}
-			if x > hi {
-				hi = x
-			}
-		}
-		if p.N() != len(raw) {
-			t.Fatalf("N=%d after %d adds", p.N(), len(raw))
-		}
-		v, err := p.Quantile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v < lo || v > hi {
-			t.Fatalf("p² quantile %v outside sample range [%v, %v]", v, lo, hi)
-		}
-		if p.Min() != lo || p.Max() != hi {
-			t.Fatalf("extremes (%v, %v), want (%v, %v)", p.Min(), p.Max(), lo, hi)
-		}
-		if p.N() >= 5 {
-			for i := 0; i < 4; i++ {
-				if p.heights[i] > p.heights[i+1] {
-					t.Fatalf("marker heights out of order: %v", p.heights)
-				}
-			}
-		}
-	})
-}
-
 // FuzzQuantile checks ordering and range guarantees.
 func FuzzQuantile(f *testing.F) {
 	f.Add([]byte{1, 2, 3}, uint8(128))

@@ -6,178 +6,16 @@ import (
 	"sort"
 )
 
-// This file holds the online summary sketches behind the observability
-// layer: streaming estimates of order statistics that never materialize the
-// sample, so a million-trial run can report running quantiles in O(1)
-// memory. Two sketches with different trade-offs:
+// This file holds the online summary sketch behind the observability
+// layer: a streaming estimate of order statistics that never materializes
+// the sample, so a long run can report running quantiles in bounded
+// memory. QuantileSketch is a fixed-k merging digest: bounded centroids
+// over the whole distribution, any quantile queryable, and sketches built
+// on separate workers merge. The server's run-duration summaries use it.
 //
-//   - P2 is the p² algorithm (Jain & Chlamtac 1985): one target quantile,
-//     five markers, no merging. The cheapest possible running quantile for
-//     a single stream.
-//   - QuantileSketch is a fixed-k merging digest: bounded centroids over
-//     the whole distribution, any quantile queryable, and sketches built on
-//     separate workers merge. The server's run-duration summaries use it.
-//
-// Like everything in this package, the sketches are deterministic: equal
-// insertion sequences produce equal states, so they never participate in
+// Like everything in this package, the sketch is deterministic: equal
+// insertion sequences produce equal states, so it never participates in
 // the seed-derivation contract.
-
-// P2 estimates a single quantile of a stream with the p² algorithm: five
-// markers (minimum, target quantile, the two intermediate quantiles, and
-// maximum) adjusted towards their desired positions after every
-// observation, using parabolic interpolation where the height stays
-// monotone and linear interpolation otherwise.
-//
-// The estimate is exact until five observations have arrived and heuristic
-// afterwards: the classic error analysis gives relative errors well under a
-// percent for smooth distributions, and the property tests in this package
-// pin the rank error — |F̂(estimate) − q| — below 0.05 at n = 10⁴ on
-// uniform, normal, bimodal, and adversarially sorted inputs. Callers that
-// need merging or multiple quantiles use QuantileSketch instead.
-type P2 struct {
-	q       float64    // target quantile in [0, 1]
-	n       int        // observations seen
-	heights [5]float64 // marker heights q0..q4 (ascending)
-	pos     [5]float64 // actual marker positions (1-based counts)
-	want    [5]float64 // desired marker positions
-	incr    [5]float64 // desired-position increments per observation
-}
-
-// NewP2 returns a p² estimator of the q-quantile. It returns an error for q
-// outside [0, 1].
-func NewP2(q float64) (*P2, error) {
-	if q < 0 || q > 1 || math.IsNaN(q) {
-		return nil, fmt.Errorf("stats: NewP2 with q=%v outside [0, 1]", q)
-	}
-	p := &P2{q: q}
-	p.pos = [5]float64{1, 2, 3, 4, 5}
-	p.want = [5]float64{1, 1 + 2*q, 1 + 4*q, 3 + 2*q, 5}
-	p.incr = [5]float64{0, q / 2, q, (1 + q) / 2, 1}
-	return p, nil
-}
-
-// N returns the number of observations added.
-func (p *P2) N() int { return p.n }
-
-// Q returns the target quantile the estimator tracks.
-func (p *P2) Q() float64 { return p.q }
-
-// Add incorporates x into the estimate.
-func (p *P2) Add(x float64) {
-	if p.n < 5 {
-		p.heights[p.n] = x
-		p.n++
-		if p.n == 5 {
-			sort.Float64s(p.heights[:])
-		}
-		return
-	}
-	p.n++
-
-	// Locate the cell containing x and clamp the extreme markers.
-	var k int
-	switch {
-	case x < p.heights[0]:
-		p.heights[0] = x
-		k = 0
-	case x >= p.heights[4]:
-		p.heights[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < p.heights[k+1] {
-				break
-			}
-		}
-	}
-
-	for i := k + 1; i < 5; i++ {
-		p.pos[i]++
-	}
-	for i := range p.want {
-		p.want[i] += p.incr[i]
-	}
-
-	// Nudge the three interior markers towards their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := p.want[i] - p.pos[i]
-		if (d >= 1 && p.pos[i+1]-p.pos[i] > 1) || (d <= -1 && p.pos[i-1]-p.pos[i] < -1) {
-			sign := 1.0
-			if d < 0 {
-				sign = -1
-			}
-			h := p.parabolic(i, sign)
-			if p.heights[i-1] < h && h < p.heights[i+1] {
-				p.heights[i] = h
-			} else {
-				p.heights[i] = p.linear(i, sign)
-			}
-			p.pos[i] += sign
-		}
-	}
-}
-
-// parabolic is the p² piecewise-parabolic height prediction for moving
-// marker i by sign (±1) positions.
-func (p *P2) parabolic(i int, sign float64) float64 {
-	num1 := p.pos[i] - p.pos[i-1] + sign
-	num2 := p.pos[i+1] - p.pos[i] - sign
-	den := p.pos[i+1] - p.pos[i-1]
-	return p.heights[i] + sign/den*(num1*(p.heights[i+1]-p.heights[i])/(p.pos[i+1]-p.pos[i])+
-		num2*(p.heights[i]-p.heights[i-1])/(p.pos[i]-p.pos[i-1]))
-}
-
-// linear is the fallback height prediction along the segment in direction
-// sign.
-func (p *P2) linear(i int, sign float64) float64 {
-	j := i + int(sign)
-	return p.heights[i] + sign*(p.heights[j]-p.heights[i])/(p.pos[j]-p.pos[i])
-}
-
-// Quantile returns the current estimate of the target quantile, or an
-// error when no observations have been added. Below five observations the
-// estimate is the exact sample quantile.
-func (p *P2) Quantile() (float64, error) {
-	if p.n == 0 {
-		return 0, fmt.Errorf("stats: P2 quantile of an empty stream")
-	}
-	if p.n < 5 {
-		sorted := append([]float64(nil), p.heights[:p.n]...)
-		sort.Float64s(sorted)
-		return Quantile(sorted, p.q)
-	}
-	return p.heights[2], nil
-}
-
-// Min and Max return the extreme observations (markers 0 and 4).
-func (p *P2) Min() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	if p.n < 5 {
-		m := p.heights[0]
-		for _, h := range p.heights[1:p.n] {
-			m = math.Min(m, h)
-		}
-		return m
-	}
-	return p.heights[0]
-}
-
-// Max returns the largest observation added.
-func (p *P2) Max() float64 {
-	if p.n == 0 {
-		return 0
-	}
-	if p.n < 5 {
-		m := p.heights[0]
-		for _, h := range p.heights[1:p.n] {
-			m = math.Max(m, h)
-		}
-		return m
-	}
-	return p.heights[4]
-}
 
 // centroid is one weighted point of a QuantileSketch.
 type centroid struct {

@@ -9,7 +9,7 @@ import (
 // The sketch tests are property tests against exact oracles: estimates are
 // judged by rank error — where the estimate falls in the empirical CDF of
 // the actual sample versus the target quantile — which is the error metric
-// both sketches document. Inputs are generated by a fixed-seed LCG so every
+// the sketch documents. Inputs are generated by a fixed-seed LCG so every
 // run sees the same streams.
 
 // lcg is a deterministic uniform generator for test inputs.
@@ -83,88 +83,6 @@ func rankError(xs []float64, estimate, q float64) float64 {
 		return q - hi
 	}
 	return 0
-}
-
-// TestP2VsExactQuantiles: the p² estimate must land within the documented
-// rank error of the exact sorted quantile on all four input shapes.
-func TestP2VsExactQuantiles(t *testing.T) {
-	const n = 10000
-	const maxRankErr = 0.05 // documented on P2
-	for name, xs := range testDistributions(n) {
-		for _, q := range []float64{0.1, 0.5, 0.9, 0.95} {
-			p, err := NewP2(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, x := range xs {
-				p.Add(x)
-			}
-			got, err := p.Quantile()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if re := rankError(xs, got, q); re > maxRankErr {
-				sorted := append([]float64(nil), xs...)
-				sort.Float64s(sorted)
-				exact, _ := Quantile(sorted, q)
-				t.Errorf("%s q=%.2f: p² estimate %.4f (exact %.4f) has rank error %.4f > %.4f",
-					name, q, got, exact, re, maxRankErr)
-			}
-		}
-	}
-}
-
-// TestP2SmallStreamIsExact: below five observations the estimator falls
-// back to the exact sample quantile.
-func TestP2SmallStreamIsExact(t *testing.T) {
-	p, err := NewP2(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Quantile(); err == nil {
-		t.Error("empty P2 quantile should error")
-	}
-	xs := []float64{3, 1, 4}
-	for _, x := range xs {
-		p.Add(x)
-	}
-	got, err := p.Quantile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	want, _ := Quantile(sorted, 0.5)
-	if got != want {
-		t.Errorf("small-stream quantile %v, want exact %v", got, want)
-	}
-	if p.Min() != 1 || p.Max() != 4 {
-		t.Errorf("small-stream extremes (%v, %v), want (1, 4)", p.Min(), p.Max())
-	}
-}
-
-// TestP2Deterministic: equal insertion sequences produce equal estimates.
-func TestP2Deterministic(t *testing.T) {
-	build := func() float64 {
-		p, _ := NewP2(0.9)
-		g := &lcg{state: 7}
-		for i := 0; i < 5000; i++ {
-			p.Add(g.uniform())
-		}
-		v, _ := p.Quantile()
-		return v
-	}
-	if a, b := build(), build(); a != b {
-		t.Errorf("p² not deterministic: %v vs %v", a, b)
-	}
-}
-
-func TestNewP2Rejects(t *testing.T) {
-	for _, q := range []float64{-0.1, 1.1, math.NaN()} {
-		if _, err := NewP2(q); err == nil {
-			t.Errorf("NewP2(%v) accepted, want error", q)
-		}
-	}
 }
 
 // TestQuantileSketchVsExact: the digest must stay within its documented

@@ -5,11 +5,10 @@
 //
 // A Trajectory records (time, counts) points during a run, downsampling
 // so memory stays bounded on long trajectories; RenderASCII draws the
-// recorded series into a fixed-size ASCII grid, and Sparkline gives the
-// one-line form. All of it is presentation only — nothing in the
-// measurement pipeline
-// (internal/mc, internal/consensus, internal/experiment) depends on them,
-// so recording can never perturb an estimate.
+// recorded series into a fixed-size ASCII grid. All of it is presentation
+// only — nothing in the measurement pipeline (internal/mc,
+// internal/consensus, internal/experiment) depends on it, so recording can
+// never perturb an estimate.
 package trace
 
 import (
@@ -152,28 +151,4 @@ func clamp(v, lo, hi int) int {
 		return hi
 	}
 	return v
-}
-
-// Sparkline renders a single series of non-negative values as a one-line
-// sparkline using eight block heights.
-func Sparkline(values []float64) string {
-	if len(values) == 0 {
-		return ""
-	}
-	blocks := []rune("▁▂▃▄▅▆▇█")
-	maxV := 0.0
-	for _, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-	}
-	var b strings.Builder
-	for _, v := range values {
-		idx := 0
-		if maxV > 0 {
-			idx = int(v / maxV * float64(len(blocks)-1))
-		}
-		b.WriteRune(blocks[clamp(idx, 0, len(blocks)-1)])
-	}
-	return b.String()
 }

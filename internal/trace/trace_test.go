@@ -111,22 +111,3 @@ func TestRenderASCIIConstantTime(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSparkline(t *testing.T) {
-	if got := Sparkline(nil); got != "" {
-		t.Errorf("Sparkline(nil) = %q", got)
-	}
-	out := Sparkline([]float64{0, 1, 2, 3, 4})
-	if len([]rune(out)) != 5 {
-		t.Errorf("sparkline has %d runes, want 5", len([]rune(out)))
-	}
-	runes := []rune(out)
-	if runes[0] != '▁' || runes[4] != '█' {
-		t.Errorf("sparkline endpoints wrong: %q", out)
-	}
-	// All-zero input must not panic or divide by zero.
-	flat := Sparkline([]float64{0, 0, 0})
-	if len([]rune(flat)) != 3 {
-		t.Errorf("flat sparkline %q", flat)
-	}
-}
