@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +150,85 @@ func TestFleetModeEndToEnd(t *testing.T) {
 	}
 	if strings.Contains(string(body), "lvmajority_fleet_") {
 		t.Error("non-fleet server exposes fleet metric families")
+	}
+}
+
+// TestFleetConcurrentCorpus submits every spec of the committed fleet
+// corpus four times to a 2-worker fleet before waiting on any run, so that
+// the runs overlap on the coordinator, its workers and the shared probe
+// cache. Each run must end done, with the estimate or threshold search
+// (every probe's win count) and the manifest tables that a plain server
+// computes for the same spec.
+func TestFleetConcurrentCorpus(t *testing.T) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "examples", "fleet", "specs", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var specs []scenario.Spec
+	for _, path := range paths {
+		loaded, err := scenario.LoadSpecs(path)
+		if err != nil {
+			t.Fatalf("corpus %s: %v", path, err)
+		}
+		specs = append(specs, loaded...)
+	}
+	if len(specs) == 0 {
+		t.Fatal("no committed fleet corpus specs")
+	}
+	// answer renders what a run computed, leaving out the provenance that
+	// varies between runs.
+	answer := func(ts *httptest.Server, id int) string {
+		t.Helper()
+		r := waitForRun(t, ts, id, 60*time.Second)
+		if r.Status != statusDone {
+			t.Fatalf("run %d %s: %s", id, r.Status, r.Error)
+		}
+		if r.Result == nil || len(r.Result.Manifests) != 1 {
+			t.Fatalf("run %d: done without exactly one manifest", id)
+		}
+		data, err := json.Marshal(struct {
+			Estimate  any `json:"estimate"`
+			Threshold any `json:"threshold"`
+			Tables    any `json:"tables"`
+		}{r.Result.Estimate, r.Result.Threshold, r.Result.Manifests[0].Tables})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(data)
+	}
+	submit := func(ts *httptest.Server, spec scenario.Spec) int {
+		t.Helper()
+		code, out := postSpec(t, ts, spec)
+		if code != http.StatusAccepted {
+			t.Fatalf("submit: status %d %v", code, out)
+		}
+		return int(out["id"].(float64))
+	}
+
+	_, plain := newTestServer(t, 2, 16)
+	want := make([]string, len(specs))
+	for i, spec := range specs {
+		want[i] = answer(plain, submit(plain, spec))
+	}
+
+	s, fleet := newFleetTestServer(t, 2)
+	const copies = 4
+	ids := make([]int, 0, copies*len(specs))
+	for range copies {
+		for _, spec := range specs {
+			ids = append(ids, submit(fleet, spec))
+		}
+	}
+	for k, id := range ids {
+		i := k % len(specs)
+		if got := answer(fleet, id); got != want[i] {
+			t.Errorf("fleet run %d of corpus spec %d differs from the plain server:\n%s\nvs\n%s", id, i, got, want[i])
+		}
+	}
+	st := s.fleet.FleetStats()
+	t.Logf("%d runs, %d shards dispatched", len(ids), st.ShardsDispatched)
+	if st.ShardsDispatched == 0 {
+		t.Error("no shards dispatched: the fleet ran nothing")
 	}
 }
 

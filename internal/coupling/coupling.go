@@ -103,9 +103,6 @@ func (c *Coupled) SState() lv.State { return c.sState }
 // NState returns the current N̂ state.
 func (c *Coupled) NState() int { return c.nState }
 
-// BadEvents returns J_t(Ŝ).
-func (c *Coupled) BadEvents() int { return c.badEvents }
-
 // Births returns B_t(N̂).
 func (c *Coupled) Births() int { return c.births }
 

@@ -8,9 +8,10 @@ package crn
 // The direct method spends its time in two places per event: recomputing
 // every propensity (O(R) falling-factorial products) and linear-scanning
 // the propensity array. The incremental kernel removes the first cost for
-// every network — after firing r only Dependents(r) are recomputed — and
-// the second for large networks, which sample through an O(log R) prefix
-// tree instead of the linear CDF scan.
+// every network — after firing r only the reactions the network's
+// dependency graph lists for r are recomputed — and the second for large
+// networks, which sample through an O(log R) prefix tree instead of the
+// linear CDF scan.
 
 const (
 	// denseTotalThreshold is the largest reaction count for which the

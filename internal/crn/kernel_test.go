@@ -329,15 +329,15 @@ func TestPropTreeIncrementalUpdates(t *testing.T) {
 	}
 }
 
-// TestDependentsSharedAndComplete checks the public dependency-graph
-// accessor: r's dependents contain every reaction reading a species r
-// changes, with r first.
+// TestDependentsSharedAndComplete checks the network's dependency graph:
+// r's dependents contain every reaction reading a species r changes, with
+// r first.
 func TestDependentsSharedAndComplete(t *testing.T) {
 	net := condonLikeNetwork(t)
 	for r := 0; r < net.NumReactions(); r++ {
-		deps := net.Dependents(r)
+		deps := net.dependencyGraph()[r]
 		if len(deps) == 0 || deps[0] != r {
-			t.Fatalf("Dependents(%d) = %v, want r itself first", r, deps)
+			t.Fatalf("dependents of %d = %v, want r itself first", r, deps)
 		}
 		in := make(map[int]bool, len(deps))
 		for _, d := range deps {
@@ -351,7 +351,7 @@ func TestDependentsSharedAndComplete(t *testing.T) {
 				}
 			}
 			if affected && !in[other] {
-				t.Errorf("Dependents(%d) = %v misses affected reaction %d", r, deps, other)
+				t.Errorf("dependents of %d = %v miss affected reaction %d", r, deps, other)
 			}
 		}
 	}

@@ -131,9 +131,6 @@ func (sim *LeapSimulator) Count(s Species) int { return sim.state[s] }
 // Time returns the simulated time.
 func (sim *LeapSimulator) Time() float64 { return sim.time }
 
-// Leaps returns the number of tau-leaps taken.
-func (sim *LeapSimulator) Leaps() int { return sim.leaps }
-
 // Steps returns the number of leaps plus exact fallback reactions taken.
 func (sim *LeapSimulator) Steps() int { return sim.leaps + sim.exact }
 

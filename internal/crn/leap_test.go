@@ -64,7 +64,7 @@ func TestLeapPureDeathReachesZero(t *testing.T) {
 	if !res.Absorbed || sim.Count(0) != 0 {
 		t.Errorf("pure death did not absorb: %+v, count %d", res, sim.Count(0))
 	}
-	if sim.Leaps() == 0 {
+	if sim.leaps == 0 {
 		t.Error("no tau-leaps taken on a large population; leaping is not engaging")
 	}
 }

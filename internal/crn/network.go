@@ -244,15 +244,12 @@ func (n *Network) Apply(r int, state []int) error {
 // Delta returns the net stoichiometric change of species s under reaction r.
 func (n *Network) Delta(r int, s Species) int { return n.delta[r][s] }
 
-// Dependents returns the indexes of the reactions whose propensity can
-// change when reaction r fires: every reaction with a reactant among the
-// species whose count r changes, always with r itself first. The returned
-// slice is shared: callers must not modify it. The graph is built once on
-// first use and reused by every simulator over the network.
-func (n *Network) Dependents(r int) []int { return n.dependencyGraph()[r] }
-
 // dependencyGraph returns the species→reaction dependency graph, building
-// and caching it on first use.
+// and caching it on first use. Entry r lists the indexes of the reactions
+// whose propensity can change when reaction r fires: every reaction with a
+// reactant among the species whose count r changes, always with r itself
+// first. The slices are shared by every simulator over the network:
+// callers must not modify them.
 func (n *Network) dependencyGraph() [][]int {
 	n.depMu.Lock()
 	defer n.depMu.Unlock()

@@ -17,11 +17,12 @@ var ErrExhausted = errors.New("crn: zero total propensity, chain is absorbed")
 // set takes StepTime for Step. A Simulator is not safe for concurrent use.
 //
 // Propensities are cached incrementally: after firing reaction r only the
-// channels in net.Dependents(r) are recomputed. Networks with at most
-// denseTotalThreshold reactions resum the cached array on every pick, which
-// keeps the simulator bit-for-bit identical to the naive direct method;
-// larger networks maintain a running total with drift-controlled periodic
-// resummation and sample through a Fenwick prefix tree in O(log R).
+// channels the network's dependency graph lists for r are recomputed.
+// Networks with at most denseTotalThreshold reactions resum the cached
+// array on every pick, which keeps the simulator bit-for-bit identical to
+// the naive direct method; larger networks maintain a running total with
+// drift-controlled periodic resummation and sample through a Fenwick
+// prefix tree in O(log R).
 type Simulator struct {
 	net   *Network
 	state []int

@@ -21,7 +21,7 @@ import (
 // 3-worker fleet under an adversarial shard assignment; the full JSON-
 // rendered manifests must be byte-identical across all three.
 
-// corpusSpecs loads the committed loadgen corpus and appends a sweep spec
+// corpusSpecs loads the committed fleet corpus and appends a sweep spec
 // so the matrix also covers the sweep/probe-cache path the corpus's
 // server-submittable specs avoid.
 func corpusSpecs(t *testing.T) []scenario.Spec {

@@ -2,6 +2,7 @@ package protocols
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"lvmajority/internal/cpufeat"
@@ -80,6 +81,46 @@ func benchLockstep(b *testing.B, lanes int) {
 		b.Fatal("no interactions simulated")
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.ticks), "ns/event")
+}
+
+// maxLockstepBatchRatio bounds the lockstep engine's cost per simulated
+// interaction as a multiple of the batch kernel's on the same workload:
+// the ratio recorded when the engine landed, 8.672/13.07 ns/event, plus
+// 25%. A ratio of two engines timed in one process holds across machines,
+// where absolute times do not.
+const maxLockstepBatchRatio = 0.829
+
+// TestLockstepCheaperThanBatch gates the lockstep engine against the batch
+// kernel on BenchmarkPopulationKernel's workload, n = 10⁴ and δ = 400.
+// Each engine's ns/event is the minimum of three testing.Benchmark runs,
+// alternating between the engines so that a slow spell of the machine
+// weighs on both.
+func TestLockstepCheaperThanBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times both engines for several seconds; skipped with -short")
+	}
+	nsPerEvent := func(name string, bench func(b *testing.B)) float64 {
+		ns, ok := testing.Benchmark(bench).Extra["ns/event"]
+		if !ok || ns <= 0 {
+			t.Fatalf("%s benchmark failed or reported no ns/event", name)
+		}
+		return ns
+	}
+	lockstep, batch := math.Inf(1), math.Inf(1)
+	for range 3 {
+		batch = min(batch, nsPerEvent("batch", func(b *testing.B) {
+			benchKernel(b, NewThreeStateAM().run)
+		}))
+		lockstep = min(lockstep, nsPerEvent("lockstep", func(b *testing.B) {
+			benchLockstep(b, DefaultLockstepLanes)
+		}))
+	}
+	ratio := lockstep / batch
+	t.Logf("lockstep %.2f ns/event, batch %.2f ns/event: %.2fx batch, bound %.3fx",
+		lockstep, batch, ratio, maxLockstepBatchRatio)
+	if ratio > maxLockstepBatchRatio {
+		t.Errorf("lockstep costs %.2fx batch per interaction, bound %.3fx", ratio, maxLockstepBatchRatio)
+	}
 }
 
 // BenchmarkLockstepLanes prices the lane width DefaultLockstepLanes fixes:

@@ -611,6 +611,31 @@ func TestLockstepTickAccounting(t *testing.T) {
 	}
 }
 
+// TestLockstepAllocationFree checks that a steady-state lockstep block
+// run, refills and retirements included, performs no heap allocation on
+// either path.
+func TestLockstepAllocationFree(t *testing.T) {
+	for _, path := range lockstepPaths {
+		t.Run(path.name, func(t *testing.T) {
+			e, err := NewThreeStateAM().newLockstep(256, 40, DefaultLockstepLanes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wins := make([]bool, 4*DefaultLockstepLanes)
+			seed := uint64(0)
+			allocs := testing.AllocsPerRun(50, func() {
+				seed++
+				if err := e.run(seed, 0, len(wins), wins, path.avx2); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("lockstep block run allocated %v times per call, want 0", allocs)
+			}
+		})
+	}
+}
+
 // TestLockstepLaneCountInvariance pins the ISSUE's determinism contract:
 // R = 1, 64, and 256 produce byte-identical per-trial outcomes, because
 // every lane draws only from its replicate's index-keyed stream — the lane

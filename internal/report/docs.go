@@ -87,10 +87,10 @@ baselines at matched population sizes:
 
 A population protocol's compiled rule table picks its engine; no setting
 does. Both engines sample the same stochastic process and draw a trial
-from the same stream in the same order (ns/event figures are the
-committed trajectory in ` + "`results/bench/BENCH_kernel.json`" + `,
-measured on the 3-state approximate-majority baseline at n = 10⁴ and gated
-by CI as ratios against the batch loop of the same run):
+from the same stream in the same order (costs are ns/event on the 3-state
+approximate-majority baseline at n = 10⁴, as ratios to the batch loop of
+the same run; ` + "`TestLockstepCheaperThanBatch`" + ` fails when the lockstep
+engine costs more than 0.829× batch):
 
 | Engine | Rule tables | Cost | RNG-stream semantics |
 |---|---|---|---|
@@ -254,14 +254,15 @@ of the committed spec corpus must render byte-identical manifests.
 
 Topology: ` + "`cmd/serve -fleet`" + ` embeds the coordinator in the run
 server; ` + "`cmd/worker`" + ` processes register with it, renew leases by
-re-registering, and execute shards; ` + "`cmd/loadgen`" + ` drives the stack
-for the committed ` + "`BENCH_fabric.json`" + ` trajectory. Registrations are
-journaled alongside run specs, so a restarted coordinator re-adopts
-workers that are still alive. The probe cache is shared fleet-wide over
-HTTP (policy ` + "`remote`" + `): content-addressed on the entries checksum,
-revalidated with ` + "`If-None-Match`" + ` (the steady state is a bodiless
-304), merged by key on push, and degrading to memory-only — never to a
-wrong result — when the server misbehaves (§8).
+re-registering, and execute shards. ` + "`TestFleetConcurrentCorpus`" + `
+(cmd/serve) submits the spec corpus four times over to a 2-worker fleet
+before waiting on any run, and checks every run against a plain server.
+Registrations are journaled alongside run specs, so a restarted
+coordinator re-adopts workers that are still alive. The probe cache is
+shared fleet-wide over HTTP (policy ` + "`remote`" + `): content-addressed on
+the entries checksum, revalidated with ` + "`If-None-Match`" + ` (the steady
+state is a bodiless 304), merged by key on push, and degrading to
+memory-only — never to a wrong result — when the server misbehaves (§8).
 
 | Endpoint | Host | Purpose |
 |---|---|---|

@@ -44,7 +44,6 @@ func runSweep(b *testing.B, opts sweep.Options) {
 
 // BenchmarkThresholdSweep compares the three sweep regimes on the same
 // curve: cold search per n, warm-started brackets, and full cache replay.
-// CI's bench-smoke step records the three timings in BENCH_sweep.json.
 func BenchmarkThresholdSweep(b *testing.B) {
 	b.Run("Cold", func(b *testing.B) {
 		opts := benchOptions()
