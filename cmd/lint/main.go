@@ -3,16 +3,17 @@
 // the analyzers that mechanically enforce the byte-identity, cancellation,
 // 0-alloc, and schema-lock invariants the results rest on.
 //
-// It runs two ways:
+// It runs as a unit checker under go vet:
 //
-//	lint ./...                          # standalone, like go vet's front-end
-//	go vet -vettool=$(pwd)/lintbin ./... # as a unit checker under go vet
+//	go build -o lintbin ./cmd/lint
+//	go vet -vettool=$(pwd)/lintbin ./...
 //
-// The vettool mode implements the go vet unit-checker protocol (the same
-// .cfg contract golang.org/x/tools/go/analysis/unitchecker speaks): go vet
-// invokes the tool once per package with a JSON config naming the sources
-// and the export data of every dependency. `lint help` prints the suite;
-// `lint help <analyzer>` prints one analyzer's contract.
+// It implements the go vet unit-checker protocol (the same .cfg contract
+// golang.org/x/tools/go/analysis/unitchecker speaks): go vet invokes the
+// tool once per package with a JSON config naming the sources and the
+// export data of every dependency. `lint help` prints the suite; `lint help
+// <analyzer>` prints one analyzer's contract. Any other invocation prints
+// the usage line and exits 2.
 package main
 
 import (
@@ -52,8 +53,11 @@ func main() {
 	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
 		os.Exit(runVetUnit(args[0]))
 	}
-	os.Exit(runStandalone(args))
+	fmt.Fprintln(os.Stderr, usage)
+	os.Exit(2)
 }
+
+const usage = "usage: go vet -vettool=lint [packages]   (or: lint help [analyzer])"
 
 // printVersion implements the -V=full handshake go vet uses to fingerprint
 // a vettool for its action cache: name, version, and a content hash of the
@@ -78,7 +82,7 @@ func printHelp(args []string) {
 	if len(args) == 0 {
 		fmt.Println("lint: the determinism lint suite for this repository")
 		fmt.Println()
-		fmt.Println("usage: lint [packages]   (or: go vet -vettool=lint [packages])")
+		fmt.Println(usage)
 		fmt.Println()
 		for _, a := range lint.Suite() {
 			fmt.Printf("  %-10s %s\n", a.Name, strings.SplitN(a.Doc, "\n", 2)[0])
@@ -95,38 +99,6 @@ func printHelp(args []string) {
 	}
 	fmt.Fprintf(os.Stderr, "lint: unknown analyzer %q\n", args[0])
 	os.Exit(2)
-}
-
-// runStandalone loads the pattern set like the go vet front-end would
-// (tests included) and prints every finding.
-func runStandalone(patterns []string) int {
-	pkgs, err := loader.Load(".", patterns...)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "lint:", err)
-		return 1
-	}
-	seen := make(map[string]bool)
-	failed := false
-	for _, p := range pkgs {
-		diags, err := lint.RunPackage(p.Fset, p.Files, p.Types, p.Info, lint.Suite())
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "lint:", err)
-			return 1
-		}
-		for _, d := range diags {
-			line := d.String()
-			if seen[line] {
-				continue
-			}
-			seen[line] = true
-			fmt.Fprintln(os.Stderr, line)
-			failed = true
-		}
-	}
-	if failed {
-		return 2
-	}
-	return 0
 }
 
 // vetConfig is the JSON configuration go vet hands a unit checker; the

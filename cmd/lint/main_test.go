@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,7 +13,9 @@ import (
 // class PR 5 fixed by hand-audit — an option literal dropping an available
 // Interrupt — now fails `go vet -vettool` mechanically: a scratch module
 // reintroducing the omission is rejected, and threading the interrupt
-// through the same literal makes the run pass.
+// through the same literal makes the run pass. Run outside go vet on the
+// same module, the tool analyses nothing: it prints its usage line and
+// exits 2.
 func TestVetToolInterruptRegression(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the vettool and vets a scratch module")
@@ -48,6 +51,19 @@ func Estimate(ctx context.Context) int {
 }
 `
 	writeFile(t, filepath.Join(scratch, "scratch.go"), dropped)
+
+	direct := exec.Command(bin, "./...")
+	direct.Dir = scratch
+	direct.Env = append(os.Environ(), "GOWORK=off", "GOFLAGS=")
+	raw, err := direct.CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("lint ./... returned %v, want exit status 2:\n%s", err, raw)
+	}
+	if !strings.HasPrefix(string(raw), "usage: ") || strings.Contains(string(raw), "Interrupt") {
+		t.Fatalf("lint ./... analysed the module instead of printing its usage:\n%s", raw)
+	}
+
 	out, err := runVet(t, scratch, bin)
 	if err == nil {
 		t.Fatalf("go vet passed on a literal that drops an available Interrupt:\n%s", out)

@@ -107,12 +107,11 @@ func run(args []string, w io.Writer) error {
 		return err
 	}
 
-	// The first-run renderings consume one sequential stream rooted at the
-	// seed, exactly as they always have; the batch below draws from
-	// index-keyed per-run streams, so the two never interact.
-	src := rng.New(spec.Seed)
+	// Each first-run rendering draws its own sequential stream rooted at
+	// the seed, so -plot and -trace show the same run; the batch below
+	// draws from index-keyed per-run streams, so they never interact.
 	if spec.Simulate.Plot {
-		if err := plotRun(w, params, initial, src, spec.Simulate.MaxSteps); err != nil {
+		if err := plotRun(w, params, initial, rng.New(spec.Seed), spec.Simulate.MaxSteps); err != nil {
 			return err
 		}
 		if spec.Simulate.Runs == 1 && !spec.Simulate.Trace {
@@ -120,7 +119,7 @@ func run(args []string, w io.Writer) error {
 		}
 	}
 	if spec.Simulate.Trace {
-		if err := printTrace(w, params, initial, src, spec.Simulate.MaxSteps); err != nil {
+		if err := printTrace(w, params, initial, rng.New(spec.Seed), spec.Simulate.MaxSteps); err != nil {
 			return err
 		}
 		if spec.Simulate.Runs == 1 {

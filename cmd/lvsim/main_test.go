@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -69,6 +70,25 @@ func TestRunTrace(t *testing.T) {
 	out := b.String()
 	if !strings.Contains(out, "init") || !strings.Contains(out, "final state") {
 		t.Errorf("trace output malformed:\n%s", out)
+	}
+
+	// With -plot as well, both renderings show the same run: the plot's
+	// reaction count is the trace's final step count.
+	b.Reset()
+	if err := run([]string{"-a", "12", "-b", "8", "-seed", "3", "-runs", "1", "-plot", "-trace"}, &b); err != nil {
+		t.Fatal(err)
+	}
+	var plotted, traced int
+	for _, line := range strings.Split(b.String(), "\n") {
+		if _, tail, ok := strings.Cut(line, "one trajectory ("); ok {
+			fmt.Sscanf(tail, "%d reactions", &plotted)
+		}
+		if head, tail, ok := strings.Cut(line, " after "); ok && strings.HasPrefix(head, "# final state") {
+			fmt.Sscanf(tail, "%d steps", &traced)
+		}
+	}
+	if plotted == 0 || plotted != traced {
+		t.Errorf("plot shows %d reactions, trace ends after %d steps:\n%s", plotted, traced, b.String())
 	}
 }
 

@@ -65,7 +65,6 @@ func run(args []string, w io.Writer) error {
 		nSpec       = fs.String("n", "256,512,1024,2048", "comma-separated population sizes")
 		trials      = fs.Int("trials", 0, "Monte-Carlo trials per probed gap (0 = 2n capped at 8000)")
 		target      = fs.Float64("target", 0, "success probability target (0 = 1-1/n)")
-		lanes       = fs.Int("lanes", 1, "concurrent per-n searches sharing the worker budget")
 		verbose     = fs.Bool("v", false, "print every probed gap")
 		cold        = fs.Bool("cold", false, "disable warm-started brackets (every n searched from scratch)")
 		noEarlyStop = fs.Bool("no-earlystop", false, "disable the early-stopping sequential estimator")
@@ -97,7 +96,6 @@ func run(args []string, w io.Writer) error {
 			Grid:        ns,
 			Trials:      *trials,
 			Target:      *target,
-			Lanes:       *lanes,
 			Cold:        *cold,
 			NoEarlyStop: *noEarlyStop,
 			Verbose:     *verbose,

@@ -52,9 +52,9 @@ func cascadeNetwork(b testing.TB, m int) *Network {
 // BenchmarkIncrementalSSA compares the naive direct method (recompute and
 // rescan every propensity per event, the pre-incremental Simulator) against
 // the incremental-propensity kernel, one op per event on the steady-state
-// 48-channel cascade at total count 10⁴. The incremental side takes the
-// sparse path: dependency-graph recomputation, drift-controlled running
-// total, Fenwick-tree sampling.
+// 48-channel cascade at total count 10⁴. The incremental side recomputes
+// only the fired reaction's dependents, then resums and scans the cached
+// array like the naive side.
 func BenchmarkIncrementalSSA(b *testing.B) {
 	const m = 48
 	initial := make([]int, m)
@@ -85,8 +85,7 @@ func BenchmarkIncrementalSSA(b *testing.B) {
 			}
 		}
 	})
-	// The dense small-network path (byte-identical to naive): the
-	// 5-channel Condon-style network, for the parity record.
+	// The 5-channel Condon-style network, for the parity record.
 	b.Run("incremental-small", func(b *testing.B) {
 		net := condonLikeNetwork(b)
 		sim, err := NewSimulator(net, []int{6000, 4000, 0}, rng.New(1))

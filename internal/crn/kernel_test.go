@@ -77,30 +77,43 @@ func condonLikeNetwork(t testing.TB) *Network {
 // TestIncrementalByteIdenticalToNaive drives the incremental Simulator and
 // the naive full-recompute oracle from identical streams and demands the
 // exact same reaction sequence and states: the propensity cache must be
-// invisible at the bit level for small (dense-mode) networks.
+// invisible at the bit level, on a 5-reaction network and on a 48-channel
+// cascade alike.
 func TestIncrementalByteIdenticalToNaive(t *testing.T) {
-	net := condonLikeNetwork(t)
-	for seed := uint64(1); seed <= 5; seed++ {
-		sim, err := NewSimulator(net, []int{60, 40, 0}, rng.New(seed))
-		if err != nil {
-			t.Fatal(err)
-		}
-		oracle := newNaiveSimulator(net, []int{60, 40, 0}, rng.New(seed))
-		for i := 0; i < 100_000; i++ {
-			got, err1 := sim.Step()
-			want, err2 := oracle.step()
-			if (err1 == nil) != (err2 == nil) {
-				t.Fatalf("seed %d event %d: incremental err=%v, naive err=%v", seed, i, err1, err2)
+	cascade := make([]int, 48)
+	for i := range cascade {
+		cascade[i] = 200
+	}
+	for _, tc := range []struct {
+		name    string
+		net     *Network
+		initial []int
+	}{
+		{"condon", condonLikeNetwork(t), []int{60, 40, 0}},
+		{"cascade-48", cascadeNetwork(t, 48), cascade},
+	} {
+		for seed := uint64(1); seed <= 5; seed++ {
+			sim, err := NewSimulator(tc.net, tc.initial, rng.New(seed))
+			if err != nil {
+				t.Fatal(err)
 			}
-			if err1 != nil {
-				break
-			}
-			if got != want {
-				t.Fatalf("seed %d event %d: incremental fired %d, naive fired %d", seed, i, got, want)
-			}
-			for s, c := range sim.StateView() {
-				if oracle.state[s] != c {
-					t.Fatalf("seed %d event %d: state diverged: %v vs %v", seed, i, sim.StateView(), oracle.state)
+			oracle := newNaiveSimulator(tc.net, tc.initial, rng.New(seed))
+			for i := 0; i < 100_000; i++ {
+				got, err1 := sim.Step()
+				want, err2 := oracle.step()
+				if (err1 == nil) != (err2 == nil) {
+					t.Fatalf("%s seed %d event %d: incremental err=%v, naive err=%v", tc.name, seed, i, err1, err2)
+				}
+				if err1 != nil {
+					break
+				}
+				if got != want {
+					t.Fatalf("%s seed %d event %d: incremental fired %d, naive fired %d", tc.name, seed, i, got, want)
+				}
+				for s, c := range sim.StateView() {
+					if oracle.state[s] != c {
+						t.Fatalf("%s seed %d event %d: state diverged: %v vs %v", tc.name, seed, i, sim.StateView(), oracle.state)
+					}
 				}
 			}
 		}
@@ -128,9 +141,8 @@ func TestIncrementalCacheFresh(t *testing.T) {
 	}
 }
 
-// sparseVoterNetwork builds a 2-species network with many parallel channels
-// (above denseTotalThreshold), so the Simulator takes the sparse
-// running-total + Fenwick-tree path.
+// sparseVoterNetwork builds a 2-species network with many parallel
+// channels, more than any network the repository ships.
 func sparseVoterNetwork(t testing.TB, channels int) *Network {
 	t.Helper()
 	net, err := NewNetwork("X", "Y")
@@ -153,17 +165,14 @@ func sparseVoterNetwork(t testing.TB, channels int) *Network {
 }
 
 // TestSparsePathMatchesNaiveDistribution chi-square-tests the first-event
-// distribution of the sparse (Fenwick) kernel against exact propensity
-// proportions.
+// distribution of the kernel on a 40-channel network against exact
+// propensity proportions.
 func TestSparsePathMatchesNaiveDistribution(t *testing.T) {
 	net := sparseVoterNetwork(t, 40)
 	initial := []int{25, 15}
 	sim, err := NewSimulator(net, initial, rng.New(1))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sim.dense {
-		t.Fatalf("40-channel network unexpectedly on the dense path")
 	}
 
 	var total float64
@@ -195,14 +204,13 @@ func TestSparsePathMatchesNaiveDistribution(t *testing.T) {
 		chi2 += d * d / expected
 	}
 	if chi2 > 72.1 {
-		t.Errorf("sparse first-event chi-square = %v over 39 dof (99.9%% quantile 72.1)", chi2)
+		t.Errorf("first-event chi-square = %v over 39 dof (99.9%% quantile 72.1)", chi2)
 	}
 }
 
-// TestSparsePathLongRunAgreesWithDense runs the same many-channel voter
-// model to consensus on the sparse path and cross-checks the winner
-// frequency against the exact martingale probability a/(a+b): drift-
-// controlled resummation must not bias long runs.
+// TestSparsePathLongRunAgreesWithDense runs a 34-channel voter model to
+// consensus and cross-checks the winner frequency against the exact
+// martingale probability a/(a+b).
 func TestSparsePathLongRunAgreesWithDense(t *testing.T) {
 	net := sparseVoterNetwork(t, 34)
 	// Equal total rate in both directions: X wins with probability
@@ -236,7 +244,7 @@ func TestSparsePathLongRunAgreesWithDense(t *testing.T) {
 	got := float64(wins) / trials
 	// Z999 half-width for p ~ 0.625 over 4000 trials is ~0.025.
 	if math.Abs(got-want) > 0.03 {
-		t.Errorf("sparse-path win frequency %v, exact %v", got, want)
+		t.Errorf("34-channel win frequency %v, exact %v", got, want)
 	}
 }
 
@@ -265,66 +273,6 @@ func TestSelectChannelSlackSkipsZeroTail(t *testing.T) {
 	for _, tc := range cases {
 		if got := selectChannel(tc.props, tc.u); got != tc.want {
 			t.Errorf("selectChannel(%v, %v) = %d, want %d", tc.props, tc.u, got, tc.want)
-		}
-	}
-}
-
-// TestPropTreeMatchesLinearScan cross-checks the Fenwick-tree sampler
-// against the linear selector on integer-valued propensities, where both
-// prefix-sum orders are exact in floating point and must agree everywhere,
-// including zero channels and the slack fallback.
-func TestPropTreeMatchesLinearScan(t *testing.T) {
-	vectors := [][]float64{
-		{1, 2, 3, 4, 5},
-		{0, 0, 7, 0, 1, 0, 0},
-		{5, 0, 0, 0, 0, 0, 0, 3},
-		{1},
-		{0, 4},
-		{2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2, 2},
-	}
-	for _, props := range vectors {
-		var tree propTree
-		tree.rebuild(props)
-		var total float64
-		for _, p := range props {
-			total += p
-		}
-		for u := -0.5; u < total+2; u += 0.25 {
-			want := selectChannel(props, u)
-			if u < 0 {
-				// selectChannel never sees negative u in production;
-				// the tree clamps to the first positive channel.
-				continue
-			}
-			if got := tree.sample(props, u); got != want {
-				t.Errorf("props %v u=%v: tree sampled %d, linear %d", props, u, got, want)
-			}
-		}
-	}
-}
-
-// TestPropTreeIncrementalUpdates applies random point updates and verifies
-// sampling stays consistent with a fresh rebuild.
-func TestPropTreeIncrementalUpdates(t *testing.T) {
-	props := []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3}
-	var tree propTree
-	tree.rebuild(props)
-	src := rng.New(42)
-	for iter := 0; iter < 1000; iter++ {
-		r := src.Intn(len(props))
-		next := float64(src.Intn(10))
-		tree.add(r, next-props[r])
-		props[r] = next
-	}
-	var fresh propTree
-	fresh.rebuild(props)
-	var total float64
-	for _, p := range props {
-		total += p
-	}
-	for u := 0.0; u < total; u += 0.5 {
-		if got, want := tree.sample(props, u), fresh.sample(props, u); got != want {
-			t.Errorf("u=%v: updated tree sampled %d, fresh tree %d (props %v)", u, got, want, props)
 		}
 	}
 }

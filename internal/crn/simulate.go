@@ -18,11 +18,9 @@ var ErrExhausted = errors.New("crn: zero total propensity, chain is absorbed")
 //
 // Propensities are cached incrementally: after firing reaction r only the
 // channels the network's dependency graph lists for r are recomputed.
-// Networks with at most denseTotalThreshold reactions resum the cached
-// array on every pick, which keeps the simulator bit-for-bit identical to
-// the naive direct method; larger networks maintain a running total with
-// drift-controlled periodic resummation and sample through a Fenwick
-// prefix tree in O(log R).
+// Every pick resums the cached array in index order, which keeps the
+// simulator bit-for-bit identical to the naive direct method on every
+// network (see kernel.go).
 type Simulator struct {
 	net   *Network
 	state []int
@@ -37,15 +35,6 @@ type Simulator struct {
 	props []float64
 	// deps is the network's dependency graph, captured at construction.
 	deps [][]int
-	// dense selects the small-network total strategy (see kernel.go).
-	dense bool
-	// total is the running total propensity (sparse mode only).
-	total float64
-	// sinceResum counts incremental updates since the last exact
-	// resummation (sparse mode only).
-	sinceResum int
-	// tree is the sampling tree (sparse mode only).
-	tree propTree
 }
 
 // NewSimulator creates a simulator over net starting from the given initial
@@ -71,34 +60,16 @@ func NewSimulator(net *Network, initial []int, src *rng.Source) (*Simulator, err
 		src:   src,
 		props: make([]float64, net.NumReactions()),
 		deps:  net.dependencyGraph(),
-		dense: net.NumReactions() <= denseTotalThreshold,
 	}
 	sim.refill()
 	return sim, nil
 }
 
-// refill recomputes every cached propensity from the current state and, in
-// sparse mode, rebuilds the running total and sampling tree.
+// refill recomputes every cached propensity from the current state.
 func (sim *Simulator) refill() {
 	for r := range sim.props {
 		sim.props[r] = sim.net.Propensity(r, sim.state)
 	}
-	if !sim.dense {
-		sim.resum()
-	}
-}
-
-// resum recomputes the sparse running total and tree from the cached
-// propensities, clearing accumulated floating-point drift. It does not
-// recompute any propensity.
-func (sim *Simulator) resum() {
-	var total float64
-	for _, p := range sim.props {
-		total += p
-	}
-	sim.total = total
-	sim.tree.rebuild(sim.props)
-	sim.sinceResum = 0
 }
 
 // State returns the current state. The returned slice is a copy.
@@ -150,37 +121,21 @@ func (sim *Simulator) Steps() int { return sim.steps }
 //
 //lint:hotpath
 func (sim *Simulator) pick() (int, float64, error) {
-	if sim.dense {
-		// Resumming the cached array in index order reproduces the
-		// naive direct method's floating-point total exactly.
-		var total float64
-		for _, p := range sim.props {
-			total += p
-		}
-		if total <= 0 {
-			return 0, 0, ErrExhausted
-		}
-		u := sim.src.Float64() * total
-		r := selectChannel(sim.props, u)
-		if r < 0 {
-			return 0, 0, ErrExhausted
-		}
-		return r, total, nil
+	// Resumming the cached array in index order reproduces the naive
+	// direct method's floating-point total exactly.
+	var total float64
+	for _, p := range sim.props {
+		total += p
 	}
-	if sim.sinceResum >= resumInterval || sim.total <= 0 {
-		sim.resum()
-		if sim.total <= 0 {
-			return 0, 0, ErrExhausted
-		}
-	}
-	u := sim.src.Float64() * sim.total
-	r := sim.tree.sample(sim.props, u)
-	if r < 0 {
-		// The running total drifted positive over an all-zero state.
-		sim.resum()
+	if total <= 0 {
 		return 0, 0, ErrExhausted
 	}
-	return r, sim.total, nil
+	u := sim.src.Float64() * total
+	r := selectChannel(sim.props, u)
+	if r < 0 {
+		return 0, 0, ErrExhausted
+	}
+	return r, total, nil
 }
 
 // fire applies reaction r and incrementally refreshes the propensities of
@@ -192,17 +147,7 @@ func (sim *Simulator) fire(r int) error {
 		return err
 	}
 	for _, dep := range sim.deps[r] {
-		p := sim.net.Propensity(dep, sim.state)
-		if old := sim.props[dep]; p != old {
-			sim.props[dep] = p
-			if !sim.dense {
-				sim.total += p - old
-				sim.tree.add(dep, p-old)
-			}
-		}
-	}
-	if !sim.dense {
-		sim.sinceResum++
+		sim.props[dep] = sim.net.Propensity(dep, sim.state)
 	}
 	sim.steps++
 	return nil

@@ -19,7 +19,8 @@ import (
 // committed fleet corpus, plus a sweep that exercises the probe cache,
 // runs (a) purely locally, (b) through a 1-worker fleet, and (c) through a
 // 3-worker fleet under an adversarial shard assignment; the full JSON-
-// rendered manifests must be byte-identical across all three.
+// rendered manifests and typed results must be byte-identical across all
+// three.
 
 // corpusSpecs loads the committed fleet corpus and appends a sweep spec
 // so the matrix also covers the sweep/probe-cache path the corpus's
@@ -45,16 +46,18 @@ func corpusSpecs(t *testing.T) []scenario.Spec {
 	sweepSpec := scenario.New(scenario.TaskSweep)
 	sweepSpec.Model = &scenario.Model{Kind: scenario.ModelProtocol, Protocol: &scenario.ProtocolModel{Name: "voter"}}
 	sweepSpec.Seed = 404
-	sweepSpec.Sweep = &scenario.SweepSpec{Grid: []int{16, 32}, Trials: 300, Target: 0.9, Lanes: 2}
+	sweepSpec.Sweep = &scenario.SweepSpec{Grid: []int{16, 32}, Trials: 300, Target: 0.9}
 	sweepSpec.Cache = &scenario.CacheSpec{Policy: scenario.CacheShared}
 	specs = append(specs, sweepSpec)
 	return specs
 }
 
-// runSpec executes one spec and renders its manifests canonically. Wall
-// time is the one provenance field that legitimately varies between runs
-// (the scenario package's manifest oracle excludes it too); it is zeroed so
-// the rest of the document must match to the byte.
+// runSpec executes one spec and renders its manifests canonically, together
+// with the typed estimate, threshold search (every probe's evaluation) and
+// sweep, which carry probe detail that the manifest tables summarize away.
+// Wall time is the one provenance field that legitimately varies between
+// runs (the scenario package's manifest oracle excludes it too); it is
+// zeroed so the rest of the document must match to the byte.
 func runSpec(t *testing.T, r *scenario.Runner, spec scenario.Spec) []byte {
 	t.Helper()
 	res, err := r.Run(context.Background(), spec)
@@ -74,7 +77,13 @@ func runSpec(t *testing.T, r *scenario.Runner, spec scenario.Spec) []byte {
 			doc["wall_time_ns"] = json.RawMessage("0")
 		}
 	}
-	if data, err = json.Marshal(docs); err != nil {
+	data, err = json.Marshal(struct {
+		Manifests []map[string]json.RawMessage `json:"manifests"`
+		Estimate  any                          `json:"estimate"`
+		Threshold any                          `json:"threshold"`
+		Sweep     any                          `json:"sweep"`
+	}{docs, res.Estimate, res.Threshold, res.Sweep})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return data

@@ -10,8 +10,7 @@
 // analyzer in internal/lint is written exactly as it would be against the
 // real API. If the dependency ever becomes available, the analyzers port by
 // switching one import path; until then cmd/lint ships its own driver that
-// speaks both a standalone package-pattern mode and the `go vet -vettool`
-// unit-checker protocol.
+// speaks the `go vet -vettool` unit-checker protocol.
 package analysis
 
 import (

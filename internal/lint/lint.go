@@ -29,8 +29,8 @@
 // analyzer name and a reason is itself a diagnostic — unexplained
 // suppressions are how invariants rot.
 //
-// The suite runs through cmd/lint, standalone (`lint ./...`) or as a
-// `go vet -vettool` unit checker; CI runs it on every push.
+// The suite runs through cmd/lint, a `go vet -vettool` unit checker; CI
+// runs it on every push.
 package lint
 
 import (

@@ -1,177 +1,20 @@
-// Package loader loads type-checked packages for the lint driver without
-// depending on golang.org/x/tools/go/packages: it shells out to
-// `go list -deps -export -json`, which compiles dependencies into the build
-// cache and reports their export-data files, then parses each target
-// package's sources and type-checks them against that export data with the
-// standard library's gc importer. Test files are included (`go list -test`),
-// matching what `go vet` analyzes.
+// Package loader holds the type-checking plumbing that the lint suite's
+// drivers share without depending on golang.org/x/tools: the types.Info
+// the analyzers read, and an importer over gc export data. cmd/lint's
+// go vet unit checker type-checks each package against the export files
+// that go vet names in its config; analysistest does the same for its
+// fixtures with export data from `go list -deps -export`.
 package loader
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"go/ast"
 	"go/importer"
-	"go/parser"
 	"go/token"
 	"go/types"
 	"io"
 	"os"
-	"os/exec"
-	"path/filepath"
-	"runtime"
-	"sort"
-	"strings"
 )
-
-// A Package is one parsed, type-checked package ready for analysis.
-type Package struct {
-	// Path is the import path; test variants carry go list's bracketed
-	// suffix (e.g. "p [p.test]").
-	Path  string
-	Name  string
-	Fset  *token.FileSet
-	Files []*ast.File
-	Types *types.Package
-	Info  *types.Info
-}
-
-// listPackage is the subset of `go list -json` output the loader consumes.
-type listPackage struct {
-	ImportPath string
-	Name       string
-	Dir        string
-	Export     string
-	Standard   bool
-	DepOnly    bool
-	ForTest    string
-	GoFiles    []string
-	CgoFiles   []string
-	ImportMap  map[string]string
-	Module     *struct{ GoVersion string }
-	Error      *struct{ Err string }
-}
-
-// Load lists patterns in dir (including test variants), compiles export
-// data for the dependency graph, and returns every matched non-synthetic
-// package parsed and type-checked. The result is sorted by import path, so
-// downstream diagnostics are deterministic.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	args := append([]string{"list", "-e", "-test", "-deps", "-export", "-json"}, patterns...)
-	cmd := exec.Command("go", args...)
-	cmd.Dir = dir
-	var stderr bytes.Buffer
-	cmd.Stderr = &stderr
-	out, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	var listed []*listPackage
-	dec := json.NewDecoder(out)
-	for {
-		lp := new(listPackage)
-		if err := dec.Decode(lp); err == io.EOF {
-			break
-		} else if err != nil {
-			return nil, fmt.Errorf("loader: parsing go list output: %w", err)
-		}
-		listed = append(listed, lp)
-	}
-	if err := cmd.Wait(); err != nil {
-		return nil, fmt.Errorf("loader: go list: %w\n%s", err, stderr.String())
-	}
-
-	exports := make(map[string]string, len(listed))
-	byPath := make(map[string]*listPackage, len(listed))
-	for _, lp := range listed {
-		byPath[lp.ImportPath] = lp
-		if lp.Export != "" {
-			exports[lp.ImportPath] = lp.Export
-		}
-	}
-
-	var targets []*listPackage
-	for _, lp := range listed {
-		if lp.DepOnly || lp.Standard || lp.Name == "" {
-			continue
-		}
-		if strings.HasSuffix(lp.ImportPath, ".test") {
-			continue // the synthetic generated test main
-		}
-		if lp.Error != nil {
-			return nil, fmt.Errorf("loader: %s: %s", lp.ImportPath, lp.Error.Err)
-		}
-		targets = append(targets, lp)
-	}
-	// When an internal test variant "p [p.test]" exists, it strictly
-	// supersets the plain package's files; analyzing both would duplicate
-	// every diagnostic on the shared files.
-	hasTestVariant := make(map[string]bool)
-	for _, lp := range targets {
-		if lp.ForTest != "" && lp.ImportPath == lp.ForTest+" ["+lp.ForTest+".test]" {
-			hasTestVariant[lp.ForTest] = true
-		}
-	}
-	var pkgs []*Package
-	for _, lp := range targets {
-		if lp.ForTest == "" && hasTestVariant[lp.ImportPath] {
-			continue
-		}
-		p, err := typecheck(lp, exports)
-		if err != nil {
-			return nil, err
-		}
-		pkgs = append(pkgs, p)
-	}
-	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].Path < pkgs[j].Path })
-	return pkgs, nil
-}
-
-// typecheck parses lp's sources and type-checks them against the export
-// data of its dependencies.
-func typecheck(lp *listPackage, exports map[string]string) (*Package, error) {
-	if len(lp.CgoFiles) > 0 {
-		return nil, fmt.Errorf("loader: %s uses cgo, which this loader does not support", lp.ImportPath)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	names := append([]string(nil), lp.GoFiles...)
-	sort.Strings(names)
-	for _, name := range names {
-		f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
-		if err != nil {
-			return nil, fmt.Errorf("loader: %s: %w", lp.ImportPath, err)
-		}
-		files = append(files, f)
-	}
-	info := NewInfo()
-	conf := &types.Config{
-		Importer: ExportImporter(fset, lp.ImportMap, exports),
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-	}
-	if lp.Module != nil {
-		conf.GoVersion = "go" + lp.Module.GoVersion
-	}
-	tpkg, err := conf.Check(strings.Fields(lp.ImportPath)[0], fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("loader: type-checking %s: %w", lp.ImportPath, err)
-	}
-	return &Package{
-		Path:  lp.ImportPath,
-		Name:  lp.Name,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, nil
-}
 
 // NewInfo returns a types.Info with every map the analyzers consume.
 func NewInfo() *types.Info {

@@ -7,6 +7,7 @@ import (
 	"lvmajority/internal/consensus"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
+	"lvmajority/internal/testutil"
 )
 
 // checkBlockMatchesTrial runs replicates [lo, hi) of p at (n, delta) on
@@ -227,14 +228,14 @@ func TestBlockAllocationFree(t *testing.T) {
 	}
 	wins := make([]bool, 4*lv.BlockLanes)
 	seed := uint64(0)
-	allocs := testing.AllocsPerRun(50, func() {
+	mallocs := testutil.Mallocs(50, func() {
 		seed++
 		if err := blk.Run(seed, 0, len(wins), wins); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("Block.Run allocated %v times per call, want 0", allocs)
+	if mallocs != 0 {
+		t.Errorf("50 Block.Run calls allocated %d times, want 0", mallocs)
 	}
 }
 

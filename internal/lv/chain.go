@@ -40,10 +40,6 @@ func (k EventKind) String() string {
 // reaction — a "non-competitive" event in the paper's terminology.
 func (k EventKind) IsIndividual() bool { return k <= Death1 }
 
-// IsCompetitive reports whether the channel is a pairwise competition
-// reaction.
-func (k EventKind) IsCompetitive() bool { return k >= Inter0 }
-
 // NumEventKinds is the number of reaction channels of a two-species LV
 // chain.
 const NumEventKinds = int(numEvents)
@@ -235,9 +231,6 @@ type Outcome struct {
 	MaxPopulation int
 	// Final is the final configuration.
 	Final State
-	// Time is the continuous time at consensus; populated only when time
-	// tracking is enabled.
-	Time float64
 }
 
 // RunOptions configures Run.
@@ -246,8 +239,6 @@ type RunOptions struct {
 	// Chains without competition and with β >= δ need a cap because they
 	// may never reach consensus.
 	MaxSteps int
-	// TrackTime enables continuous-time accounting.
-	TrackTime bool
 }
 
 // DefaultMaxSteps is the step budget used when RunOptions.MaxSteps is zero.
@@ -273,7 +264,7 @@ func Run(params Params, initial State, src *rng.Source, opts RunOptions) (Outcom
 		return Outcome{}, fmt.Errorf("lv: nil random source")
 	}
 	// The chain lives on the stack: Run performs no heap allocation.
-	chain := Chain{params: params, state: initial, src: src, trackTime: opts.TrackTime}
+	chain := Chain{params: params, state: initial, src: src}
 	return chain.runToConsensus(opts.MaxSteps), nil
 }
 
@@ -306,11 +297,9 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 		a0, a1    = c.params.Alpha[0], c.params.Alpha[1]
 		g0, g1    = c.params.Gamma[0], c.params.Gamma[1]
 		sd        = c.params.Competition == SelfDestructive
-		trackTime = c.trackTime
 		src       = c.src
 		x0, x1    = c.state.X0, c.state.X1
 		steps     = c.steps
-		t         = c.time
 		consensus = false
 	)
 
@@ -345,9 +334,6 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 			break
 		}
 
-		if trackTime {
-			t += src.Exp(total)
-		}
 		u := src.Float64() * total
 		acc := 0.0
 		kind := numEvents - 1
@@ -427,10 +413,8 @@ func (c *Chain) runToConsensus(maxSteps int) Outcome {
 
 	c.state = State{X0: x0, X1: x1}
 	c.steps = steps
-	c.time = t
 	out.Steps = steps
 	out.Final = c.state
-	out.Time = t
 	if consensus {
 		out.Consensus = true
 		out.Winner = out.Final.Winner()

@@ -244,25 +244,6 @@ func TestRunAllRatesZero(t *testing.T) {
 	}
 }
 
-func TestRunTrackTime(t *testing.T) {
-	p := Neutral(1, 1, 1, 0, SelfDestructive)
-	out, err := Run(p, State{20, 10}, rng.New(43), RunOptions{TrackTime: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Consensus || out.Time <= 0 {
-		t.Errorf("outcome = %+v, want positive consensus time", out)
-	}
-	// Without tracking, time stays zero.
-	out2, err := Run(p, State{20, 10}, rng.New(43), RunOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out2.Time != 0 {
-		t.Errorf("untracked time = %v, want 0", out2.Time)
-	}
-}
-
 func TestRunGapHitZeroFromTie(t *testing.T) {
 	// Starting tied with positive counts and at least one more step
 	// before consensus, GapHitZero must not trigger for the start state
@@ -347,12 +328,12 @@ func TestEventKindHelpers(t *testing.T) {
 	individual := []EventKind{Birth0, Birth1, Death0, Death1}
 	competitive := []EventKind{Inter0, Inter1, Intra0, Intra1}
 	for _, k := range individual {
-		if !k.IsIndividual() || k.IsCompetitive() {
+		if !k.IsIndividual() {
 			t.Errorf("%v misclassified", k)
 		}
 	}
 	for _, k := range competitive {
-		if k.IsIndividual() || !k.IsCompetitive() {
+		if k.IsIndividual() {
 			t.Errorf("%v misclassified", k)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lvmajority/internal/rng"
+	"lvmajority/internal/testutil"
 )
 
 // referenceRun replays the pre-fusion Run implementation: a NewChain +
@@ -15,7 +16,6 @@ func referenceRun(t *testing.T, params Params, initial State, src *rng.Source, o
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain.SetTrackTime(opts.TrackTime)
 	maxSteps := opts.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = DefaultMaxSteps
@@ -38,14 +38,12 @@ func referenceRun(t *testing.T, params Params, initial State, src *rng.Source, o
 		if chain.Steps() >= maxSteps {
 			out.Steps = chain.Steps()
 			out.Final = chain.State()
-			out.Time = chain.Time()
 			return out
 		}
 		kind, ok := chain.Step()
 		if !ok {
 			out.Steps = chain.Steps()
 			out.Final = chain.State()
-			out.Time = chain.Time()
 			return out
 		}
 		cur := chain.State()
@@ -73,7 +71,6 @@ func referenceRun(t *testing.T, params Params, initial State, src *rng.Source, o
 	out.Consensus = true
 	out.Steps = chain.Steps()
 	out.Final = chain.State()
-	out.Time = chain.Time()
 	out.Winner = out.Final.Winner()
 	out.MajorityWon = out.Winner == majority
 	return out
@@ -81,9 +78,8 @@ func referenceRun(t *testing.T, params Params, initial State, src *rng.Source, o
 
 // TestFusedKernelByteIdenticalToStepLoop runs the fused Run kernel and the
 // Step-loop reference from identical streams across every competition
-// regime, time tracking mode, and a budget-bound chain, and demands
-// Outcome equality in every field — the fused kernel must be invisible at
-// the bit level.
+// regime and a budget-bound chain, and demands Outcome equality in every
+// field — the fused kernel must be invisible at the bit level.
 func TestFusedKernelByteIdenticalToStepLoop(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -95,7 +91,6 @@ func TestFusedKernelByteIdenticalToStepLoop(t *testing.T) {
 		{"NSD", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 40, X1: 30}, RunOptions{}},
 		{"SD-intra", Neutral(1, 1, 0, 1, SelfDestructive), State{X0: 24, X1: 18}, RunOptions{}},
 		{"NSD-both", Neutral(1, 1, 0.5, 0.5, NonSelfDestructive), State{X0: 30, X1: 20}, RunOptions{}},
-		{"tracked-time", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 25, X1: 15}, RunOptions{TrackTime: true}},
 		{"asymmetric", Params{Beta: 1, Delta: 0.5, Alpha: [2]float64{1, 0.8}, Gamma: [2]float64{0.2, 0.1}, Competition: NonSelfDestructive}, State{X0: 20, X1: 16}, RunOptions{}},
 		{"budget-bound", Neutral(1, 1, 0, 0, SelfDestructive), State{X0: 10, X1: 10}, RunOptions{MaxSteps: 500}},
 		{"tie-start", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 20, X1: 20}, RunOptions{}},
@@ -123,12 +118,12 @@ func TestFusedKernelByteIdenticalToStepLoop(t *testing.T) {
 func TestRunAllocationFree(t *testing.T) {
 	params := Neutral(1, 1, 1, 0, SelfDestructive)
 	src := rng.New(7)
-	allocs := testing.AllocsPerRun(50, func() {
+	mallocs := testutil.Mallocs(50, func() {
 		if _, err := Run(params, State{X0: 40, X1: 30}, src, RunOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs != 0 {
-		t.Errorf("lv.Run allocated %v times per call, want 0", allocs)
+	if mallocs != 0 {
+		t.Errorf("50 lv.Run calls allocated %d times, want 0", mallocs)
 	}
 }

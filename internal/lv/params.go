@@ -97,17 +97,6 @@ func (p Params) Theta() float64 { return p.Beta + p.Delta }
 // AlphaSum returns α = α₀ + α₁.
 func (p Params) AlphaSum() float64 { return p.Alpha[0] + p.Alpha[1] }
 
-// AlphaMin returns α_min = min(α₀, α₁).
-func (p Params) AlphaMin() float64 { return min(p.Alpha[0], p.Alpha[1]) }
-
-// GammaSum returns γ = γ₀ + γ₁.
-func (p Params) GammaSum() float64 { return p.Gamma[0] + p.Gamma[1] }
-
-// IsNeutral reports whether both species have identical rate parameters.
-func (p Params) IsNeutral() bool {
-	return p.Alpha[0] == p.Alpha[1] && p.Gamma[0] == p.Gamma[1]
-}
-
 // String renders the parameters compactly.
 func (p Params) String() string {
 	return fmt.Sprintf("lv(%s, beta=%g delta=%g alpha=[%g %g] gamma=[%g %g])",

@@ -10,6 +10,7 @@ import (
 	"lvmajority/internal/consensus"
 	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
+	"lvmajority/internal/testutil"
 )
 
 // lockstepPaths are the two ways a lockstep block can run: the dispatching
@@ -623,14 +624,14 @@ func TestLockstepAllocationFree(t *testing.T) {
 			}
 			wins := make([]bool, 4*DefaultLockstepLanes)
 			seed := uint64(0)
-			allocs := testing.AllocsPerRun(50, func() {
+			mallocs := testutil.Mallocs(50, func() {
 				seed++
 				if err := e.run(seed, 0, len(wins), wins, path.avx2); err != nil {
 					t.Fatal(err)
 				}
 			})
-			if allocs != 0 {
-				t.Errorf("lockstep block run allocated %v times per call, want 0", allocs)
+			if mallocs != 0 {
+				t.Errorf("50 lockstep block runs allocated %d times, want 0", mallocs)
 			}
 		})
 	}

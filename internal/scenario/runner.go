@@ -491,7 +491,6 @@ func (r *Runner) runSweep(ctx context.Context, spec *Spec, cache *sweep.Cache, r
 		Target:      sw.Target,
 		Trials:      sw.Trials,
 		Workers:     spec.Workers,
-		Lanes:       sw.Lanes,
 		Seed:        spec.Seed,
 		MaxDelta:    sw.MaxDelta,
 		Cold:        sw.Cold,

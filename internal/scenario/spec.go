@@ -46,7 +46,7 @@ const (
 	// population size.
 	TaskThreshold Task = "threshold"
 	// TaskSweep computes a whole threshold curve Ψ(n) over a population
-	// grid on the internal/sweep engine (warm starts, probe cache, lanes).
+	// grid on the internal/sweep engine (warm starts, probe cache).
 	TaskSweep Task = "sweep"
 	// TaskSimulate runs batch simulations of the model from an explicit
 	// initial state and aggregates outcome statistics.
@@ -215,8 +215,6 @@ type SweepSpec struct {
 	Trials int `json:"trials,omitempty"`
 	// Target is the success probability (0 = 1 − 1/n per point).
 	Target float64 `json:"target,omitempty"`
-	// Lanes is the number of concurrent per-n searches (0 = 1).
-	Lanes int `json:"lanes,omitempty"`
 	// MaxDelta caps each search (0 = n−2).
 	MaxDelta int `json:"max_delta,omitempty"`
 	// Cold disables warm-started brackets.
@@ -407,7 +405,7 @@ func (s *Spec) Validate() error {
 				return fmt.Errorf("scenario: sweep population %d too small", n)
 			}
 		}
-		if sw.Trials < 0 || sw.Lanes < 0 || sw.MaxDelta < 0 {
+		if sw.Trials < 0 || sw.MaxDelta < 0 {
 			return fmt.Errorf("scenario: negative sweep parameter")
 		}
 		if sw.Target < 0 || sw.Target >= 1 {

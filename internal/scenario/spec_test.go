@@ -36,7 +36,7 @@ func sampleSpecs() map[string]Spec {
 	sweepSpec.Seed = 1
 	sweepSpec.Workers = 2
 	sweepSpec.Cache = &CacheSpec{Policy: CacheMemory}
-	sweepSpec.Sweep = &SweepSpec{Grid: []int{64, 128}, Trials: 300, Target: 0.9, Lanes: 2}
+	sweepSpec.Sweep = &SweepSpec{Grid: []int{64, 128}, Trials: 300, Target: 0.9}
 
 	simulate := New(TaskSimulate)
 	simulate.Model = lvModel
@@ -120,6 +120,14 @@ func TestSpecUnknownFieldRejected(t *testing.T) {
 	}
 	if _, err := ParseSpec([]byte(fmt.Sprintf(exp, `,"kernel":"lockstep"`))); err == nil {
 		t.Error("experiment kernel field accepted")
+	}
+	// So is the sweep task's lanes field: a sweep runs as one warm chain.
+	sw := `{"version":1,"task":"sweep","model":{"kind":"protocol","protocol":{"name":"voter"}},"sweep":{"grid":[64]%s}}`
+	if _, err := ParseSpec([]byte(fmt.Sprintf(sw, ""))); err != nil {
+		t.Fatalf("sweep spec rejected: %v", err)
+	}
+	if _, err := ParseSpec([]byte(fmt.Sprintf(sw, `,"lanes":2`))); err == nil {
+		t.Error("sweep lanes field accepted")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package stats provides the statistical machinery used by the experiment
 // harness and the test suite: streaming moments, quantiles, empirical CDFs,
 // binomial confidence intervals, regression for scaling-exponent fits, and
-// the mergeable quantile digest behind the server's duration summaries.
+// the streaming quantile digest behind the server's duration summaries.
 //
 // The pieces the rest of the repository builds on: Running (streaming
 // mean/variance/extrema without storing samples), Quantile and NewECDF
@@ -81,30 +81,6 @@ func (r *Running) Min() float64 { return r.min }
 // Max returns the largest sample, or 0 if no samples were added.
 func (r *Running) Max() float64 { return r.max }
 
-// Merge combines another accumulator into r using the parallel variant of
-// Welford's update, so statistics can be accumulated per worker and merged.
-func (r *Running) Merge(other *Running) {
-	if other.n == 0 {
-		return
-	}
-	if r.n == 0 {
-		*r = *other
-		return
-	}
-	nA, nB := float64(r.n), float64(other.n)
-	delta := other.mean - r.mean
-	total := nA + nB
-	r.mean += delta * nB / total
-	r.m2 += other.m2 + delta*delta*nA*nB/total
-	r.n += other.n
-	if other.min < r.min {
-		r.min = other.min
-	}
-	if other.max > r.max {
-		r.max = other.max
-	}
-}
-
 // String summarizes the accumulator for logs and tables.
 func (r *Running) String() string {
 	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g max=%.4g",
@@ -136,10 +112,6 @@ func Quantile(xs []float64, q float64) (float64, error) {
 	frac := pos - float64(lo)
 	return sorted[lo]*(1-frac) + sorted[hi]*frac, nil
 }
-
-// Median returns the sample median of xs. It returns an error for an empty
-// input.
-func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {

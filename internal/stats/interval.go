@@ -23,9 +23,6 @@ func (e BernoulliEstimate) P() float64 {
 	return float64(e.Successes) / float64(e.Trials)
 }
 
-// Width returns Hi − Lo.
-func (e BernoulliEstimate) Width() float64 { return e.Hi - e.Lo }
-
 // String renders the estimate for logs and tables.
 func (e BernoulliEstimate) String() string {
 	return fmt.Sprintf("%.4f [%.4f, %.4f] (%d/%d)", e.P(), e.Lo, e.Hi, e.Successes, e.Trials)

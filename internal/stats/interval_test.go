@@ -103,10 +103,10 @@ func TestWilsonIntervalMonotoneWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if e.Width() > prev {
-			t.Errorf("width grew from %v to %v at n=%d", prev, e.Width(), n)
+		if w := e.Hi - e.Lo; w > prev {
+			t.Errorf("width grew from %v to %v at n=%d", prev, w, n)
 		}
-		prev = e.Width()
+		prev = e.Hi - e.Lo
 	}
 }
 

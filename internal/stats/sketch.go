@@ -10,8 +10,8 @@ import (
 // layer: a streaming estimate of order statistics that never materializes
 // the sample, so a long run can report running quantiles in bounded
 // memory. QuantileSketch is a fixed-k merging digest: bounded centroids
-// over the whole distribution, any quantile queryable, and sketches built
-// on separate workers merge. The server's run-duration summaries use it.
+// over the whole distribution, any quantile queryable. The server's
+// run-duration summaries use it.
 //
 // Like everything in this package, the sketch is deterministic: equal
 // insertion sequences produce equal states, so it never participates in
@@ -24,16 +24,13 @@ type centroid struct {
 }
 
 // QuantileSketch is a fixed-size merging digest over a stream: at most k
-// centroids (weighted means, sorted) summarize the full distribution, any
-// quantile is queryable by interpolating the cumulative weights, and two
-// sketches merge by pooling their centroids — merge(a, b) approximates the
-// sketch of the concatenated stream, which is what lets per-worker sketches
-// combine into one fleet summary.
+// centroids (weighted means, sorted) summarize the full distribution, and
+// any quantile is queryable by interpolating the cumulative weights.
 //
 // Error bound: each compaction bins the pooled points into at most k
 // equal-weight groups, so one compaction moves any point's rank by at most
 // n/k — a rank error of 1/k. Compactions compose, so after the O(n/k)
-// compactions of a long stream (or an arbitrary merge tree) the practical
+// compactions of a long stream the practical
 // rank error stays a small multiple of 1/k; the property tests pin it below
 // 3/k on uniform, normal, bimodal, and adversarially sorted inputs, and the
 // default k = 128 keeps that under 2.5%. Quantile(0) and Quantile(1) are
@@ -95,24 +92,6 @@ func (s *QuantileSketch) AddWeighted(x, w float64) {
 	if len(s.buf) >= 4*s.k {
 		s.compact()
 	}
-}
-
-// Merge incorporates other into s; other is unchanged. The result
-// approximates the sketch of the union stream within the documented error.
-func (s *QuantileSketch) Merge(other *QuantileSketch) {
-	if other == nil || other.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		s.min, s.max = other.min, other.max
-	} else {
-		s.min = math.Min(s.min, other.min)
-		s.max = math.Max(s.max, other.max)
-	}
-	s.n += other.n
-	s.buf = append(s.buf, other.centroids...)
-	s.buf = append(s.buf, other.buf...)
-	s.compact()
 }
 
 // compact pools the pending buffer with the existing centroids and re-bins

@@ -138,79 +138,6 @@ func TestQuantileSketchExtremesExact(t *testing.T) {
 	}
 }
 
-// TestQuantileSketchMerge: merge(a, b) must approximate sketch(a∪b) — both
-// judged against the exact quantiles of the union, and against each other.
-func TestQuantileSketchMerge(t *testing.T) {
-	const k = 128
-	maxRankErr := 3.0 / k
-	g := &lcg{state: 20240506}
-	a := make([]float64, 6000)
-	for i := range a {
-		a[i] = g.normal()
-	}
-	b := make([]float64, 4000)
-	for i := range b {
-		b[i] = 3 + 2*g.uniform() // disjoint-ish mass so merging actually matters
-	}
-	union := append(append([]float64(nil), a...), b...)
-
-	sa, sb, su := NewQuantileSketch(k), NewQuantileSketch(k), NewQuantileSketch(k)
-	for _, x := range a {
-		sa.Add(x)
-		su.Add(x)
-	}
-	for _, x := range b {
-		sb.Add(x)
-		su.Add(x)
-	}
-	merged := NewQuantileSketch(k)
-	merged.Merge(sa)
-	merged.Merge(sb)
-	if merged.N() != float64(len(union)) {
-		t.Fatalf("merged N=%v, want %d", merged.N(), len(union))
-	}
-
-	for _, q := range []float64{0, 0.05, 0.25, 0.5, 0.75, 0.95, 1} {
-		mv, err := merged.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		uv, err := su.Quantile(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if re := rankError(union, mv, q); re > maxRankErr {
-			t.Errorf("q=%.2f: merged estimate %.4f has union rank error %.4f > %.4f", q, mv, re, maxRankErr)
-		}
-		// merge(a,b) ≈ sketch(a∪b): both sit within the documented band of
-		// the same quantile, so their mutual rank distance is bounded too.
-		if re := rankError(union, uv, q); re > maxRankErr {
-			t.Errorf("q=%.2f: union-sketch estimate %.4f has rank error %.4f > %.4f", q, uv, re, maxRankErr)
-		}
-	}
-}
-
-// TestQuantileSketchMergeEmptyAndSelf: degenerate merges keep the sketch
-// coherent.
-func TestQuantileSketchMergeEmptyAndSelf(t *testing.T) {
-	s := NewQuantileSketch(16)
-	s.Merge(nil)
-	s.Merge(NewQuantileSketch(16))
-	if s.N() != 0 {
-		t.Fatalf("empty merges produced N=%v", s.N())
-	}
-	if _, err := s.Quantile(0.5); err == nil {
-		t.Error("empty sketch quantile should error")
-	}
-	s.Add(1)
-	s.Add(2)
-	empty := NewQuantileSketch(16)
-	empty.Merge(s)
-	if empty.N() != 2 || empty.Min() != 1 || empty.Max() != 2 {
-		t.Errorf("merge into empty sketch lost state: N=%v min=%v max=%v", empty.N(), empty.Min(), empty.Max())
-	}
-}
-
 // TestQuantileSketchDeterministic: equal insertion sequences produce equal
 // centroid states and equal answers.
 func TestQuantileSketchDeterministic(t *testing.T) {

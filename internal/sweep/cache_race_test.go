@@ -12,8 +12,8 @@ import (
 
 // TestCacheConcurrentSweeps hammers one Cache from many concurrent sweeps —
 // the shape of load the process-wide server cache sees: several in-flight
-// runs over overlapping and disjoint probe keys, each sweep itself fanning
-// out over lanes and workers, interleaved with raw Get/Put/Counters/Len and
+// runs over overlapping and disjoint probe keys, each sweep's probes fanning
+// out over workers, interleaved with raw Get/Put/Counters/Len and
 // periodic Saves. Run under -race (CI does) this is the satellite guarantee
 // that sweep.Cache is safe to share between in-flight runs; without -race it
 // still verifies that concurrent sweeps read back exactly the results a
@@ -27,7 +27,7 @@ func TestCacheConcurrentSweeps(t *testing.T) {
 	// Serial reference: one sweep per protocol variant on a private cache.
 	protos := []sqrtStepProtocol{{c: 1.5}, {c: 2}, {c: 2.5}}
 	optsFor := func(seed uint64) Options {
-		return Options{Grid: testGrid, Target: 0.9, Trials: 300, Seed: seed, Workers: 2, Lanes: 2}
+		return Options{Grid: testGrid, Target: 0.9, Trials: 300, Seed: seed, Workers: 2}
 	}
 	want := make([]Result, len(protos))
 	for i, p := range protos {

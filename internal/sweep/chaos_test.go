@@ -13,7 +13,7 @@ import (
 // chaosOpts is the sweep configuration every chaos scenario runs: small
 // enough to be fast, large enough to cross several probe boundaries.
 func chaosOpts(cache *Cache) Options {
-	return Options{Grid: testGrid, Target: 0.9, Trials: 300, Seed: 21, Workers: 2, Lanes: 2, Cache: cache}
+	return Options{Grid: testGrid, Target: 0.9, Trials: 300, Seed: 21, Workers: 2, Cache: cache}
 }
 
 // chaosReference computes the uninterrupted sweep once per test: the
@@ -42,7 +42,7 @@ func sameThresholds(t *testing.T, got, want Result, scenario string) {
 
 // TestChaosKillResumeByteIdentical is the crash-safety oracle: a sweep
 // killed at an arbitrary probe-flush boundary (simulated by an injected
-// panic at the probe-flush site, recovered by the lane) leaves a readable
+// panic at the probe-flush site, recovered by the sweep) leaves a readable
 // checkpoint on disk, and resuming from that checkpoint reproduces the
 // uninterrupted sweep exactly — same thresholds, and a byte-identical
 // final cache file.

@@ -18,7 +18,6 @@ func TestSweepUnchangedByProgressHook(t *testing.T) {
 		Grid:   []int{24, 32, 48, 64},
 		Trials: 200,
 		Seed:   9,
-		Lanes:  2,
 		Cache:  NewCache(),
 	}
 	quiet, err := Run(logisticProtocol{}, base)

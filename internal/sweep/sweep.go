@@ -2,32 +2,28 @@
 // job instead of independent cold searches. Three mechanisms stack on top
 // of consensus.FindThreshold:
 //
-//   - Warm starting. The grid is processed in ascending n along a small
-//     number of deterministic lanes; within a lane, the bracket for each n
-//     is seeded from the threshold found at the lane's previous n. Since
-//     Ψ(n) is monotone in n, an accurate seed replaces the exponential
-//     bracketing phase with one or two confirmation probes.
+//   - Warm starting. The grid runs as one chain in ascending n, and the
+//     bracket for each n is seeded from the threshold found at the previous
+//     n. Since Ψ(n) is monotone in n, an accurate seed replaces the
+//     exponential bracketing phase with one or two confirmation probes.
 //   - Caching. Every probe is memoized within a search (consensus layer)
 //     and recorded in an optional persistent Cache keyed by (protocol, n,
 //     delta, seed, trials, target, early-stop), so re-running a sweep —
 //     or a CLI — replays settled probes without spending a single trial.
-//   - Parallelism. Lanes run concurrently under a shared worker budget,
-//     and every probe fans its trials out on the internal/mc pool.
+//   - Parallelism. Every probe fans its trials out on the internal/mc pool,
+//     which splits even a narrow window across all workers.
 //
 // Determinism: probes draw from streams keyed by (seed, gap, trial index),
-// so a probe's estimate is bit-identical regardless of worker count, lane
-// count, or whether it was replayed from the cache. The search path (and
-// with it the probe count) depends on warm starting, but when the probe
-// outcomes are monotone in the gap — the assumption FindThreshold is built
-// on — the returned thresholds are identical to a cold serial search's.
+// so a probe's estimate is bit-identical regardless of worker count or
+// whether it was replayed from the cache. The search path (and with it the
+// probe count) depends on warm starting, but when the probe outcomes are
+// monotone in the gap — the assumption FindThreshold is built on — the
+// returned thresholds are identical to a cold serial search's.
 package sweep
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
-	"sync/atomic"
 
 	"lvmajority/internal/consensus"
 	"lvmajority/internal/progress"
@@ -65,15 +61,9 @@ type Options struct {
 	Trials int
 	// TrialsFor overrides Trials per population size when non-nil.
 	TrialsFor func(n int) int
-	// Workers is the total parallel worker budget shared by all lanes
-	// (default GOMAXPROCS).
+	// Workers is the parallel worker budget of every probe (default
+	// GOMAXPROCS).
 	Workers int
-	// Lanes is the number of concurrent per-n searches. Grid index i is
-	// assigned to lane i mod Lanes and warm-started from index i −
-	// Lanes, so the dependency structure — and with it the search path —
-	// is fixed by Lanes alone, never by scheduling. Default 1 (a single
-	// warm chain).
-	Lanes int
 	// Seed is the root seed.
 	Seed uint64
 	// SeedFor derives the per-population root seed when non-nil; the
@@ -188,95 +178,27 @@ func Run(p consensus.Protocol, opts Options) (Result, error) {
 	slices.Sort(grid)
 	grid = slices.Compact(grid)
 
-	lanes := opts.Lanes
-	if lanes <= 0 {
-		lanes = 1
-	}
-	if lanes > len(grid) {
-		lanes = len(grid)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	// Split the worker budget across lanes, spreading the remainder over
-	// the first lanes so none of it idles. Worker counts never affect
-	// estimates, only scheduling.
-	laneWorkers := func(lane int) int {
-		w := workers / lanes
-		if lane < workers%lanes {
-			w++
-		}
-		if w < 1 {
-			w = 1
-		}
-		return w
-	}
-
-	// Lane goroutines may log concurrently; serialize so callers can pass
-	// any log sink without their own locking.
-	logf := func(string, ...any) {}
-	if opts.Log != nil {
-		var logMu sync.Mutex
-		logf = func(format string, args ...any) {
-			logMu.Lock()
-			defer logMu.Unlock()
-			opts.Log(format, args...)
-		}
+	logf := opts.Log
+	if logf == nil {
+		logf = func(string, ...any) {}
 	}
 
 	res := Result{Protocol: p.Name(), Points: make([]Point, len(grid))}
-	var estimatorCalls, cacheHits atomic.Int64
-	errs := make([]error, lanes)
-	var wg sync.WaitGroup
-	for lane := 0; lane < lanes; lane++ {
-		wg.Add(1)
-		go func(lane int) {
-			defer wg.Done()
-			// A panic escaping a search (an engine defect below the mc
-			// recovery boundary, or an injected probe-flush fault) must fail
-			// the sweep, not the process: the other lanes drain, settled
-			// probes stay checkpointed, and the caller gets an error.
-			defer func() {
-				if v := recover(); v != nil {
-					errs[lane] = fmt.Errorf("sweep: panic in lane %d: %v", lane, v)
-				}
-			}()
-			hint := 0
-			for i := lane; i < len(grid); i += lanes {
-				n := grid[i]
-				pt, err := runPoint(p, n, hint, laneWorkers(lane), opts, logf, &estimatorCalls, &cacheHits)
-				if err != nil {
-					errs[lane] = fmt.Errorf("sweep: threshold search at n=%d: %w", n, err)
-					return
-				}
-				res.Points[i] = pt
-				logf("sweep %s: n=%d threshold=%d (%d probes, %d fresh, %d cached)",
-					res.Protocol, n, pt.Threshold, pt.Probes, pt.EstimatorCalls, pt.CacheHits)
-				if !opts.Cold && pt.Found {
-					hint = pt.Threshold
-				}
+	if err := runChain(p, grid, opts, logf, &res); err != nil {
+		// Best effort: keep the probes already settled so a retry does
+		// not repay their Monte-Carlo cost.
+		if opts.Cache != nil {
+			if saveErr := opts.Cache.Save(); saveErr != nil {
+				err = fmt.Errorf("%w (additionally, saving the probe cache failed: %v)", err, saveErr)
 			}
-		}(lane)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			// Best effort: keep the probes the other lanes settled so
-			// a retry does not repay their Monte-Carlo cost.
-			if opts.Cache != nil {
-				if saveErr := opts.Cache.Save(); saveErr != nil {
-					err = fmt.Errorf("%w (additionally, saving the probe cache failed: %v)", err, saveErr)
-				}
-			}
-			return res, err
 		}
+		return res, err
 	}
 	for _, pt := range res.Points {
 		res.Probes += pt.Probes
+		res.EstimatorCalls += pt.EstimatorCalls
+		res.CacheHits += pt.CacheHits
 	}
-	res.EstimatorCalls = int(estimatorCalls.Load())
-	res.CacheHits = int(cacheHits.Load())
 	if opts.Cache != nil {
 		// Losing persistence never fails a computed sweep: the results in
 		// hand are correct regardless of whether the cache reached disk.
@@ -287,9 +209,37 @@ func Run(p consensus.Protocol, opts Options) (Result, error) {
 	return res, nil
 }
 
+// runChain runs the grid's searches in ascending n, each hinted by the
+// previous threshold, and fills res.Points.
+func runChain(p consensus.Protocol, grid []int, opts Options, logf func(string, ...any), res *Result) (err error) {
+	// A panic escaping a search (an engine defect below the mc recovery
+	// boundary, or an injected probe-flush fault) must fail the sweep,
+	// not the process: settled probes stay checkpointed, and the caller
+	// gets an error.
+	defer func() {
+		if v := recover(); v != nil {
+			err = fmt.Errorf("sweep: panic: %v", v)
+		}
+	}()
+	hint := 0
+	for i, n := range grid {
+		pt, err := runPoint(p, n, hint, opts, logf)
+		if err != nil {
+			return fmt.Errorf("sweep: threshold search at n=%d: %w", n, err)
+		}
+		res.Points[i] = pt
+		logf("sweep %s: n=%d threshold=%d (%d probes, %d fresh, %d cached)",
+			res.Protocol, n, pt.Threshold, pt.Probes, pt.EstimatorCalls, pt.CacheHits)
+		if !opts.Cold && pt.Found {
+			hint = pt.Threshold
+		}
+	}
+	return nil
+}
+
 // runPoint runs the warm-started, cache-backed threshold search for one
 // population size.
-func runPoint(p consensus.Protocol, n, hint, workers int, opts Options, logf func(string, ...any), estimatorCalls, cacheHits *atomic.Int64) (Point, error) {
+func runPoint(p consensus.Protocol, n, hint int, opts Options, logf func(string, ...any)) (Point, error) {
 	target := opts.targetFor(n)
 	trials := opts.trialsFor(n)
 	seed := opts.seedFor(n)
@@ -330,7 +280,6 @@ func runPoint(p consensus.Protocol, n, hint, workers int, opts Options, logf fun
 		if opts.Cache != nil {
 			if est, ok := opts.Cache.Get(key); ok {
 				hits++
-				cacheHits.Add(1)
 				emitProbe(pointHook, n, delta, est, true)
 				return est, nil
 			}
@@ -340,7 +289,6 @@ func runPoint(p consensus.Protocol, n, hint, workers int, opts Options, logf fun
 			return est, err
 		}
 		fresh++
-		estimatorCalls.Add(1)
 		if opts.Cache != nil {
 			opts.Cache.Put(key, est)
 			// Checkpoint at the probe boundary: a process killed at any
@@ -359,7 +307,7 @@ func runPoint(p consensus.Protocol, n, hint, workers int, opts Options, logf fun
 	res, err := consensus.FindThreshold(p, n, consensus.ThresholdOptions{
 		Target:    target,
 		Trials:    trials,
-		Workers:   workers,
+		Workers:   opts.Workers,
 		Seed:      seed,
 		MaxDelta:  opts.MaxDelta,
 		EarlyStop: earlyStop,

@@ -62,8 +62,8 @@ func coldReference(t *testing.T, p consensus.Protocol, opts Options) []consensus
 
 // TestSweepMatchesColdSerial is the headline regression test: the
 // warm-started, cached, parallel sweep must return byte-identical Threshold
-// values to the cold serial FindThreshold, for any worker count, any lane
-// count, and a warm or cold cache.
+// values to the cold serial FindThreshold, for any worker count and a warm
+// or cold cache.
 func TestSweepMatchesColdSerial(t *testing.T) {
 	for _, proto := range []consensus.Protocol{sqrtStepProtocol{c: 1.7}, logisticProtocol{}} {
 		for _, earlyStop := range []bool{true, false} {
@@ -77,24 +77,21 @@ func TestSweepMatchesColdSerial(t *testing.T) {
 			want := coldReference(t, proto, base)
 			cache := NewCache()
 			for _, workers := range []int{1, 3, 8} {
-				for _, lanes := range []int{1, 2, 3} {
-					opts := base
-					opts.Workers = workers
-					opts.Lanes = lanes
-					opts.Cache = cache
-					res, err := Run(proto, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(res.Points) != len(want) {
-						t.Fatalf("%s: %d points, want %d", proto.Name(), len(res.Points), len(want))
-					}
-					for i, pt := range res.Points {
-						if pt.Threshold != want[i].Threshold || pt.Found != want[i].Found {
-							t.Errorf("%s earlyStop=%v workers=%d lanes=%d: n=%d threshold=%d (found=%v), cold serial %d (found=%v)",
-								proto.Name(), earlyStop, workers, lanes, pt.N,
-								pt.Threshold, pt.Found, want[i].Threshold, want[i].Found)
-						}
+				opts := base
+				opts.Workers = workers
+				opts.Cache = cache
+				res, err := Run(proto, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res.Points) != len(want) {
+					t.Fatalf("%s: %d points, want %d", proto.Name(), len(res.Points), len(want))
+				}
+				for i, pt := range res.Points {
+					if pt.Threshold != want[i].Threshold || pt.Found != want[i].Found {
+						t.Errorf("%s earlyStop=%v workers=%d: n=%d threshold=%d (found=%v), cold serial %d (found=%v)",
+							proto.Name(), earlyStop, workers, pt.N,
+							pt.Threshold, pt.Found, want[i].Threshold, want[i].Found)
 					}
 				}
 			}
