@@ -1,9 +1,17 @@
 package cpufeat
 
-var (
-	hasAVX2   = detectAVX2()
-	hasAVX512 = hasAVX2 && detectAVX512()
-)
+var widest = detect()
+
+// detect returns the widest level this CPU runs.
+func detect() Level {
+	switch {
+	case !detectAVX2():
+		return Portable
+	case detectAVX512():
+		return AVX512
+	}
+	return AVX2
+}
 
 // detectAVX2 reads CPUID leaf 7 EBX bit 5 (AVX2), leaf 1 ECX bits 27
 // (OSXSAVE) and 28 (AVX), and XCR0, whose bits 1 and 2 show that the OS

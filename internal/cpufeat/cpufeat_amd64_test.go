@@ -39,17 +39,18 @@ func cpuinfoFlags(t *testing.T) map[string]bool {
 // xsave, avx and avx2 together when it does not enable XSAVE.
 func TestAVX2DetectionMatchesCPUInfo(t *testing.T) {
 	flags := cpuinfoFlags(t)
+	avx2 := cpufeat.Widest() >= cpufeat.AVX2
 	switch {
 	case !flags["avx2"]:
-		if cpufeat.AVX2() {
+		if avx2 {
 			t.Error("the detector reports AVX2, but /proc/cpuinfo lists no avx2")
 		}
 	case flags["avx"] && (flags["osxsave"] || flags["xsave"]):
-		if !cpufeat.AVX2() {
+		if !avx2 {
 			t.Error("/proc/cpuinfo lists avx2, avx and xsave, but the detector reports no AVX2")
 		}
 	default:
-		t.Logf("avx2 without avx or xsave in /proc/cpuinfo; the detector reports AVX2 = %v", cpufeat.AVX2())
+		t.Logf("avx2 without avx or xsave in /proc/cpuinfo; the detector reports AVX2 = %v", avx2)
 	}
 }
 
@@ -60,16 +61,17 @@ func TestAVX2DetectionMatchesCPUInfo(t *testing.T) {
 // carries over.
 func TestAVX512DetectionMatchesCPUInfo(t *testing.T) {
 	flags := cpuinfoFlags(t)
+	avx512 := cpufeat.Widest() == cpufeat.AVX512
 	switch {
 	case !flags["avx512f"] || !flags["avx512dq"]:
-		if cpufeat.AVX512() {
+		if avx512 {
 			t.Error("the detector reports AVX-512, but /proc/cpuinfo lists no avx512f and avx512dq")
 		}
 	case flags["avx2"] && flags["avx"] && (flags["osxsave"] || flags["xsave"]):
-		if !cpufeat.AVX512() {
+		if !avx512 {
 			t.Error("/proc/cpuinfo lists avx512f, avx512dq, avx2, avx and xsave, but the detector reports no AVX-512")
 		}
 	default:
-		t.Logf("avx512f and avx512dq without avx2, avx or xsave in /proc/cpuinfo; the detector reports AVX-512 = %v", cpufeat.AVX512())
+		t.Logf("avx512f and avx512dq without avx2, avx or xsave in /proc/cpuinfo; the detector reports AVX-512 = %v", avx512)
 	}
 }

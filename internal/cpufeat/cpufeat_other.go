@@ -2,9 +2,5 @@
 
 package cpufeat
 
-// hasAVX2 and hasAVX512 are false off amd64: every kernel runs its
-// portable Go round.
-const (
-	hasAVX2   = false
-	hasAVX512 = false
-)
+// widest is Portable off amd64: every kernel runs its Go round.
+const widest = Portable

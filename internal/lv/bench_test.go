@@ -3,6 +3,7 @@ package lv
 import (
 	"testing"
 
+	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 )
 
@@ -120,7 +121,7 @@ func BenchmarkLVBlock(b *testing.B) {
 		perEvent := func(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
 		}
-		engines := append([]Engine{{Name: "block", k: cpuKernel()}}, Engines()...)
+		engines := append([]Engine{{Name: "block", k: cpufeat.Widest()}}, Engines()...)
 		for _, engine := range engines {
 			b.Run(c.name+"/"+engine.Name, func(b *testing.B) {
 				blk, err := NewBlock(c.params, c.initial, 0, false)

@@ -77,26 +77,6 @@ type Block struct {
 	dx0, dx1 [NumEventKinds]int32
 }
 
-// kernel names the widest round kernel a Block may call.
-type kernel uint8
-
-const (
-	goRound      kernel = iota // none: the Go round is the whole engine
-	avx2Kernel                 // roundsAVX2 on full groups of four
-	avx512Kernel               // rounds512 on full groups of eight, else roundsAVX2
-)
-
-// cpuKernel returns the widest round kernel this CPU runs.
-func cpuKernel() kernel {
-	switch {
-	case cpufeat.AVX512():
-		return avx512Kernel
-	case cpufeat.AVX2():
-		return avx2Kernel
-	}
-	return goRound
-}
-
 // blockLanes holds the replicates in flight as planes: lane li has the
 // xoshiro256++ state words s0[li]…s3[li], the configuration (x0[li],
 // x1[li]), the step count steps[li], and the index win[li] of its result
@@ -144,12 +124,12 @@ func NewBlock(params Params, initial State, maxSteps int, coinFlip bool) (*Block
 // and writes whether its initial majority won to wins[rep-lo]. It has the
 // shape of an mc.BlockFunc. A Block is not safe for concurrent use.
 func (b *Block) Run(seed uint64, lo, hi int, wins []bool) error {
-	return b.run(seed, lo, hi, wins, cpuKernel())
+	return b.run(seed, lo, hi, wins, cpufeat.Widest())
 }
 
-// run is Run with the widest round kernel explicit: goRound makes the Go
-// round the whole engine.
-func (b *Block) run(seed uint64, lo, hi int, wins []bool, k kernel) error {
+// run is Run with the widest round kernel's level explicit: Portable makes
+// the Go round the whole engine.
+func (b *Block) run(seed uint64, lo, hi int, wins []bool, k cpufeat.Level) error {
 	if hi < lo || len(wins) != hi-lo {
 		return fmt.Errorf("lv: block [%d, %d) with %d result slots", lo, hi, len(wins))
 	}
@@ -166,9 +146,9 @@ func (b *Block) run(seed uint64, lo, hi int, wins []bool, k kernel) error {
 	for active > 0 {
 		// The widest kernel with a full group of live lanes runs first.
 		switch {
-		case k == avx512Kernel && active >= 8:
+		case k >= cpufeat.AVX512 && active >= 8:
 			rounds512(b, active/8)
-		case k != goRound && active >= 4:
+		case k >= cpufeat.AVX2 && active >= 4:
 			roundsAVX2(b, active/4)
 		}
 		// The Go round: every active lane stops or fires one event.

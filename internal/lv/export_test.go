@@ -10,20 +10,18 @@ const KernelRounds = kernelRounds
 type Engine struct {
 	Name  string
 	Group int // lanes per group of the widest kernel; 0 for the Go round alone
-	k     kernel
+	k     cpufeat.Level
 }
 
-// Engines returns the engines this CPU runs, the widest first and the Go
-// round alone ("portable") last.
+// Engines returns the engines this CPU runs, one per cpufeat level, the
+// widest first and the Go round alone ("portable") last.
 func Engines() []Engine {
+	group := [...]int{cpufeat.Portable: 0, cpufeat.AVX2: 4, cpufeat.AVX512: 8}
 	var es []Engine
-	if cpufeat.AVX512() {
-		es = append(es, Engine{"avx512", 8, avx512Kernel})
+	for _, k := range cpufeat.Levels() {
+		es = append(es, Engine{k.String(), group[k], k})
 	}
-	if cpufeat.AVX2() {
-		es = append(es, Engine{"avx2", 4, avx2Kernel})
-	}
-	return append(es, Engine{"portable", 0, goRound})
+	return es
 }
 
 // Run is Block.Run on engine e.
@@ -47,9 +45,9 @@ func (e Engine) KernelCall(b *Block, seed uint64, groups int) (before, after [Bl
 	}
 	before = b.laneStates()
 	switch e.k {
-	case avx512Kernel:
+	case cpufeat.AVX512:
 		rounds512(b, groups)
-	case avx2Kernel:
+	case cpufeat.AVX2:
 		roundsAVX2(b, groups)
 	}
 	return before, b.laneStates()

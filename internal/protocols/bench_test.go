@@ -94,7 +94,7 @@ const maxLockstepBatchRatio = 0.829
 // kernel on BenchmarkPopulationKernel's workload, n = 10⁴ and δ = 400.
 // Each engine's ns/event is the minimum of three testing.Benchmark runs,
 // alternating between the engines so that a slow spell of the machine
-// weighs on both.
+// weighs on both. It logs which tick kernel the dispatching engine ran.
 func TestLockstepCheaperThanBatch(t *testing.T) {
 	if testing.Short() {
 		t.Skip("times both engines for several seconds; skipped with -short")
@@ -115,9 +115,20 @@ func TestLockstepCheaperThanBatch(t *testing.T) {
 			benchLockstep(b, DefaultLockstepLanes)
 		}))
 	}
+	e, err := NewThreeStateAM().newLockstep(10_000, 400, DefaultLockstepLanes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.runBlock(1, 0, DefaultLockstepLanes, make([]bool, DefaultLockstepLanes)); err != nil {
+		t.Fatal(err)
+	}
+	kernel := "no tick kernel"
+	if e.kernelCalls > 0 {
+		kernel, _ = tickKernel(e.ran)
+	}
 	ratio := lockstep / batch
-	t.Logf("lockstep %.2f ns/event, batch %.2f ns/event: %.2fx batch, bound %.3fx",
-		lockstep, batch, ratio, maxLockstepBatchRatio)
+	t.Logf("lockstep (%s) %.2f ns/event, batch %.2f ns/event: %.2fx batch, bound %.3fx",
+		kernel, lockstep, batch, ratio, maxLockstepBatchRatio)
 	if ratio > maxLockstepBatchRatio {
 		t.Errorf("lockstep costs %.2fx batch per interaction, bound %.3fx", ratio, maxLockstepBatchRatio)
 	}
@@ -136,11 +147,13 @@ func BenchmarkLockstepLanes(b *testing.B) {
 
 // BenchmarkLockstepBlock is the lockstep engine's kernel rung: one op is a
 // block of DefaultLockstepLanes trials, run on the dispatching engine
-// (block: the AVX2 tick kernel where it fits), on the Go rounds alone
-// (portable) and as scalar batch-kernel trials (batch), in ns per
-// simulated interaction and µs per trial. Every engine simulates the same
-// interactions on a stream, so the counts come from the engine's own tick
-// accounting. The 3-state approximate majority is E-BASE's baseline.
+// (block: the widest tick kernel the CPU has, where it fits), at each
+// level the CPU runs (avx512 and avx2, each tick kernel alone, printed only
+// where the CPU has it; portable, the Go rounds alone) and as scalar
+// batch-kernel trials (batch), in ns per simulated interaction and µs per
+// trial. Every engine simulates the same interactions on a stream, so the
+// counts come from the engine's own tick accounting. The 3-state
+// approximate majority is E-BASE's baseline.
 func BenchmarkLockstepBlock(b *testing.B) {
 	const lanes = DefaultLockstepLanes
 	for _, c := range []struct {
@@ -159,10 +172,11 @@ func BenchmarkLockstepBlock(b *testing.B) {
 			b.ReportMetric(ns/float64(events), "ns/event")
 			b.ReportMetric(ns/1e3/float64(b.N*lanes), "us/trial")
 		}
-		for _, engine := range []struct {
-			name string
-			avx2 bool
-		}{{"block", cpufeat.AVX2()}, {"portable", false}} {
+		engines := []lockstepPath{{"block", cpufeat.Widest()}}
+		for _, k := range cpufeat.Levels() {
+			engines = append(engines, lockstepPath{k.String(), k})
+		}
+		for _, engine := range engines {
 			b.Run(c.name+"/"+engine.name, func(b *testing.B) {
 				e, err := NewThreeStateAM().newLockstep(c.n, c.delta, lanes)
 				if err != nil {
@@ -172,7 +186,7 @@ func BenchmarkLockstepBlock(b *testing.B) {
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := e.run(1, i*lanes, (i+1)*lanes, wins, engine.avx2); err != nil {
+					if err := e.run(1, i*lanes, (i+1)*lanes, wins, engine.k); err != nil {
 						b.Fatal(err)
 					}
 				}

@@ -27,15 +27,21 @@ const (
 	stepMask = dirtyBit - 1
 )
 
-// kernelIters caps the four-lane group iterations of one ticksAVX2 call.
-// The runtime never preempts assembly asynchronously, so a call must return
-// within tens of microseconds even when every lane stays eligible, or every
-// stop-the-world would wait for it: 2048 iterations take about 55 µs on a
-// 2-core Xeon VM.
+// kernelIters caps the group visits of one tick kernel call, in groups of
+// eight lanes for ticks512 and four for ticksAVX2. The runtime never
+// preempts assembly asynchronously, so a call must return within tens of
+// microseconds even when every lane stays eligible, or every
+// stop-the-world would wait for it: on a 2-core Sapphire Rapids VM, 2048
+// visits to 128 eligible lanes take 43–51 µs in ticks512 and 37–52 µs in
+// ticksAVX2.
 const kernelIters = 2048
 
-// planeBytes is the byte stride between two count planes: the AVX2 kernel
-// addresses state s's plane at s·planeBytes from plane 0.
+// planeBytes is the byte stride between two count planes: the tick kernels
+// address state s's plane at s·planeBytes from plane 0. The count planes
+// start on a cache line; the state-word and step planes, inside the
+// engine, start 16 bytes past one, behind the allocation's header, so
+// each of ticks512's 64-byte accesses to them spans two lines. Aligning
+// them measured within noise.
 const planeBytes = MaxLockstepLanes * 4
 
 // TrialBlockLanes implements the consensus.BlockTrialer capability. It
@@ -94,15 +100,19 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 // the tail of a block never serializes on stragglers.
 //
 // On amd64 CPUs with AVX2, for tables with at most four states and
-// n(n−1) < 2³², an assembly kernel (ticksAVX2) runs the tick regime
-// instead: four lanes per group, one tick per eligible lane per group
-// iteration, visiting the groups round-robin. A lane is eligible when its
-// step word is below the budget, so that its dirty flag is clear, and w,
-// the sum of its four pair weights, has w < total ≤ 8w; kernelTakes is the
-// same predicate in Go. A clear dirty flag means that no DoneWhenZero rule
-// can have become true: every count update that makes a count zero sets
-// the flag, which keeps the lane away from the kernel until the Go round's
-// decide pass. Each iteration draws r₁ and r₂ speculatively. r₁ is
+// n(n−1) < 2³², an assembly tick kernel runs the tick regime instead:
+// ticks512 in groups of eight lanes on CPUs with AVX-512 F and DQ, and
+// ticksAVX2 in groups of four on the others. Each visit to a group gives
+// every eligible lane of it one tick, and a call visits the groups
+// round-robin. The two kernels keep one contract, which the rest of this
+// comment states, so a lane draws the same whichever ran it. A lane is
+// eligible when its step word is below the budget, so that its dirty flag
+// is clear, and w, the sum of its four pair weights, has w < total ≤ 8w;
+// kernelTakes is the same predicate in Go. A clear dirty flag means that
+// no DoneWhenZero rule can have become true: every count update that
+// makes a count zero sets the flag, which keeps the lane away from the
+// kernel until the Go round's decide pass. Each tick draws r₁ and r₂
+// speculatively. r₁ is
 // effective iff (float64(r₁>>11)·2⁻⁵³)·total < float64(w), the negation of
 // the batch loop's null test, computed exactly as Go does: r₁>>11 and w
 // convert exactly, the scaling by 2⁻⁵³ is exact, only the multiply by
@@ -120,9 +130,9 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 // Go round advances every lane the kernel cannot take — the geometric
 // regime, decisions, budgets, retirement, refill — until the kernel can
 // take it again or it retires, so no lane holds its slot idle across
-// calls. A call runs at most kernelIters group iterations. Everywhere
-// else (other CPUs, more than four states, n > 65536) the Go rounds are
-// the whole engine.
+// calls. A call runs at most kernelIters group visits. Everywhere else
+// (other CPUs, more than four states, n > 65536) the Go rounds are the
+// whole engine.
 type lockstepEngine struct {
 	p   *PopulationProtocol
 	tab *popTable
@@ -136,11 +146,12 @@ type lockstepEngine struct {
 
 	l lockstepLanes
 
-	// kernel reports that ticksAVX2 can run this engine: at most four
-	// states and total < 2³². kpair holds the byte offsets of the count
-	// planes of pair i's states, s at 2i and t at 2i+1; kdelta[s][i] is
-	// state s's net count change when pair i fires, and entries 4–7 are
-	// zero, the index of a lane that does not fire.
+	// kernel reports that the tick kernels can run this engine: at most
+	// four states and total < 2³². kpair holds the byte offsets of the
+	// count planes of pair i's states, s at 2i and t at 2i+1; kdelta[s][i]
+	// is state s's net count change when pair i fires, and entries 4–7 are
+	// zero, the index of a lane that does not fire. One 8-entry row serves
+	// VPERMD with the indices of four lanes or of eight.
 	kernel bool
 	kpair  [8]int64
 	kdelta [4][8]int32
@@ -153,8 +164,10 @@ type lockstepEngine struct {
 	// (including skipped nulls), the same accounting the scalar loop
 	// reports from run; benchmarks read it to price one simulated event.
 	ticks int64
-	// kernelCalls counts ticksAVX2 calls, for tests.
+	// kernelCalls counts tick kernel calls, and ran is the level of the
+	// kernel the last one ran, for tests.
 	kernelCalls int
+	ran         cpufeat.Level
 	// mark is the lanes' progress when kernelTicks last ran (see
 	// kernelTicks); sweep4 zeroes it when it starts.
 	mark progress
@@ -175,7 +188,7 @@ type progress struct {
 // (the interaction counter, with the dirty flag in its top bit), the index
 // win[li] of its result in the block's wins slice, and the count
 // counts[s][li] of each state s. There are at least four count planes; a
-// plane past NumStates holds 1 in every lane, so that the AVX2 kernel's
+// plane past NumStates holds 1 in every lane, so that the tick kernels'
 // zero check after a count update, which reads all four planes, never
 // finds a zero there, and its zero deltas leave it alone.
 type lockstepLanes struct {
@@ -185,10 +198,10 @@ type lockstepLanes struct {
 	counts         [][MaxLockstepLanes]uint32
 }
 
-// kernelTakes reports whether ticksAVX2 can advance lane i, whose pair
-// weights sum to w: the step word is below the budget and
-// w < total ≤ 8w. The kernel tests the same conditions on four lanes at
-// once.
+// kernelTakes reports whether the tick kernels can advance lane i, whose
+// pair weights sum to w: the step word is below the budget and
+// w < total ≤ 8w. The kernels test the same conditions on a group of
+// lanes at once.
 func (l *lockstepLanes) kernelTakes(i int, maxI, w, total int64) bool {
 	return l.step[i] < uint64(maxI) && w < total && 8*w >= total
 }
@@ -292,13 +305,13 @@ func (e *lockstepEngine) finishLane(li int, won bool, wins []bool, hi, lo int) {
 // Blocks wider than the lane capacity are handled by refilling retired
 // lanes, so any block size is accepted.
 func (e *lockstepEngine) runBlock(seed uint64, lo, hi int, wins []bool) error {
-	return e.run(seed, lo, hi, wins, cpufeat.AVX2())
+	return e.run(seed, lo, hi, wins, cpufeat.Widest())
 }
 
-// run is runBlock with the engine explicit: avx2 lets ticksAVX2 run the
-// tick regime where it fits, and without it the Go rounds are the whole
-// engine.
-func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, avx2 bool) error {
+// run is runBlock with the widest tick kernel's level explicit: it lets
+// that kernel run the tick regime where the kernels fit, and at Portable
+// the Go rounds are the whole engine.
+func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, k cpufeat.Level) error {
 	if hi < lo {
 		return fmt.Errorf("protocols: lockstep block [%d, %d) is inverted", lo, hi)
 	}
@@ -311,35 +324,53 @@ func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, avx2 bool) er
 	for li := 0; li < e.active; li++ {
 		e.initLane(li, lo+li, lo)
 	}
-	return e.sweep4(lo, hi, wins, avx2 && e.kernel)
+	if !e.kernel {
+		k = cpufeat.Portable
+	}
+	return e.sweep4(lo, hi, wins, k)
 }
 
-// kernelTicks runs one ticksAVX2 call over the groups covering lanes
-// [0, active) and reports whether the kernel refused a group. The pad
-// lanes of the last group get a dirty step word first, which the kernel
-// never takes.
+// kernelTicks runs one call of the tick kernel of level k, AVX512 or AVX2,
+// over the groups covering lanes [0, active) and reports whether the
+// kernel refused a group. The pad lanes up to the next multiple of eight
+// get a dirty step word first, which neither kernel ever takes.
 //
 // It panics when the lanes have not moved since its previous call: then
 // that call advanced no lane and the hand-back pass after it skipped every
-// lane as the kernel's, so ticksAVX2 and kernelTakes disagree about some
+// lane as the kernel's, so the kernel and kernelTakes disagree about some
 // lane, and every later pass would repeat the same nothing. Only a bug can
 // produce that state; mc reports the panic as a TrialPanicError, where a
 // loop would spin beyond the reach of any interrupt.
-func (e *lockstepEngine) kernelTicks(active int) (refused bool) {
+func (e *lockstepEngine) kernelTicks(active int, k cpufeat.Level) (refused bool) {
 	now := progress{active: active, next: e.nextRep}
 	for _, sd := range e.l.step[:active] {
 		now.ticks += sd & stepMask
 		now.dirty += sd >> 63
 	}
+	name, group := tickKernel(k)
 	if now == e.mark {
-		panic("protocols: lockstep engine stalled: ticksAVX2 advanced no lane that kernelTakes assigns to it")
+		panic("protocols: lockstep engine stalled: " + name + " advanced no lane that kernelTakes assigns to it")
 	}
 	e.mark = now
-	for li := active; li&3 != 0; li++ {
+	for li := active; li&7 != 0; li++ {
 		e.l.step[li] = dirtyBit
 	}
 	e.kernelCalls++
-	return ticksAVX2(e, (active+3)/4)
+	e.ran = k
+	groups := (active + group - 1) / group
+	if k == cpufeat.AVX512 {
+		return ticks512(e, groups)
+	}
+	return ticksAVX2(e, groups)
+}
+
+// tickKernel names the tick kernel of level k, AVX512 or AVX2, and
+// returns its group width in lanes.
+func tickKernel(k cpufeat.Level) (name string, group int) {
+	if k == cpufeat.AVX512 {
+		return "ticks512", 8
+	}
+	return "ticksAVX2", 4
 }
 
 // sweep4 is the engine's round loop. The four pair weights stay in
@@ -348,15 +379,15 @@ func (e *lockstepEngine) kernelTicks(active int) (refused bool) {
 // it runs only on rounds that follow a count update that left a zero (or
 // open a fresh replicate).
 //
-// With avx2 each pass of the lanes first calls ticksAVX2. Unless the
-// kernel refused, the pass is the hand-back: a lane the kernel can take
-// is skipped, and any other lane runs rounds until the kernel can take it
-// or it retires. After a refusal, and without avx2, every lane runs one
-// round per pass. kernelTicks panics when a kernel call and its hand-back
-// pass leave every lane as it was.
+// Above Portable, each pass of the lanes first calls the tick kernel of
+// level k. Unless the kernel refused, the pass is the hand-back: a lane
+// the kernel can take is skipped, and any other lane runs rounds until the
+// kernel can take it or it retires. After a refusal, and at Portable,
+// every lane runs one round per pass. kernelTicks panics when a kernel
+// call and its hand-back pass leave every lane as it was.
 //
 //lint:hotpath
-func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, avx2 bool) error {
+func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, k cpufeat.Level) error {
 	e.mark = progress{}
 	maxI := e.maxInteractions
 	total, ftotal := e.total, e.ftotal
@@ -373,7 +404,7 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, avx2 bool) error {
 		// adv is how far a lane's round moves the pass on: 0 in the
 		// hand-back, which re-examines the lane.
 		adv := 1
-		if avx2 && !e.kernelTicks(active) {
+		if k != cpufeat.Portable && !e.kernelTicks(active, k) {
 			adv = 0
 		}
 		for li := 0; li < active; {

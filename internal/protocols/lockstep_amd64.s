@@ -14,6 +14,7 @@ BCAST(two32, 0x41f0000000000000)   // 2³²
 BCAST(twoM53, 0x3ca0000000000000)  // 2⁻⁵³
 BCAST(low32, 0x00000000ffffffff)
 BCAST(signBit, 0x8000000000000000) // 2⁶³, also the dirty flag
+BCAST(one, 0x0000000000000001)
 BCAST(three, 0x0000000000000003)
 BCAST(four, 0x0000000000000004)
 
@@ -261,6 +262,207 @@ idle:
 	RET
 
 refused:
+	MOVB $1, refused+16(FP)
+	VZEROUPPER
+	RET
+
+// func ticks512(e *lockstepEngine, groups int) (refused bool)
+//
+// ticksAVX2 in groups of eight, step for step. Each pass of the loop visits
+// the group of lanes BX…BX+7 and gives each eligible lane one tick; R9
+// points at the group's counts in plane 0. A ZMM holds the group's words of
+// one state-word plane or of the step plane, and a YMM its row of one count
+// plane. K1 holds the eligible lanes and K2 the effective ones. Z25–Z31
+// hold constants: the broadcast dirty flag, 4, 1, 2⁻⁵³, ftotal, total and
+// maxInteractions; Z0–Z17 hold temporaries. AVX-512 F and DQ add
+// rotations (VPROLQ), exact conversions from unsigned integers
+// (VCVTUQQ2PD), unsigned compares into mask registers, the low word of a
+// 64×64-bit product (VPMULLQ), qword-to-dword packing (VPMOVQD) and masked
+// stores, so that an ineligible lane is never written. The count rows stay
+// in VEX-encoded YMM instructions, which need no AVX-512 VL. No float
+// operation is fused.
+TEXT ·ticks512(SB), NOSPLIT, $0-17
+	MOVQ         e+0(FP), DI
+	MOVQ         groups+8(FP), R11
+	MOVQ         R11, DX
+	SHLQ         $3, DX                                 // lane index past the last group
+	LEAQ         lockstepEngine_l(DI), SI
+	MOVQ         lockstepLanes_counts(SI), R8           // count plane 0
+	VPBROADCASTQ lockstepEngine_maxInteractions(DI), Z31
+	VPBROADCASTQ lockstepEngine_total(DI), Z30
+	VBROADCASTSD lockstepEngine_ftotal(DI), Z29
+	VBROADCASTSD twoM53<>(SB), Z28
+	VPBROADCASTQ one<>(SB), Z27
+	VPBROADCASTQ four<>(SB), Z26
+	VPBROADCASTQ signBit<>(SB), Z25
+	MOVQ         $const_kernelIters, CX
+	XORQ         BX, BX                                 // the group's first lane
+	XORQ         R10, R10                               // consecutive visits with no eligible lane
+
+group512:
+	LEAQ (R8)(BX*4), R9
+
+	// Eligible (K1): the step word is below the budget as unsigned, so a
+	// dirty one never is, and w < total ≤ 8w.
+	VMOVDQU64 lockstepLanes_step(SI)(BX*8), Z0
+	VPCMPUQ   $1, Z31, Z0, K1                  // step < maxInteractions
+
+	// The pair weights c[s]·c[t], all below 2³², and their prefix sums:
+	// Z1 = w0, Z2 = w0+w1, Z3 = w0+w1+w2, Z4 = w.
+	MOVQ      lockstepEngine_kpair+0(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z1
+	MOVQ      lockstepEngine_kpair+8(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z5
+	VPMULUDQ  Z5, Z1, Z1
+	MOVQ      lockstepEngine_kpair+16(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z2
+	MOVQ      lockstepEngine_kpair+24(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z5
+	VPMULUDQ  Z5, Z2, Z2
+	VPADDQ    Z1, Z2, Z2
+	MOVQ      lockstepEngine_kpair+32(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z3
+	MOVQ      lockstepEngine_kpair+40(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z5
+	VPMULUDQ  Z5, Z3, Z3
+	VPADDQ    Z2, Z3, Z3
+	MOVQ      lockstepEngine_kpair+48(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z4
+	MOVQ      lockstepEngine_kpair+56(DI), AX
+	VPMOVZXDQ (R9)(AX*1), Z5
+	VPMULUDQ  Z5, Z4, Z4
+	VPADDQ    Z3, Z4, Z4
+
+	VPCMPUQ  $1, Z30, Z4, K1, K1 // w < total
+	VPSLLQ   $3, Z4, Z5
+	VPCMPUQ  $5, Z30, Z5, K1, K1 // 8w ≥ total
+	KORTESTB K1, K1
+	JEQ      idle512
+	XORQ     R10, R10
+
+	// r₁ = rotl(s0 + s3, 23) + s0. Effective (K2) iff
+	// (k·2⁻⁵³)·total < float64(w) for k = r₁ >> 11: k < 2⁵³ and w < 2³²
+	// convert exactly.
+	VMOVDQU64  lockstepLanes_s0(SI)(BX*8), Z6
+	VMOVDQU64  lockstepLanes_s3(SI)(BX*8), Z9
+	VPADDQ     Z9, Z6, Z10
+	VPROLQ     $23, Z10, Z10
+	VPADDQ     Z6, Z10, Z10
+	VPSRLQ     $11, Z10, Z10
+	VCVTUQQ2PD Z10, Z10
+	VMULPD     Z28, Z10, Z10
+	VMULPD     Z29, Z10, Z10
+	VCVTUQQ2PD Z4, Z11
+	VCMPPD     $1, Z11, Z10, K1, K2 // u < w on eligible lanes
+
+	// t = next(s) in Z6–Z9.
+	VMOVDQU64 lockstepLanes_s1(SI)(BX*8), Z7
+	VMOVDQU64 lockstepLanes_s2(SI)(BX*8), Z8
+	VPSLLQ    $17, Z7, Z10
+	VPXORQ    Z6, Z8, Z8
+	VPXORQ    Z7, Z9, Z9
+	VPXORQ    Z8, Z7, Z7
+	VPXORQ    Z9, Z6, Z6
+	VPXORQ    Z10, Z8, Z8
+	VPROLQ    $45, Z9, Z9
+
+	// r₂ = rotl(t0 + t3, 23) + t0.
+	VPADDQ Z6, Z9, Z10
+	VPROLQ $23, Z10, Z10
+	VPADDQ Z6, Z10, Z10
+
+	// Lemire: r₂·w = hi·2⁶⁴ + lo. Refuse the group, committing nothing, if
+	// an effective lane has lo < w: Uint64N would draw again. hi is
+	// (p1 + (p0 >> 32)) >> 32 for the 32×32-bit products p0 and p1, exact
+	// because w < 2³².
+	VPMULLQ  Z4, Z10, Z11        // lo
+	VPCMPUQ  $1, Z4, Z11, K2, K3 // lo < w on effective lanes
+	KORTESTB K3, K3
+	JNE      refused512
+	VPMULUDQ Z4, Z10, Z11        // p0 = (r₂ mod 2³²)·w
+	VPSRLQ   $32, Z10, Z10
+	VPMULUDQ Z4, Z10, Z10        // p1 = (r₂ >> 32)·w
+	VPSRLQ   $32, Z11, Z11
+	VPADDQ   Z11, Z10, Z10
+	VPSRLQ   $32, Z10, Z10       // hi
+
+	// The pair is the number of prefix sums at or below hi. A lane that
+	// does not fire gets index 4, whose table entries are zero.
+	VPCMPUQ   $2, Z10, Z1, K2, K3 // w0 ≤ hi on effective lanes
+	VPCMPUQ   $2, Z10, Z2, K2, K4
+	VPCMPUQ   $2, Z10, Z3, K2, K5
+	VMOVDQA64 Z26, Z12
+	VPXORQ    Z12, Z12, K2, Z12
+	VPADDQ    Z27, Z12, K3, Z12
+	VPADDQ    Z27, Z12, K4, Z12
+	VPADDQ    Z27, Z12, K5, Z12
+	VPMOVQD   Z12, Y12            // indices in dwords 0–7
+
+	// Apply the pair's net count changes, plane by plane, and find the
+	// smallest new count.
+	VPERMD  lockstepEngine_kdelta+0(DI), Y12, Y13
+	VPADDD  (R9), Y13, Y13
+	VMOVDQU Y13, (R9)
+	VPERMD  lockstepEngine_kdelta+32(DI), Y12, Y14
+	VPADDD  const_planeBytes(R9), Y14, Y14
+	VMOVDQU Y14, const_planeBytes(R9)
+	VPMINUD Y14, Y13, Y13
+	VPERMD  lockstepEngine_kdelta+64(DI), Y12, Y14
+	VPADDD  (2*const_planeBytes)(R9), Y14, Y14
+	VMOVDQU Y14, (2*const_planeBytes)(R9)
+	VPMINUD Y14, Y13, Y13
+	VPERMD  lockstepEngine_kdelta+96(DI), Y12, Y14
+	VPADDD  (3*const_planeBytes)(R9), Y14, Y14
+	VMOVDQU Y14, (3*const_planeBytes)(R9)
+	VPMINUD Y14, Y13, Y13
+
+	// step + 1 on eligible lanes, and the dirty flag on a lane that fired
+	// and now has a zero count (see ticksAVX2). The VEX-encoded VPMINUD
+	// cleared dwords 8–15 of Z13, which K2 leaves out.
+	VPTESTNMD Z13, Z13, K2, K3
+	VPADDQ    Z27, Z0, K1, Z0
+	VPORQ     Z25, Z0, K3, Z0
+	VMOVDQU64 Z0, K1, lockstepLanes_step(SI)(BX*8)
+
+	// v = next(t) on effective lanes, t on null ones: t XOR d on K2, with
+	// d = t XOR next(t) = (t1^t3, t0^t2, t0^(t1<<17), t3^rotl(t1^t3, 45)).
+	// The masked stores leave an ineligible lane at s.
+	VPXORQ    Z7, Z9, Z14
+	VPXORQ    Z6, Z8, Z15
+	VPSLLQ    $17, Z7, Z16
+	VPXORQ    Z6, Z16, Z16
+	VPROLQ    $45, Z14, Z17
+	VPXORQ    Z9, Z17, Z17
+	VPXORQ    Z14, Z6, K2, Z6
+	VPXORQ    Z15, Z7, K2, Z7
+	VPXORQ    Z16, Z8, K2, Z8
+	VPXORQ    Z17, Z9, K2, Z9
+	VMOVDQU64 Z6, K1, lockstepLanes_s0(SI)(BX*8)
+	VMOVDQU64 Z7, K1, lockstepLanes_s1(SI)(BX*8)
+	VMOVDQU64 Z8, K1, lockstepLanes_s2(SI)(BX*8)
+	VMOVDQU64 Z9, K1, lockstepLanes_s3(SI)(BX*8)
+
+next512:
+	ADDQ    $8, BX
+	XORQ    AX, AX
+	CMPQ    BX, DX
+	CMOVQEQ AX, BX
+	DECQ    CX
+	JNZ     group512
+	MOVB    $0, refused+16(FP)
+	VZEROUPPER
+	RET
+
+idle512:
+	// As in ticksAVX2, a full circuit of idle groups ends the call.
+	INCQ R10
+	CMPQ R10, R11
+	JB   next512
+	MOVB $0, refused+16(FP)
+	VZEROUPPER
+	RET
+
+refused512:
 	MOVB $1, refused+16(FP)
 	VZEROUPPER
 	RET

@@ -13,34 +13,65 @@ import (
 	"lvmajority/internal/testutil"
 )
 
-// lockstepPaths are the two ways a lockstep block can run: the dispatching
-// engine, which uses the AVX2 tick kernel where the CPU and the shape allow
-// it, and the Go rounds alone.
-var lockstepPaths = []struct {
+// lockstepPath is one way a lockstep block can run: the engine at level k,
+// whose tick kernel, if any, runs the tick regime where the shape allows.
+type lockstepPath struct {
 	name string
-	avx2 bool
-}{{"dispatch", cpufeat.AVX2()}, {"go", false}}
+	k    cpufeat.Level
+}
+
+// lockstepPaths are the ways a lockstep block can run on this CPU: the
+// dispatching engine, at the widest level, then each level the CPU runs,
+// the widest first: ticks512 (avx512), ticksAVX2 (avx2) and the Go rounds
+// alone (go).
+var lockstepPaths = func() []lockstepPath {
+	paths := []lockstepPath{{"dispatch", cpufeat.Widest()}}
+	for _, k := range cpufeat.Levels() {
+		name := k.String()
+		if k == cpufeat.Portable {
+			name = "go"
+		}
+		paths = append(paths, lockstepPath{name, k})
+	}
+	return paths
+}()
+
+// kernelPaths returns the paths of lockstepPaths that run one tick kernel
+// each, the widest first, and skips the test when the CPU runs none.
+func kernelPaths(t *testing.T) []lockstepPath {
+	t.Helper()
+	var ps []lockstepPath
+	for _, p := range lockstepPaths[1:] {
+		if p.k != cpufeat.Portable {
+			ps = append(ps, p)
+		}
+	}
+	if len(ps) == 0 {
+		t.Skip("no tick kernel runs on this CPU")
+	}
+	return ps
+}
 
 // blockOn returns p's block runner for (n, delta) at the given lane width
-// on the given path.
-func blockOn(t testing.TB, p *PopulationProtocol, n, delta, lanes int, avx2 bool) func(seed uint64, lo, hi int, wins []bool) error {
+// at level k.
+func blockOn(t testing.TB, p *PopulationProtocol, n, delta, lanes int, k cpufeat.Level) func(seed uint64, lo, hi int, wins []bool) error {
 	t.Helper()
 	e, err := p.newLockstep(n, delta, lanes)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return func(seed uint64, lo, hi int, wins []bool) error {
-		return e.run(seed, lo, hi, wins, avx2)
+		return e.run(seed, lo, hi, wins, k)
 	}
 }
 
 // onPath is a lockstep protocol whose blocks have the given lane width and
-// run on the given path, so that the estimator tests reach every width and
-// the Go rounds alone through consensus.
+// run at level k, so that the estimator tests reach every width and every
+// level through consensus.
 type onPath struct {
 	*PopulationProtocol
 	lanes int
-	avx2  bool
+	k     cpufeat.Level
 }
 
 func (p onPath) TrialBlockLanes() int { return p.lanes }
@@ -51,7 +82,7 @@ func (p onPath) NewTrialBlock(n, delta int) (func(seed uint64, lo, hi int, wins 
 		return nil, err
 	}
 	return func(seed uint64, lo, hi int, wins []bool) error {
-		return e.run(seed, lo, hi, wins, p.avx2)
+		return e.run(seed, lo, hi, wins, p.k)
 	}, nil
 }
 
@@ -67,7 +98,7 @@ func runBatchOracle(t testing.TB, p *PopulationProtocol, n, delta int, seed uint
 }
 
 // checkLockstepMatchesBatch runs replicates [lo, hi) of p as one lockstep
-// block of the given lane width on both paths and checks every lane's win,
+// block of the given lane width on every path and checks every lane's win,
 // and the block's tick total, against the batch kernel on the replicate's
 // stream.
 func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budget, n, delta, lanes, lo, hi int, seed uint64) {
@@ -94,7 +125,7 @@ func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budg
 			t.Fatal(err)
 		}
 		wins := make([]bool, hi-lo)
-		if err := e.run(seed, lo, hi, wins, path.avx2); err != nil {
+		if err := e.run(seed, lo, hi, wins, path.k); err != nil {
 			t.Fatal(err)
 		}
 		for rep := lo; rep < hi; rep++ {
@@ -125,7 +156,7 @@ func TestLockstepByteIdenticalToBatch(t *testing.T) {
 				p := mk()
 				for _, tc := range []struct{ n, delta int }{{16, 2}, {40, 4}, {61, 3}, {50, 0}} {
 					for _, span := range []struct{ lo, hi int }{{0, 3}, {0, 8}, {5, 32}} {
-						block := blockOn(t, p, tc.n, tc.delta, 8, path.avx2)
+						block := blockOn(t, p, tc.n, tc.delta, 8, path.k)
 						wins := make([]bool, span.hi-span.lo)
 						if err := block(9, span.lo, span.hi, wins); err != nil {
 							t.Fatal(err)
@@ -166,7 +197,7 @@ func newAMFirstExtinction() *PopulationProtocol {
 }
 
 // TestLockstepMatchesBatchInTickRegime runs populations large enough that
-// most rounds are in the tick regime, which the AVX2 kernel takes, on the
+// most rounds are in the tick regime, which the tick kernels take, on the
 // three lockstep shapes: full blocks, ragged ones, single lanes, the
 // widest lanes, and budgets that bind mid-run.
 func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
@@ -193,7 +224,7 @@ func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
 	}
 }
 
-// FuzzLockstepMatchesBatch checks both paths of a lockstep block against
+// FuzzLockstepMatchesBatch checks every path of a lockstep block against
 // the batch kernel on the 3-state approximate majority, ternary signaling
 // and the approximate majority decided at the first extinction: every
 // lane's win and the block's tick total, for any population up to 300,
@@ -295,16 +326,16 @@ type craftedEnd struct {
 	counts [3]uint32
 }
 
-// finishCrafted runs a crafted engine's lane to its end, with or without
-// the kernel.
-func finishCrafted(t *testing.T, e *lockstepEngine, avx2 bool) craftedEnd {
+// finishCrafted runs a crafted engine's lane to its end at level k: with
+// k's tick kernel, or on the Go rounds alone at Portable.
+func finishCrafted(t *testing.T, e *lockstepEngine, k cpufeat.Level) craftedEnd {
 	t.Helper()
 	wins := make([]bool, 1)
-	if err := e.sweep4(0, 1, wins, avx2); err != nil {
+	if err := e.sweep4(0, 1, wins, k); err != nil {
 		t.Fatal(err)
 	}
-	if avx2 != (e.kernelCalls > 0) {
-		t.Fatalf("avx2=%v: %d kernel calls", avx2, e.kernelCalls)
+	if (k != cpufeat.Portable) != (e.kernelCalls > 0) {
+		t.Fatalf("level %v: %d kernel calls", k, e.kernelCalls)
 	}
 	l := &e.l
 	return craftedEnd{wins[0], e.ticks, [4]uint64{l.s0[0], l.s1[0], l.s2[0], l.s3[0]},
@@ -313,39 +344,38 @@ func finishCrafted(t *testing.T, e *lockstepEngine, avx2 bool) craftedEnd {
 
 // TestLockstepKernelRefusal crafts a lane whose effective tick draws
 // r₂ = 0, so that Lemire's low word 0 is below w and Uint64N would draw
-// again: the AVX2 kernel must refuse the group without committing it, and
+// again: each tick kernel must refuse the group without committing it, and
 // the engine must still agree with the Go rounds alone.
 func TestLockstepKernelRefusal(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 tick kernel does not run on this CPU")
-	}
-	const n, delta = 1024, 98
-	counts := [3]uint32{500, 400, 124} // X, Y, blank: w = 511,600 of 1,047,552
-	state := craftedLane(t, 0, 511_600, n*(n-1))
-	e := craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state)
-	if !e.kernelTicks(1) {
-		t.Fatal("the kernel did not refuse a group whose Lemire draw retries")
-	}
-	if l := &e.l; l.step[0] != 10 || l.s0[0] != state[0] || l.s3[0] != state[3] || l.counts[2][0] != counts[2] {
-		t.Fatalf("the refused group was committed: step %d, counts %d %d %d", l.step[0], l.counts[0][0], l.counts[1][0], l.counts[2][0])
-	}
-	got := finishCrafted(t, craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state), true)
-	want := finishCrafted(t, craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state), false)
-	if got != want {
-		t.Fatalf("after a refusal the engine ends at %+v, the Go rounds alone at %+v", got, want)
+	for _, path := range kernelPaths(t) {
+		t.Run(path.name, func(t *testing.T) {
+			const n, delta = 1024, 98
+			counts := [3]uint32{500, 400, 124} // X, Y, blank: w = 511,600 of 1,047,552
+			state := craftedLane(t, 0, 511_600, n*(n-1))
+			e := craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state)
+			if !e.kernelTicks(1, path.k) {
+				t.Fatal("the kernel did not refuse a group whose Lemire draw retries")
+			}
+			if l := &e.l; l.step[0] != 10 || l.s0[0] != state[0] || l.s3[0] != state[3] || l.counts[2][0] != counts[2] {
+				t.Fatalf("the refused group was committed: step %d, counts %d %d %d", l.step[0], l.counts[0][0], l.counts[1][0], l.counts[2][0])
+			}
+			got := finishCrafted(t, craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state), path.k)
+			want := finishCrafted(t, craftedEngine(t, NewThreeStateAM(), n, delta, counts, 10, state), cpufeat.Portable)
+			if got != want {
+				t.Fatalf("after a refusal the engine ends at %+v, the Go rounds alone at %+v", got, want)
+			}
+		})
 	}
 }
 
 // TestLockstepKernelLemireHighWord crafts lanes whose first effective
 // tick draws an r₂ with r₂·w landing exactly on each prefix sum of the
 // pair weights, with a carry out of the low 32-bit products into the high
-// word: the pair the kernel picks there hinges on that carry. Each lane
-// then runs to its budget with and without the kernel, and both must end
-// in the same counts, generator state and tick total.
+// word: the pair a kernel picks there hinges on that carry. Each lane
+// then runs to its budget with each tick kernel and without one, and all
+// must end in the same counts, generator state and tick total.
 func TestLockstepKernelLemireHighWord(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 tick kernel does not run on this CPU")
-	}
+	paths := kernelPaths(t)
 	const n, delta = 60_000, 400
 	counts := [3]uint32{24_000, 18_000, 18_000}
 	mk := func() *PopulationProtocol {
@@ -381,99 +411,105 @@ func TestLockstepKernelLemireHighWord(t *testing.T) {
 			}
 		}
 		state := craftedLane(t, r2, int64(w), n*(n-1))
-		got := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, 0, state), true)
-		want := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, 0, state), false)
-		if got != want {
-			t.Fatalf("prefix %d: with the kernel the lane ends at %+v, on the Go rounds alone at %+v", k, got, want)
+		want := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, 0, state), cpufeat.Portable)
+		for _, path := range paths {
+			if got := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, 0, state), path.k); got != want {
+				t.Fatalf("prefix %d: with %s the lane ends at %+v, on the Go rounds alone at %+v", k, path.name, got, want)
+			}
 		}
 	}
 }
 
 // TestLockstepKernelMarksZeroCounts crafts a lane of
 // newAMFirstExtinction one interaction from its decision: X = 150, one Y,
-// and an effective first tick whose r₂ = 1 picks the (X, Y) pair. The
-// kernel fires it, and the dirty flag it sets on Y's zero count must make
-// the Go round decide the lane at once, as the batch kernel does.
+// and an effective first tick whose r₂ = 1 picks the (X, Y) pair. Each
+// tick kernel fires it, and the dirty flag it sets on Y's zero count must
+// make the Go round decide the lane at once, as the batch kernel does.
 func TestLockstepKernelMarksZeroCounts(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 tick kernel does not run on this CPU")
-	}
-	const n, delta = 300, 4
-	counts := [3]uint32{150, 1, 149} // w = 22,799 of 89,700
-	state := craftedLane(t, 1, 22_799, n*(n-1))
-	got := finishCrafted(t, craftedEngine(t, newAMFirstExtinction(), n, delta, counts, 0, state), true)
-	want := finishCrafted(t, craftedEngine(t, newAMFirstExtinction(), n, delta, counts, 0, state), false)
-	if got != want || !got.won || got.ticks != 1 || got.counts != [3]uint32{150, 0, 150} {
-		t.Fatalf("with the kernel the lane ends at %+v, on the Go rounds alone at %+v; want a win after one tick", got, want)
+	for _, path := range kernelPaths(t) {
+		t.Run(path.name, func(t *testing.T) {
+			const n, delta = 300, 4
+			counts := [3]uint32{150, 1, 149} // w = 22,799 of 89,700
+			state := craftedLane(t, 1, 22_799, n*(n-1))
+			got := finishCrafted(t, craftedEngine(t, newAMFirstExtinction(), n, delta, counts, 0, state), path.k)
+			want := finishCrafted(t, craftedEngine(t, newAMFirstExtinction(), n, delta, counts, 0, state), cpufeat.Portable)
+			if got != want || !got.won || got.ticks != 1 || got.counts != [3]uint32{150, 0, 150} {
+				t.Fatalf("with the kernel the lane ends at %+v, on the Go rounds alone at %+v; want a win after one tick", got, want)
+			}
+		})
 	}
 }
 
-// TestLockstepKernelEligibility gives one kernel call two groups of
-// lanes, each lane failing at most one condition of the kernel's
-// eligibility test: a dirty step word, the geometric regime and a spent
-// budget. The kernel must leave exactly those lanes untouched and advance
-// every other lane once per visit of its group, a lane with a zero count
-// among them: its clean step word already says that no rule has fired.
+// TestLockstepKernelEligibility gives one call of each tick kernel eight
+// lanes, each failing at most one condition of the kernels' eligibility
+// test: a dirty step word, the geometric regime and a spent budget. The
+// kernel must leave exactly those lanes untouched and advance every other
+// lane once per visit of its group, kernelIters/groups ticks, a lane with a
+// zero count among them: its clean step word already says that no rule has
+// fired.
 func TestLockstepKernelEligibility(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 tick kernel does not run on this CPU")
-	}
-	e, err := NewThreeStateAM().newLockstep(60_000, 400, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startLanes(e, 2, 8)
-	tick := [3]uint32{24_000, 18_000, 18_000}
-	lanes := []struct {
-		name   string
-		counts [3]uint32
-		step   uint64
-		takes  bool
-	}{
-		{"eligible", tick, 0, true},
-		{"zero blank", [3]uint32{30_000, 30_000, 0}, 0, true},
-		{"dirty", tick, dirtyBit | 5, false},
-		{"geometric", [3]uint32{59_000, 1, 999}, 0, false},
-		{"budget spent", tick, uint64(e.maxInteractions), false},
-		{"eligible", tick, 7, true},
-		{"eligible", tick, 0, true},
-		{"eligible", tick, 0, true},
-	}
-	l := &e.l
-	for li, c := range lanes {
-		l.step[li] = c.step
-		for s, v := range c.counts {
-			l.counts[s][li] = v
-		}
-	}
-	before := *l
-	before.counts = append([][MaxLockstepLanes]uint32(nil), l.counts...)
-	if e.kernelTicks(len(lanes)) {
-		t.Fatal("the kernel refused a group")
-	}
-	for li, c := range lanes {
-		moved := l.s0[li] != before.s0[li] || l.s3[li] != before.s3[li] || l.step[li] != before.step[li] ||
-			l.counts[0][li] != before.counts[0][li] || l.counts[1][li] != before.counts[1][li] || l.counts[2][li] != before.counts[2][li]
-		if moved != c.takes {
-			t.Errorf("lane %d (%s): kernel advanced it = %v, want %v", li, c.name, moved, c.takes)
-		}
-		if c.takes && l.step[li]-before.step[li] != kernelIters/2 {
-			t.Errorf("lane %d (%s): advanced %d ticks, want %d", li, c.name, l.step[li]-before.step[li], kernelIters/2)
-		}
-		var w int64
-		for k := range 4 {
-			w += int64(c.counts[e.tab.effS[k]]) * int64(c.counts[e.tab.effT[k]])
-		}
-		if got := before.kernelTakes(li, int64(e.maxInteractions), w, e.total); got != c.takes {
-			t.Errorf("lane %d (%s): kernelTakes = %v, want %v", li, c.name, got, c.takes)
-		}
+	for _, path := range kernelPaths(t) {
+		t.Run(path.name, func(t *testing.T) {
+			e, err := NewThreeStateAM().newLockstep(60_000, 400, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startLanes(e, 2, 8)
+			tick := [3]uint32{24_000, 18_000, 18_000}
+			lanes := []struct {
+				name   string
+				counts [3]uint32
+				step   uint64
+				takes  bool
+			}{
+				{"eligible", tick, 0, true},
+				{"zero blank", [3]uint32{30_000, 30_000, 0}, 0, true},
+				{"dirty", tick, dirtyBit | 5, false},
+				{"geometric", [3]uint32{59_000, 1, 999}, 0, false},
+				{"budget spent", tick, uint64(e.maxInteractions), false},
+				{"eligible", tick, 7, true},
+				{"eligible", tick, 0, true},
+				{"eligible", tick, 0, true},
+			}
+			l := &e.l
+			for li, c := range lanes {
+				l.step[li] = c.step
+				for s, v := range c.counts {
+					l.counts[s][li] = v
+				}
+			}
+			before := *l
+			before.counts = append([][MaxLockstepLanes]uint32(nil), l.counts...)
+			if e.kernelTicks(len(lanes), path.k) {
+				t.Fatal("the kernel refused a group")
+			}
+			_, group := tickKernel(path.k)
+			ticks := uint64(kernelIters / ((len(lanes) + group - 1) / group))
+			for li, c := range lanes {
+				moved := l.s0[li] != before.s0[li] || l.s3[li] != before.s3[li] || l.step[li] != before.step[li] ||
+					l.counts[0][li] != before.counts[0][li] || l.counts[1][li] != before.counts[1][li] || l.counts[2][li] != before.counts[2][li]
+				if moved != c.takes {
+					t.Errorf("lane %d (%s): kernel advanced it = %v, want %v", li, c.name, moved, c.takes)
+				}
+				if c.takes && l.step[li]-before.step[li] != ticks {
+					t.Errorf("lane %d (%s): advanced %d ticks, want %d", li, c.name, l.step[li]-before.step[li], ticks)
+				}
+				var w int64
+				for k := range 4 {
+					w += int64(c.counts[e.tab.effS[k]]) * int64(c.counts[e.tab.effT[k]])
+				}
+				if got := before.kernelTakes(li, int64(e.maxInteractions), w, e.total); got != c.takes {
+					t.Errorf("lane %d (%s): kernelTakes = %v, want %v", li, c.name, got, c.takes)
+				}
+			}
+		})
 	}
 }
 
-// TestLockstepKernelSelectionBound pins where the AVX2 kernel stops: it
-// runs for n = 65536, where n(n−1) is just below 2³², and not for
-// n = 65537. A gap of n/2 keeps the lanes in the tick regime, and a small
-// budget keeps the trials short.
+// TestLockstepKernelSelectionBound pins where the tick kernels stop: the
+// dispatching engine runs the widest one the CPU has for n = 65536, where
+// n(n−1) is just below 2³², and none for n = 65537. A gap of n/2 keeps the
+// lanes in the tick regime, and a small budget keeps the trials short.
 func TestLockstepKernelSelectionBound(t *testing.T) {
 	for _, tc := range []struct {
 		n, delta int
@@ -495,93 +531,103 @@ func TestLockstepKernelSelectionBound(t *testing.T) {
 		if err := e.runBlock(3, 0, 12, wins); err != nil {
 			t.Fatal(err)
 		}
-		if ran := e.kernelCalls > 0; ran != (tc.kernel && cpufeat.AVX2()) {
-			t.Fatalf("n=%d: %d kernel calls on a CPU with AVX2 = %v", tc.n, e.kernelCalls, cpufeat.AVX2())
+		widest := cpufeat.Widest()
+		if ran := e.kernelCalls > 0; ran != (tc.kernel && widest != cpufeat.Portable) {
+			t.Fatalf("n=%d: %d kernel calls on a CPU at level %v", tc.n, e.kernelCalls, widest)
+		}
+		if e.kernelCalls > 0 && e.ran != widest {
+			t.Fatalf("n=%d: the dispatching engine ran the %v kernel on a CPU at level %v", tc.n, e.ran, widest)
 		}
 		checkLockstepMatchesBatch(t, mk, 20_000, tc.n, tc.delta, 8, 0, 12, 3)
 	}
 }
 
-// TestLockstepKernelRoundCap checks that one kernel call advances no lane
-// by more than kernelIters ticks. Every lane starts mid-run, deep in the
-// tick regime, and stays eligible for the whole call, so a lone group
-// advances exactly kernelIters ticks and 32 groups kernelIters/32 each.
-// Both runs then finish on the Go rounds and must agree with runs that
-// never called the kernel.
+// TestLockstepKernelRoundCap checks that one call of each tick kernel
+// advances no lane by more than kernelIters ticks. Every lane starts
+// mid-run, deep in the tick regime, and stays eligible for the whole call,
+// so a lone group advances exactly kernelIters ticks and 128 lanes
+// kernelIters/groups each, in 16 groups of eight or 32 of four. Both runs
+// then finish on the Go rounds and must agree with runs that never called
+// a kernel.
 func TestLockstepKernelRoundCap(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 tick kernel does not run on this CPU")
-	}
-	for _, lanes := range []int{1, 128} {
-		engine := func() *lockstepEngine {
-			e, err := NewThreeStateAM().newLockstep(10_000, 400, lanes)
-			if err != nil {
-				t.Fatal(err)
+	for _, path := range kernelPaths(t) {
+		t.Run(path.name, func(t *testing.T) {
+			_, group := tickKernel(path.k)
+			for _, lanes := range []int{1, 128} {
+				engine := func() *lockstepEngine {
+					e, err := NewThreeStateAM().newLockstep(10_000, 400, lanes)
+					if err != nil {
+						t.Fatal(err)
+					}
+					startLanes(e, 8, lanes)
+					for li := range lanes {
+						e.l.step[li] = 0
+						e.l.counts[0][li], e.l.counts[1][li], e.l.counts[2][li] = 4000, 3000, 3000
+					}
+					return e
+				}
+				e := engine()
+				if e.kernelTicks(lanes, path.k) {
+					t.Fatal("the kernel refused a group")
+				}
+				want := uint64(kernelIters / ((lanes + group - 1) / group))
+				for li := range lanes {
+					if got := e.l.step[li]; got != want || got > kernelIters {
+						t.Fatalf("lanes=%d: one call advanced lane %d by %d ticks, want %d (cap %d)", lanes, li, got, want, kernelIters)
+					}
+				}
+				kernelWins := make([]bool, lanes)
+				if err := e.sweep4(0, lanes, kernelWins, path.k); err != nil {
+					t.Fatal(err)
+				}
+				g := engine()
+				goWins := make([]bool, lanes)
+				if err := g.sweep4(0, lanes, goWins, cpufeat.Portable); err != nil {
+					t.Fatal(err)
+				}
+				for li := range lanes {
+					if kernelWins[li] != goWins[li] {
+						t.Fatalf("lanes=%d lane %d: %v after a kernel call, %v on the Go rounds alone", lanes, li, kernelWins[li], goWins[li])
+					}
+				}
+				if e.ticks != g.ticks {
+					t.Fatalf("lanes=%d: %d ticks after a kernel call, %d on the Go rounds alone", lanes, e.ticks, g.ticks)
+				}
 			}
-			startLanes(e, 8, lanes)
-			for li := range lanes {
-				e.l.step[li] = 0
-				e.l.counts[0][li], e.l.counts[1][li], e.l.counts[2][li] = 4000, 3000, 3000
-			}
-			return e
-		}
-		e := engine()
-		if e.kernelTicks(lanes) {
-			t.Fatal("the kernel refused a group")
-		}
-		want := uint64(kernelIters / ((lanes + 3) / 4))
-		for li := range lanes {
-			if got := e.l.step[li]; got != want || got > kernelIters {
-				t.Fatalf("lanes=%d: one call advanced lane %d by %d ticks, want %d (cap %d)", lanes, li, got, want, kernelIters)
-			}
-		}
-		kernelWins := make([]bool, lanes)
-		if err := e.sweep4(0, lanes, kernelWins, true); err != nil {
-			t.Fatal(err)
-		}
-		g := engine()
-		goWins := make([]bool, lanes)
-		if err := g.sweep4(0, lanes, goWins, false); err != nil {
-			t.Fatal(err)
-		}
-		for li := range lanes {
-			if kernelWins[li] != goWins[li] {
-				t.Fatalf("lanes=%d lane %d: %v after a kernel call, %v on the Go rounds alone", lanes, li, kernelWins[li], goWins[li])
-			}
-		}
-		if e.ticks != g.ticks {
-			t.Fatalf("lanes=%d: %d ticks after a kernel call, %d on the Go rounds alone", lanes, e.ticks, g.ticks)
-		}
+		})
 	}
 }
 
 // TestLockstepStallPanics checks the guard against a kernel that disagrees
 // with kernelTakes: when a kernel call and the pass after it leave every
-// lane as it was, the next kernelTicks must panic, naming both, instead of
-// letting sweep4 spin. Lanes that have spent their budget are never the
-// kernel's, so two calls with nothing in between replay that state.
+// lane as it was, the next kernelTicks must panic, naming the kernel that
+// ran and kernelTakes, instead of letting sweep4 spin. Lanes that have
+// spent their budget are never a kernel's, so two calls with nothing in
+// between replay that state.
 func TestLockstepStallPanics(t *testing.T) {
-	if !cpufeat.AVX2() {
-		t.Skip("the AVX2 tick kernel does not run on this CPU")
+	for _, path := range kernelPaths(t) {
+		t.Run(path.name, func(t *testing.T) {
+			e, err := NewThreeStateAM().newLockstep(1024, 98, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			startLanes(e, 1, 8)
+			for li := range 8 {
+				e.l.step[li] = uint64(e.maxInteractions)
+			}
+			if e.kernelTicks(8, path.k) {
+				t.Fatal("the kernel refused a group")
+			}
+			name, _ := tickKernel(path.k)
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, name) || !strings.Contains(msg, "kernelTakes") {
+					t.Fatalf("a second call with no progress recovered %q, want the stall panic naming %s", msg, name)
+				}
+			}()
+			e.kernelTicks(8, path.k)
+		})
 	}
-	e, err := NewThreeStateAM().newLockstep(1024, 98, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	startLanes(e, 1, 8)
-	for li := range 8 {
-		e.l.step[li] = uint64(e.maxInteractions)
-	}
-	if e.kernelTicks(8) {
-		t.Fatal("the kernel refused a group")
-	}
-	defer func() {
-		msg := fmt.Sprint(recover())
-		if !strings.Contains(msg, "ticksAVX2") || !strings.Contains(msg, "kernelTakes") {
-			t.Fatalf("a second call with no progress recovered %q, want the stall panic", msg)
-		}
-	}()
-	e.kernelTicks(8)
 }
 
 // TestLockstepTickAccounting checks that the engine's interaction-tick
@@ -602,7 +648,7 @@ func TestLockstepTickAccounting(t *testing.T) {
 				t.Fatal(err)
 			}
 			wins := make([]bool, hi-lo)
-			if err := e.run(33, lo, hi, wins, path.avx2); err != nil {
+			if err := e.run(33, lo, hi, wins, path.k); err != nil {
 				t.Fatal(err)
 			}
 			if e.ticks != want {
@@ -626,7 +672,7 @@ func TestLockstepAllocationFree(t *testing.T) {
 			seed := uint64(0)
 			mallocs := testutil.Mallocs(50, func() {
 				seed++
-				if err := e.run(seed, 0, len(wins), wins, path.avx2); err != nil {
+				if err := e.run(seed, 0, len(wins), wins, path.k); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -648,7 +694,7 @@ func TestLockstepLaneCountInvariance(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			var baseline []bool
 			for _, lanes := range []int{1, 64, 256} {
-				block := blockOn(t, NewThreeStateAM(), n, delta, lanes, path.avx2)
+				block := blockOn(t, NewThreeStateAM(), n, delta, lanes, path.k)
 				wins := make([]bool, reps)
 				if err := block(seed, 0, reps, wins); err != nil {
 					t.Fatal(err)
@@ -687,7 +733,7 @@ func TestLockstepRetirementExactlyOnce(t *testing.T) {
 					t.Fatal(err)
 				}
 				first := make([]bool, hi-lo)
-				if err := e.run(77, lo, hi, first, path.avx2); err != nil {
+				if err := e.run(77, lo, hi, first, path.k); err != nil {
 					t.Fatal(err)
 				}
 				oracle := tc.mk()
@@ -698,7 +744,7 @@ func TestLockstepRetirementExactlyOnce(t *testing.T) {
 					}
 				}
 				second := make([]bool, hi-lo)
-				if err := e.run(77, lo, hi, second, path.avx2); err != nil {
+				if err := e.run(77, lo, hi, second, path.k); err != nil {
 					t.Fatal(err)
 				}
 				for i := range first {
@@ -726,7 +772,7 @@ func TestLockstepInteractionBudgetLaw(t *testing.T) {
 					t.Fatal(err)
 				}
 				wins := make([]bool, 6)
-				if err := e.run(1, 0, 6, wins, path.avx2); err != nil {
+				if err := e.run(1, 0, 6, wins, path.k); err != nil {
 					t.Fatal(err)
 				}
 				for rep, won := range wins {
@@ -757,7 +803,7 @@ func TestLockstepKernelThroughEstimator(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			for _, workers := range []int{1, 3, 8} {
 				for _, lanes := range []int{1, 64, 256} {
-					p := onPath{NewThreeStateAM(), lanes, path.avx2}
+					p := onPath{NewThreeStateAM(), lanes, path.k}
 					got, err := consensus.EstimateWinProbability(p, 100, 10, consensus.EstimateOptions{
 						Trials:  500,
 						Workers: workers,
@@ -788,7 +834,7 @@ func TestLockstepDistributionallyMatchesPerEvent(t *testing.T) {
 		t.Run(path.name, func(t *testing.T) {
 			for _, tc := range []struct{ n, delta int }{{60, 2}, {60, 8}} {
 				wins := [2]int{}
-				for k, p := range []consensus.Protocol{perEvent{NewThreeStateAM()}, onPath{NewThreeStateAM(), DefaultLockstepLanes, path.avx2}} {
+				for k, p := range []consensus.Protocol{perEvent{NewThreeStateAM()}, onPath{NewThreeStateAM(), DefaultLockstepLanes, path.k}} {
 					est, err := consensus.EstimateWinProbability(p, tc.n, tc.delta, consensus.EstimateOptions{
 						Trials: trials,
 						Seed:   31,
