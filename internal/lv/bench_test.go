@@ -1,9 +1,9 @@
 package lv
 
 import (
+	"math"
 	"testing"
 
-	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
 )
 
@@ -85,72 +85,155 @@ func BenchmarkStep(b *testing.B) {
 	}
 }
 
-// BenchmarkLVBlock measures the block engine and the scalar kernel on
-// identical replicate streams, in ns per event, in these rows: block, the
-// dispatching engine (the widest round kernel the CPU has); avx512 and
-// avx2, each round kernel as the widest, printed only where the CPU has
-// it; portable, the Go round alone; and scalar, Run. The states are
-// BenchmarkLVKernel's, n = 1024 near the SD and NSD thresholds (gaps 12
-// and 100), and n = 4096 near the NSD threshold (gap 226, about 3,900
-// events per trial), the lv-nsd sweep's costliest point. One iteration
-// runs a window of replicates, the block engines in blocks of BlockLanes
-// as the Monte-Carlo pool hands them out. Every engine fires the same
-// events on a stream, so the event count comes from Run.
-func BenchmarkLVBlock(b *testing.B) {
-	const window = 64
-	for _, c := range []struct {
-		name    string
-		params  Params
-		initial State
-	}{
-		{"sd-10000", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 6000, X1: 4000}},
-		{"sd-1024-gap12", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 518, X1: 506}},
-		{"nsd-1024-gap100", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 562, X1: 462}},
-		{"nsd-4096-gap226", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 2161, X1: 1935}},
-	} {
-		var events int64
-		var src rng.Source
-		for rep := range window {
-			src.ReseedStream(1, uint64(rep))
-			out, err := Run(c.params, c.initial, &src, RunOptions{})
-			if err != nil {
+// blockBenchCase is one chain of BenchmarkLVBlock: its rates and the
+// initial state of every replicate.
+type blockBenchCase struct {
+	name    string
+	params  Params
+	initial State
+}
+
+// blockBenchCases are BenchmarkLVBlock's rows. The γ = 0 rows are
+// BenchmarkLVKernel's state, n = 1024 near the SD and NSD thresholds (gaps
+// 12 and 100), and n = 4096 near the NSD threshold (gap 226, about 3,900
+// events per trial), the lv-nsd sweep's costliest point. sd-intra-1024
+// has γ = 1 at sd-1024-gap12's state, so the round kernels compute the
+// intraspecific terms that the γ = 0 rows skip.
+var blockBenchCases = []blockBenchCase{
+	{"sd-10000", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 6000, X1: 4000}},
+	sdGap12,
+	{"nsd-1024-gap100", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 562, X1: 462}},
+	{"nsd-4096-gap226", Neutral(1, 1, 1, 0, NonSelfDestructive), State{X0: 2161, X1: 1935}},
+	{"sd-intra-1024", Neutral(1, 1, 1, 1, SelfDestructive), State{X0: 518, X1: 506}},
+}
+
+// sdGap12 is the row TestBlockKernelsCheaperThanGoRound times.
+var sdGap12 = blockBenchCase{"sd-1024-gap12", Neutral(1, 1, 1, 0, SelfDestructive), State{X0: 518, X1: 506}}
+
+// blockBenchWindow is the replicates one benchmark iteration runs.
+const blockBenchWindow = 64
+
+// events returns the events Run fires on the window's replicate streams.
+// Every engine fires the same events on a stream.
+func (c blockBenchCase) events(tb testing.TB) int64 {
+	var events int64
+	var src rng.Source
+	for rep := range blockBenchWindow {
+		src.ReseedStream(1, uint64(rep))
+		out, err := Run(c.params, c.initial, &src, RunOptions{})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		events += int64(out.Steps)
+	}
+	return events
+}
+
+// benchBlock runs the window through run, Block.Run or an Engine's Run,
+// in blocks of BlockLanes as the Monte-Carlo pool hands them out, and
+// reports ns per event.
+func benchBlock(b *testing.B, c blockBenchCase, events int64, run func(*Block, uint64, int, int, []bool) error) {
+	blk, err := NewBlock(c.params, c.initial, 0, false)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wins := make([]bool, BlockLanes)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		for lo := 0; lo < blockBenchWindow; lo += BlockLanes {
+			if err := run(blk, 1, lo, lo+BlockLanes, wins); err != nil {
 				b.Fatal(err)
 			}
-			events += int64(out.Steps)
 		}
-		perEvent := func(b *testing.B) {
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
-		}
-		engines := append([]Engine{{Name: "block", k: cpufeat.Widest()}}, Engines()...)
-		for _, engine := range engines {
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
+}
+
+// BenchmarkLVBlock measures the block engine and the scalar kernel on
+// identical replicate streams, in ns per event, in these rows: block, the
+// dispatching engine Block.Run (the widest round kernel the CPU has);
+// avx512 and avx2, each round kernel as the widest, printed only where the
+// CPU has it; portable, the Go round alone; and scalar, Run. One iteration
+// runs a window of replicates (see blockBenchCases).
+func BenchmarkLVBlock(b *testing.B) {
+	for _, c := range blockBenchCases {
+		events := c.events(b)
+		b.Run(c.name+"/block", func(b *testing.B) {
+			benchBlock(b, c, events, (*Block).Run)
+		})
+		for _, engine := range Engines() {
 			b.Run(c.name+"/"+engine.Name, func(b *testing.B) {
-				blk, err := NewBlock(c.params, c.initial, 0, false)
-				if err != nil {
-					b.Fatal(err)
-				}
-				wins := make([]bool, BlockLanes)
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for lo := 0; lo < window; lo += BlockLanes {
-						if err := blk.run(1, lo, lo+BlockLanes, wins, engine.k); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-				perEvent(b)
+				benchBlock(b, c, events, engine.Run)
 			})
 		}
 		b.Run(c.name+"/scalar", func(b *testing.B) {
+			var src rng.Source
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				for rep := range window {
+				for rep := range blockBenchWindow {
 					src.ReseedStream(1, uint64(rep))
 					if _, err := Run(c.params, c.initial, &src, RunOptions{}); err != nil {
 						b.Fatal(err)
 					}
 				}
 			}
-			perEvent(b)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
 		})
+	}
+}
+
+// maxKernelGoRoundRatio bounds the cost per event of the dispatching
+// engine and of each round kernel as a multiple of the Go round's on
+// sd-1024-gap12, about twice the ratios recorded on a 2-core Sapphire
+// Rapids VM (0.12 for rounds512, 0.25 for roundsAVX2). A ratio of two
+// engines timed in one process holds across machines, where absolute times
+// do not, and an engine that silently ran the Go round alone would read
+// about 1.
+const maxKernelGoRoundRatio = 0.5
+
+// TestBlockKernelsCheaperThanGoRound gates the dispatching engine,
+// Block.Run, and every narrower round kernel the CPU has, each as the
+// widest, against the Go round alone on sd-1024-gap12. Run dispatches to
+// the widest kernel, so it is timed in that kernel's place, and a Run that
+// fell back to the Go round fails. Each engine's ns/event is the minimum
+// of three testing.Benchmark runs, alternating between the engines so that
+// a slow spell of the machine weighs on all of them. It logs every ratio.
+func TestBlockKernelsCheaperThanGoRound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every engine for several seconds; skipped with -short")
+	}
+	engines := Engines()
+	if len(engines) == 1 {
+		t.Skip("no round kernel runs on this CPU")
+	}
+	names := []string{"block (" + engines[0].Name + ")"}
+	runs := []func(*Block, uint64, int, int, []bool) error{(*Block).Run}
+	for _, e := range engines[1:] {
+		names = append(names, e.Name)
+		runs = append(runs, e.Run)
+	}
+	events := sdGap12.events(t)
+	ns := make([]float64, len(runs))
+	for i := range ns {
+		ns[i] = math.Inf(1)
+	}
+	for range 3 {
+		for i, run := range runs {
+			r := testing.Benchmark(func(b *testing.B) { benchBlock(b, sdGap12, events, run) })
+			v, ok := r.Extra["ns/event"]
+			if !ok || v <= 0 {
+				t.Fatalf("%s benchmark failed or reported no ns/event", names[i])
+			}
+			ns[i] = min(ns[i], v)
+		}
+	}
+	goRound := ns[len(ns)-1] // Engines lists the Go round alone last
+	for i, name := range names[:len(names)-1] {
+		ratio := ns[i] / goRound
+		t.Logf("%s %.2f ns/event, Go round %.2f ns/event: %.2fx the Go round, bound %.2fx",
+			name, ns[i], goRound, ratio, maxKernelGoRoundRatio)
+		if ratio > maxKernelGoRoundRatio {
+			t.Errorf("%s costs %.2fx the Go round per event, bound %.2fx", name, ratio, maxKernelGoRoundRatio)
+		}
 	}
 }

@@ -60,14 +60,25 @@ const kernelRounds = 1024
 // and never fused, and every integer they convert is below 2⁵³, so each
 // lane fires the event the Go round would. A call runs at most
 // kernelRounds rounds per group.
+//
+// When both intraspecific rates are +0, as in the paper's self-destructive
+// and non-self-destructive chains, the kernels skip the two intraspecific
+// terms of the Go round's prefix sums and the compares of c5 and c6
+// against u, and take c5 as the total. That changes no event: a group
+// fires only with x₀ and x₁ in [1, 2⁵¹], where each term
+// ((γ·x)·(x−1))/2 is +0, so c6 = total = c5 bit for bit (+Inf included);
+// and it commits only with u < total = c5 in every lane, where neither
+// c5 ≤ u nor c6 ≤ u holds. A denormal γ, or one zero γ beside a nonzero
+// one, takes the full arithmetic, which the Go round always does.
 type Block struct {
 	// The planes come first, on the object's base. Block's size class is
 	// a multiple of 64 bytes, so the AVX-512 kernel's 64-byte groups do
 	// not straddle cache lines.
 	lanes blockLanes
 	// Rates with the sign of −0.0 cleared: the channel pick compares
-	// bit patterns, which order non-negative values only. A −0.0 rate
-	// yields −0.0 propensities, which Run's scan skips like +0.0.
+	// bit patterns, which order non-negative values only, and the round
+	// kernels test both γ for +0 by their bits. A −0.0 rate yields −0.0
+	// propensities, which Run's scan skips like +0.0.
 	params   Params
 	initial  State
 	majority int

@@ -31,10 +31,22 @@ GLOBL pack<>(SB), RODATA|NOPTR, $32
 // BX is the group's byte offset in the planes, cycling through 0, 32, …,
 // R8 − 32. Y0–Y5 hold the broadcast rates; Y6–Y15 hold temporaries. Every
 // float operation is the Go round's own, in its order; none is fused.
+//
+// R10 is the OR of the two γ words: zero exactly when both intraspecific
+// rates are +0 (NewBlock clears the sign of −0.0), as in the paper's
+// self-destructive and non-self-destructive chains. Then the loop skips
+// the two intraspecific terms and the compares of c5 and c6, and total is
+// c5. That is exact: a group fires only with every count in [1, 2⁵¹], so
+// each term ((0·x)·(x−1))·0.5 is +0 and c6 = total = c5 bit for bit, +Inf
+// included; and it commits only with u < total = c5 in every lane, where
+// neither c5 ≤ u nor c6 ≤ u holds. A denormal γ, or one zero γ beside a
+// nonzero one, takes the full arithmetic.
 TEXT ·roundsAVX2(SB), NOSPLIT, $0-16
 	MOVQ         b+0(FP), DI
 	MOVQ         groups+8(FP), R8
 	LEAQ         Block_lanes(DI), SI
+	MOVQ         (Block_params+Params_Gamma)(DI), R10
+	ORQ          (Block_params+Params_Gamma+8)(DI), R10 // zero: both γ are +0
 	VBROADCASTSD (Block_params+Params_Beta)(DI), Y0
 	VBROADCASTSD (Block_params+Params_Delta)(DI), Y1
 	VBROADCASTSD (Block_params+Params_Alpha)(DI), Y2
@@ -82,6 +94,12 @@ group:
 	VADDPD Y12, Y11, Y12       // c4 = c3 + (α0·x0)·x1
 	VMULPD Y3, Y7, Y13
 	VMULPD Y8, Y13, Y13
+	TESTQ  R10, R10
+	JNZ    intra
+	VADDPD Y13, Y12, Y15       // total = c5 = c4 + (α1·x0)·x1 (both γ +0)
+	JMP    draw
+
+intra:
 	VADDPD Y13, Y12, Y13       // c5 = c4 + (α1·x0)·x1
 	VMULPD Y4, Y7, Y14
 	VSUBPD one<>(SB), Y7, Y7
@@ -94,6 +112,7 @@ group:
 	VMULPD half<>(SB), Y15, Y15
 	VADDPD Y15, Y14, Y15       // total = c6 + ((γ1·x1)·(x1−1))·0.5
 
+draw:
 	// u = (r·2⁻⁵³)·total for r = rotl(s0 + s3, 23) + s0 >> 11, the
 	// xoshiro256++ output. r < 2⁵³ converts as hi·2³² + lo, all exact.
 	VMOVDQU blockLanes_s0(SI)(BX*1), Y7
@@ -123,19 +142,24 @@ group:
 	CMPL      AX, $15
 	JNE       done
 
-	// The channel k is the count of c0…c6 at or below u: −1 per sum.
+	// The channel k is the count of c0…c6 at or below u: −1 per sum. With
+	// both γ +0, c5 = c6 = total > u, so neither counts.
 	VCMPPD  $2, Y7, Y6, Y6
 	VCMPPD  $2, Y7, Y9, Y9
 	VCMPPD  $2, Y7, Y10, Y10
 	VCMPPD  $2, Y7, Y11, Y11
 	VCMPPD  $2, Y7, Y12, Y12
-	VCMPPD  $2, Y7, Y13, Y13
-	VCMPPD  $2, Y7, Y14, Y14
 	VPADDQ  Y9, Y6, Y6
 	VPADDQ  Y11, Y10, Y10
-	VPADDQ  Y13, Y12, Y12
 	VPADDQ  Y10, Y6, Y6
+	TESTQ   R10, R10
+	JZ      counted
+	VCMPPD  $2, Y7, Y13, Y13
+	VCMPPD  $2, Y7, Y14, Y14
+	VPADDQ  Y13, Y12, Y12
 	VPADDQ  Y14, Y12, Y12
+
+counted:
 	VPADDQ  Y12, Y6, Y6
 	VPXOR   Y8, Y8, Y8
 	VPSUBQ  Y6, Y8, Y8         // k
@@ -190,10 +214,18 @@ done:
 // integers (VCVTQQ2PD, VCVTUQQ2PD), rotations (VPROLQ), compares into mask
 // registers and qword permutes; every float operation is still the Go
 // round's own, in its order, and none is fused.
+//
+// As in roundsAVX2, R10 is zero exactly when both γ are +0, and then the
+// loop skips the two intraspecific terms and the compares of c5 and c6,
+// with total = c5: a firing group has every count in [1, 2⁵¹], so both
+// terms are +0 and c6 = total = c5 bit for bit, and a committed group has
+// u < c5 in every lane.
 TEXT ·rounds512(SB), NOSPLIT, $0-16
 	MOVQ         b+0(FP), DI
 	MOVQ         groups+8(FP), R8
 	LEAQ         Block_lanes(DI), SI
+	MOVQ         (Block_params+Params_Gamma)(DI), R10
+	ORQ          (Block_params+Params_Gamma+8)(DI), R10 // zero: both γ are +0
 	VBROADCASTSD (Block_params+Params_Beta)(DI), Z0
 	VBROADCASTSD (Block_params+Params_Delta)(DI), Z1
 	VBROADCASTSD (Block_params+Params_Alpha)(DI), Z2
@@ -245,6 +277,12 @@ group512:
 	VADDPD Z12, Z11, Z12       // c4 = c3 + (α0·x0)·x1
 	VMULPD Z3, Z7, Z13
 	VMULPD Z8, Z13, Z13
+	TESTQ  R10, R10
+	JNZ    intra512
+	VADDPD Z13, Z12, Z15       // total = c5 = c4 + (α1·x0)·x1 (both γ +0)
+	JMP    draw512
+
+intra512:
 	VADDPD Z13, Z12, Z13       // c5 = c4 + (α1·x0)·x1
 	VMULPD Z4, Z7, Z14
 	VSUBPD Z19, Z7, Z7
@@ -257,6 +295,7 @@ group512:
 	VMULPD Z20, Z15, Z15
 	VADDPD Z15, Z14, Z15       // total = c6 + ((γ1·x1)·(x1−1))·0.5
 
+draw512:
 	// u = (r·2⁻⁵³)·total for r = rotl(s0 + s3, 23) + s0 >> 11, the
 	// xoshiro256++ output; r < 2⁵³ converts exactly.
 	VMOVDQU64  blockLanes_s0(SI)(BX*1), Z24
@@ -275,8 +314,9 @@ group512:
 	KORTESTB K2, K2
 	JCC      done512
 
-	// The channel k is the count of c0…c6 at or below u: +1 per sum.
-	VPXORQ  Z28, Z28, Z28
+	// The channel k is the count of c0…c6 at or below u: +1 per sum. With
+	// both γ +0, c5 = c6 = total > u, so neither counts.
+	VPXORQ  Z28, Z28, Z28 // k
 	VCMPPD  $2, Z7, Z6, K1
 	VPADDQ  Z17, Z28, K1, Z28
 	VCMPPD  $2, Z7, Z9, K2
@@ -287,11 +327,14 @@ group512:
 	VPADDQ  Z17, Z28, K4, Z28
 	VCMPPD  $2, Z7, Z12, K5
 	VPADDQ  Z17, Z28, K5, Z28
+	TESTQ   R10, R10
+	JZ      counted512
 	VCMPPD  $2, Z7, Z13, K6
 	VPADDQ  Z17, Z28, K6, Z28
 	VCMPPD  $2, Z7, Z14, K7
-	VPADDQ  Z17, Z28, K7, Z28 // k
+	VPADDQ  Z17, Z28, K7, Z28
 
+counted512:
 	// Fire channel k: x += dx[k], steps++.
 	VPERMQ    Z22, Z28, Z9
 	VPADDQ    Z26, Z9, Z9

@@ -65,12 +65,14 @@ func checkBlockMatchesTrial(t testing.TB, p consensus.LVProtocol, n, delta int, 
 // TestBlockMatchesTrial compares every lane of the block engine with the
 // scalar Trial across the regimes of the fused-kernel replay test, both
 // tie rules where double extinction is common, chains that can fire no
-// reaction, −0.0 rates, a total that overflows to +Inf from the first
-// event, and blocks narrower than, equal to and wider than the lane width
-// starting past replicate 0. Blocks of three lanes never enter a round
-// kernel; blocks of thirteen start with partial groups in both kernels
-// (one group of eight and five lanes waiting, three groups of four and
-// one waiting); the widest blocks refill lanes.
+// reaction, −0.0 rates, one zero γ beside a nonzero one either way round
+// (a round kernel that took its γ = 0 path on one zero γ would fail), a
+// total that overflows to +Inf from the first event, and blocks narrower
+// than, equal to and wider than the lane width starting past replicate 0.
+// Blocks of three lanes never enter a round kernel; blocks of thirteen
+// start with partial groups in both kernels (one group of eight and five
+// lanes waiting, three groups of four and one waiting); the widest blocks
+// refill lanes.
 func TestBlockMatchesTrial(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	cases := []struct {
@@ -90,6 +92,8 @@ func TestBlockMatchesTrial(t *testing.T) {
 		{"zero-rates", consensus.LVProtocol{Params: lv.Neutral(0, 0, 0, 0, lv.SelfDestructive)}, 20, 4},
 		{"neg-zero-beta", consensus.LVProtocol{Params: lv.Params{Beta: negZero, Delta: 1, Alpha: [2]float64{1, 1}, Competition: lv.SelfDestructive}}, 30, 4},
 		{"neg-zero-gamma", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 1, Alpha: [2]float64{1, 1}, Gamma: [2]float64{negZero, negZero}, Competition: lv.NonSelfDestructive}}, 30, 4},
+		{"gamma-0-1", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 1, Alpha: [2]float64{1, 1}, Gamma: [2]float64{0, 1}, Competition: lv.SelfDestructive}}, 40, 6},
+		{"gamma-half-0", consensus.LVProtocol{Params: lv.Params{Beta: 1, Delta: 1, Alpha: [2]float64{1, 1}, Gamma: [2]float64{0.5, 0}, Competition: lv.NonSelfDestructive}}, 40, 6},
 		{"inf-total", consensus.LVProtocol{Params: lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), MaxSteps: 64}, 40000, 0},
 	}
 	widths := []int{3, 13, lv.BlockLanes, 5*lv.BlockLanes + 3}
@@ -107,12 +111,13 @@ func TestBlockMatchesTrial(t *testing.T) {
 // TestKernelCall checks one call of each round kernel the CPU has against
 // Run on each lane's stream. At (10⁶, 10⁶) no lane stops for millions of
 // events, so a call on every group must fire exactly KernelRounds events,
-// the round cap, in every lane and land where Run lands after as many; a
-// call on the first group alone must do so in that group's lanes and
-// leave every other lane bit for bit as it was. With a budget of 100
-// events, every lane must stop at exactly 100. With α = 1e300 at
-// (20000, 20000) the total is +Inf from the first event, so a kernel must
-// hand back before it fires any.
+// the round cap, in every lane and land where Run lands after as many,
+// with γ = 0, where a kernel skips the intraspecific terms, and with
+// γ = 1, where it computes them; a call on the first group alone must do
+// so in that group's lanes and leave every other lane bit for bit as it
+// was. With a budget of 100 events, every lane must stop at exactly 100.
+// With α = 1e300 at (20000, 20000) the total is +Inf from the first event,
+// so a kernel must hand back before it fires any.
 func TestKernelCall(t *testing.T) {
 	var kernels []lv.Engine
 	for _, e := range lv.Engines() {
@@ -134,6 +139,7 @@ func TestKernelCall(t *testing.T) {
 	}{
 		{"nsd-1e6", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, false, lv.KernelRounds},
 		{"nsd-1e6-one-group", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, true, lv.KernelRounds},
+		{"nsd-intra-1e6", lv.Neutral(1, 1, 1, 1, lv.NonSelfDestructive), lv.State{X0: 1_000_000, X1: 1_000_000}, 0, false, lv.KernelRounds},
 		{"budget", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 100, false, 100},
 		{"inf-total", lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), lv.State{X0: 20000, X1: 20000}, 0, false, 0},
 	} {
@@ -242,13 +248,16 @@ func TestBlockAllocationFree(t *testing.T) {
 // FuzzBlockMatchesTrial compares the block engine with Trial on fuzzed
 // chains: every rate drawn from {0, −0.0, the smallest denormal, 1e300,
 // an ordinary value}, states up to 40, both models, both tie rules and a
-// bounded step budget.
+// bounded step budget. The last two seeds have γ = (0, 0.125) and
+// (0.125, 0).
 func FuzzBlockMatchesTrial(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(4), uint8(4), uint8(0), uint8(0), uint8(30), uint8(20), true, false, uint16(4000))
 	f.Add(uint64(2), uint8(1), uint8(34), uint8(34), uint8(34), uint8(0), uint8(16), uint8(14), true, false, uint16(4000))
 	f.Add(uint64(3), uint8(4), uint8(4), uint8(4), uint8(4), uint8(1), uint8(12), uint8(4), true, true, uint16(4000))
 	f.Add(uint64(4), uint8(3), uint8(2), uint8(3), uint8(2), uint8(3), uint8(40), uint8(1), false, true, uint16(100))
 	f.Add(uint64(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(5), false, false, uint16(0))
+	f.Add(uint64(6), uint8(4), uint8(4), uint8(4), uint8(4), uint8(20), uint8(22), uint8(20), true, false, uint16(4000))
+	f.Add(uint64(7), uint8(4), uint8(4), uint8(4), uint8(4), uint8(4), uint8(22), uint8(20), false, false, uint16(4000))
 	f.Fuzz(func(t *testing.T, seed uint64, beta, delta, alpha, alpha1, gamma uint8, a, b uint8, sd, coin bool, budget uint16) {
 		rate := func(sel uint8) float64 {
 			switch sel % 5 {

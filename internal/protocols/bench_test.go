@@ -54,16 +54,16 @@ func BenchmarkPopulationKernel(b *testing.B) {
 		benchKernel(b, p.run)
 	})
 	b.Run("lockstep", func(b *testing.B) {
-		benchLockstep(b, DefaultLockstepLanes)
+		benchLockstep(b, DefaultLockstepLanes, cpufeat.Widest())
 	})
 }
 
-// benchLockstep prices the lockstep block engine on the same workload: one
-// op is a full block of `lanes` trials, and ns/event divides by the summed
-// per-lane interaction ticks the engine accounts — the same law (and,
-// lane for lane, the same byte-exact executions) as the batch kernel
-// above. The engine is built once; steady state must not allocate.
-func benchLockstep(b *testing.B, lanes int) {
+// benchLockstep prices the lockstep block engine at level k on the same
+// workload: one op is a full block of `lanes` trials, and ns/event divides
+// by the summed per-lane interaction ticks the engine accounts — the same
+// law (and, lane for lane, the same byte-exact executions) as the batch
+// kernel above. The engine is built once; steady state must not allocate.
+func benchLockstep(b *testing.B, lanes int, k cpufeat.Level) {
 	b.Helper()
 	e, err := NewThreeStateAM().newLockstep(10_000, 400, lanes)
 	if err != nil {
@@ -73,7 +73,7 @@ func benchLockstep(b *testing.B, lanes int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := e.runBlock(1, i*lanes, (i+1)*lanes, wins); err != nil {
+		if err := e.run(1, i*lanes, (i+1)*lanes, wins, k); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -90,14 +90,24 @@ func benchLockstep(b *testing.B, lanes int) {
 // where absolute times do not.
 const maxLockstepBatchRatio = 0.829
 
-// TestLockstepCheaperThanBatch gates the lockstep engine against the batch
-// kernel on BenchmarkPopulationKernel's workload, n = 10⁴ and δ = 400.
-// Each engine's ns/event is the minimum of three testing.Benchmark runs,
-// alternating between the engines so that a slow spell of the machine
-// weighs on both. It logs which tick kernel the dispatching engine ran.
+// maxTickKernelRatio bounds each tick kernel's cost per simulated
+// interaction as a multiple of the Go rounds' on the same workload, about
+// twice the larger of the ratios recorded on a 2-core Sapphire Rapids VM
+// (0.37 for ticksAVX2, 0.21 for ticks512). The bound against batch cannot
+// tell a tick kernel from the Go rounds alone, which read 0.63x batch;
+// this one can, since the Go rounds alone read about 1.
+const maxTickKernelRatio = 0.75
+
+// TestLockstepCheaperThanBatch gates the lockstep engine on
+// BenchmarkPopulationKernel's workload, n = 10⁴ and δ = 400: at the widest
+// level the CPU runs, against the batch kernel, and at every level with a
+// tick kernel, against the Go rounds alone. Each engine's ns/event is the
+// minimum of three testing.Benchmark runs, alternating between the engines
+// so that a slow spell of the machine weighs on all of them. It logs which
+// tick kernel the dispatching engine ran and every ratio.
 func TestLockstepCheaperThanBatch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times both engines for several seconds; skipped with -short")
+		t.Skip("times every engine for several seconds; skipped with -short")
 	}
 	nsPerEvent := func(name string, bench func(b *testing.B)) float64 {
 		ns, ok := testing.Benchmark(bench).Extra["ns/event"]
@@ -106,14 +116,20 @@ func TestLockstepCheaperThanBatch(t *testing.T) {
 		}
 		return ns
 	}
-	lockstep, batch := math.Inf(1), math.Inf(1)
+	levels := cpufeat.Levels() // the widest first, Portable (the Go rounds alone) last
+	batch, lockstep := math.Inf(1), make([]float64, len(levels))
+	for i := range lockstep {
+		lockstep[i] = math.Inf(1)
+	}
 	for range 3 {
 		batch = min(batch, nsPerEvent("batch", func(b *testing.B) {
 			benchKernel(b, NewThreeStateAM().run)
 		}))
-		lockstep = min(lockstep, nsPerEvent("lockstep", func(b *testing.B) {
-			benchLockstep(b, DefaultLockstepLanes)
-		}))
+		for i, k := range levels {
+			lockstep[i] = min(lockstep[i], nsPerEvent(k.String(), func(b *testing.B) {
+				benchLockstep(b, DefaultLockstepLanes, k)
+			}))
+		}
 	}
 	e, err := NewThreeStateAM().newLockstep(10_000, 400, DefaultLockstepLanes)
 	if err != nil {
@@ -126,11 +142,21 @@ func TestLockstepCheaperThanBatch(t *testing.T) {
 	if e.kernelCalls > 0 {
 		kernel, _ = tickKernel(e.ran)
 	}
-	ratio := lockstep / batch
+	ratio := lockstep[0] / batch
 	t.Logf("lockstep (%s) %.2f ns/event, batch %.2f ns/event: %.2fx batch, bound %.3fx",
-		kernel, lockstep, batch, ratio, maxLockstepBatchRatio)
+		kernel, lockstep[0], batch, ratio, maxLockstepBatchRatio)
 	if ratio > maxLockstepBatchRatio {
 		t.Errorf("lockstep costs %.2fx batch per interaction, bound %.3fx", ratio, maxLockstepBatchRatio)
+	}
+	goRounds := lockstep[len(levels)-1]
+	for i, k := range levels[:len(levels)-1] {
+		name, _ := tickKernel(k)
+		ratio := lockstep[i] / goRounds
+		t.Logf("%s %.2f ns/event, Go rounds %.2f ns/event: %.2fx the Go rounds, bound %.2fx",
+			name, lockstep[i], goRounds, ratio, maxTickKernelRatio)
+		if ratio > maxTickKernelRatio {
+			t.Errorf("%s costs %.2fx the Go rounds per interaction, bound %.2fx", name, ratio, maxTickKernelRatio)
+		}
 	}
 }
 
@@ -140,7 +166,7 @@ func TestLockstepCheaperThanBatch(t *testing.T) {
 func BenchmarkLockstepLanes(b *testing.B) {
 	for _, lanes := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("R%d", lanes), func(b *testing.B) {
-			benchLockstep(b, lanes)
+			benchLockstep(b, lanes, cpufeat.Widest())
 		})
 	}
 }

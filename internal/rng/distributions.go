@@ -11,7 +11,7 @@ func (src *Source) Exp(rate float64) float64 {
 	}
 	// -log(U) with U in (0, 1]. Float64 returns [0, 1); use 1-U to avoid
 	// log(0).
-	return -math.Log(1-src.Float64()) / rate
+	return -log(1-src.Float64()) / rate
 }
 
 // Norm returns a standard normally distributed value using the Marsaglia
@@ -28,7 +28,7 @@ func (src *Source) Norm() float64 {
 		if s >= 1 || s == 0 {
 			continue
 		}
-		f := math.Sqrt(-2 * math.Log(s) / s)
+		f := math.Sqrt(-2 * log(s) / s)
 		src.spare = v * f
 		src.hasSpare = true
 		return u * f
@@ -47,7 +47,7 @@ func (src *Source) Geometric(p float64) int {
 	}
 	// Inversion: floor(log(U) / log(1-p)).
 	u := 1 - src.Float64() // in (0, 1]
-	return int(math.Log(u) / math.Log(1-p))
+	return int(log(u) / log(1-p))
 }
 
 // GeometricCapped returns min(G, max) for G ~ Geometric(p), the number of
@@ -67,7 +67,7 @@ func (src *Source) GeometricCapped(p float64, max int) int {
 	if p == 1 {
 		return 0
 	}
-	d := math.Log(1 - p)
+	d := log(1 - p)
 	if d == 0 {
 		// p below ~1e-17: 1−p rounds to 1. The geometric mean exceeds
 		// 10^16 failures, so any realistic cap is hit with certainty (up
@@ -77,7 +77,7 @@ func (src *Source) GeometricCapped(p float64, max int) int {
 		return max
 	}
 	u := 1 - src.Float64() // in (0, 1]
-	g := math.Log(u) / d
+	g := log(u) / d
 	if g >= float64(max) {
 		return max
 	}
@@ -127,7 +127,7 @@ func (src *Source) binomialInversion(n int, p float64) int {
 	q := 1 - p
 	s := p / q
 	// f = P(X = 0) = q^n, computed in log space for robustness.
-	f := math.Exp(float64(n) * math.Log(q))
+	f := math.Exp(float64(n) * log(q))
 	u := src.Float64()
 	for k := 0; ; k++ {
 		if u < f {
@@ -179,7 +179,7 @@ func (src *Source) poissonPTRS(mean float64) int {
 	a := -0.059 + 0.02483*b
 	invAlpha := 1.1239 + 1.1328/(b-3.4)
 	vr := 0.9277 - 3.6224/(b-2)
-	logMean := math.Log(mean)
+	logMean := log(mean)
 
 	for {
 		u := src.Float64() - 0.5
@@ -193,7 +193,7 @@ func (src *Source) poissonPTRS(mean float64) int {
 			continue
 		}
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logMean-mean-lg {
+		if log(v*invAlpha/(a/(us*us)+b)) <= k*logMean-mean-lg {
 			return int(k)
 		}
 	}
