@@ -33,47 +33,6 @@ func TestExperimentSmokeShort(t *testing.T) {
 	}
 }
 
-// TestRunAllExperimentsQuick executes every registered experiment at the
-// quick effort level and sanity-checks the resulting tables. This is the
-// end-to-end smoke test of the reproduction harness; the heavy quick grids
-// are gated behind -short (use go test -run TestRunAllExperimentsQuick
-// ./internal/experiment to run them alone, or cmd/experiments -full for
-// the recorded grids).
-func TestRunAllExperimentsQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("heavy quick grids; smoke coverage lives in TestExperimentSmokeShort")
-	}
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			tables, err := e.Run(Config{Seed: 20240506, Workers: 2})
-			if err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
-			}
-			if len(tables) == 0 {
-				t.Fatalf("%s produced no tables", e.ID)
-			}
-			for _, tbl := range tables {
-				if tbl.Title == "" {
-					t.Errorf("%s: table without title", e.ID)
-				}
-				if len(tbl.Rows) == 0 {
-					t.Errorf("%s: table %q has no rows", e.ID, tbl.Title)
-				}
-				var b strings.Builder
-				if err := tbl.Render(&b); err != nil {
-					t.Errorf("%s: render %q: %v", e.ID, tbl.Title, err)
-				}
-				b.Reset()
-				if err := tbl.WriteCSV(&b); err != nil {
-					t.Errorf("%s: CSV %q: %v", e.ID, tbl.Title, err)
-				}
-			}
-		})
-	}
-}
-
 // TestTable1SDCacheReplay asserts the Table-1 reproduction path is wired
 // through the sweep engine's probe cache: a second run with the same
 // configuration replays every threshold probe (zero fresh estimator calls)

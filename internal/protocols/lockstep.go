@@ -36,6 +36,18 @@ const (
 // ticksAVX2.
 const kernelIters = 2048
 
+// nullRecords is the length of the engine's buffer of deferred null runs
+// (see sweep4's null-dominated branch); flushNulls resolves a full buffer
+// in one call of rng.GeometricBatch.
+const nullRecords = 256
+
+// nullBound bounds a deferred null run's length. The run GeometricCapped
+// would draw is ⌊log u / log q⌋ with u = 1 − Float64() ≥ 2⁻⁵³, so
+// |log u| ≤ 53·ln 2 < 36.74, and −log q ≥ 1 − q, which is exact for
+// q ≥ 7/8: the run stays below 36.74/(1 − q), and nullBound/(1 − q) above
+// it through every rounding.
+const nullBound = 38
+
 // planeBytes is the byte stride between two count planes: the tick kernels
 // address state s's plane at s·planeBytes from plane 0. The count planes
 // start on a cache line; the state-word and step planes, inside the
@@ -165,9 +177,28 @@ type lockstepEngine struct {
 	// reports from run; benchmarks read it to price one simulated event.
 	ticks int64
 	// kernelCalls counts tick kernel calls, and ran is the level of the
-	// kernel the last one ran, for tests.
-	kernelCalls int
-	ran         cpufeat.Level
+	// kernel the last one ran; deferred counts the geometric draws sweep4
+	// deferred, as flushNulls resolves them, and inPlace those it drew in
+	// place. All are for tests.
+	kernelCalls       int
+	ran               cpufeat.Level
+	deferred, inPlace int
+
+	// The deferred null runs (see sweep4). Record j < pending holds lane
+	// nullLane[j]'s uniform nullU[j] = 1 − Float64() and
+	// nullQ[j] = 1 − w/total; flushNulls resolves the records into nullN
+	// at level, the running sweep's, which must be AVX512 for sweep4 to
+	// defer, and adds them to their lanes' step words. reserve[li] is the
+	// sum of ⌊nullBound/(1 − q)⌋ + 1 over lane li's records, an upper
+	// bound on their runs' total; it is zero for a lane without one.
+	level    cpufeat.Level
+	pending  int
+	nullLane [nullRecords]uint8
+	nullU    [nullRecords]float64
+	nullQ    [nullRecords]float64
+	nullN    [nullRecords]int64
+	reserve  [MaxLockstepLanes]uint64
+
 	// mark is the lanes' progress when kernelTicks last ran (see
 	// kernelTicks); sweep4 zeroes it when it starts.
 	mark progress
@@ -288,6 +319,11 @@ func (e *lockstepEngine) initLane(li, rep, lo int) {
 // against the last active lane. The caller re-examines index li, which now
 // holds either the fresh replicate or the swapped-in lane.
 func (e *lockstepEngine) finishLane(li int, won bool, wins []bool, hi, lo int) {
+	// The lane's step word becomes a count, and a refill would leave its
+	// records naming the fresh replicate: resolve them first.
+	if e.reserve[li] != 0 {
+		e.flushNulls()
+	}
 	wins[e.l.win[li]] = won
 	e.ticks += int64(e.l.step[li] & stepMask)
 	if e.nextRep < hi {
@@ -301,6 +337,23 @@ func (e *lockstepEngine) finishLane(li int, won bool, wins []bool, hi, lo int) {
 	}
 }
 
+// flushNulls resolves every pending null run: it adds each record's
+// ⌊log u / log q⌋, drawn by rng.GeometricBatch at the engine's level, to
+// its lane's step word, and empties the buffer.
+func (e *lockstepEngine) flushNulls() {
+	m := e.pending
+	if m == 0 {
+		return
+	}
+	rng.GeometricBatch(e.nullN[:m], e.nullU[:m], e.nullQ[:m], e.level)
+	for j, li := range e.nullLane[:m] {
+		e.l.step[li] += uint64(e.nullN[j])
+		e.reserve[li] = 0
+	}
+	e.pending = 0
+	e.deferred += m
+}
+
 // runBlock runs replicates [lo, hi), writing each outcome to wins[rep-lo].
 // Blocks wider than the lane capacity are handled by refilling retired
 // lanes, so any block size is accepted.
@@ -308,9 +361,10 @@ func (e *lockstepEngine) runBlock(seed uint64, lo, hi int, wins []bool) error {
 	return e.run(seed, lo, hi, wins, cpufeat.Widest())
 }
 
-// run is runBlock with the widest tick kernel's level explicit: it lets
-// that kernel run the tick regime where the kernels fit, and at Portable
-// the Go rounds are the whole engine.
+// run is runBlock with the level explicit: it lets that level's tick
+// kernel run the tick regime where the kernels fit, and at Portable the Go
+// rounds are the whole engine. Deferred null runs are resolved at the
+// level whether or not a tick kernel fits.
 func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, k cpufeat.Level) error {
 	if hi < lo {
 		return fmt.Errorf("protocols: lockstep block [%d, %d) is inverted", lo, hi)
@@ -324,9 +378,9 @@ func (e *lockstepEngine) run(seed uint64, lo, hi int, wins []bool, k cpufeat.Lev
 	for li := 0; li < e.active; li++ {
 		e.initLane(li, lo+li, lo)
 	}
-	if !e.kernel {
-		k = cpufeat.Portable
-	}
+	// A block that panicked may have left records behind.
+	e.pending = 0
+	clear(e.reserve[:])
 	return e.sweep4(lo, hi, wins, k)
 }
 
@@ -379,16 +433,37 @@ func tickKernel(k cpufeat.Level) (name string, group int) {
 // it runs only on rounds that follow a count update that left a zero (or
 // open a fresh replicate).
 //
-// Above Portable, each pass of the lanes first calls the tick kernel of
-// level k. Unless the kernel refused, the pass is the hand-back: a lane
-// the kernel can take is skipped, and any other lane runs rounds until the
-// kernel can take it or it retires. After a refusal, and at Portable,
-// every lane runs one round per pass. kernelTicks panics when a kernel
-// call and its hand-back pass leave every lane as it was.
+// Above Portable, where the tick kernels fit, each pass of the lanes
+// first calls the tick kernel of level k. Unless the kernel refused, the
+// pass is the hand-back: a lane the kernel can take is skipped, and any
+// other lane runs rounds until the kernel can take it or it retires. After
+// a refusal, and at Portable, every lane runs one round per pass.
+// kernelTicks panics when a kernel call and its hand-back pass leave every
+// lane as it was.
+//
+// A null run's length feeds only the lane's step word, never its counts or
+// its stream, so at AVX512, where geometric512 resolves the logarithms
+// eight at a time, the null-dominated branch defers its geometric draw
+// while the budget provably cannot bind: it consumes the one uniform
+// GeometricCapped would, records it, and fires. The other levels draw in
+// place: their flush would pay the same logarithms one at a time in Go,
+// and measured no faster. flushNulls runs at the top of every pass, before
+// the tick kernel, so records exist only for lanes that deferred in the
+// current pass. Such a lane comes round again in the same pass only in the
+// hand-back, where a lane in the tick regime is the kernel's, and a lane
+// that finishLane swaps in comes from above li, which the pass has not
+// reached. So three places can meet a lane with records, and each
+// resolves them before it reads the step word as a count: finishLane, the
+// budget charge of a lane with no effective pair, and the in-place draw.
+// A full buffer is resolved as well.
 //
 //lint:hotpath
 func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, k cpufeat.Level) error {
 	e.mark = progress{}
+	e.level = k
+	if !e.kernel {
+		k = cpufeat.Portable
+	}
 	maxI := e.maxInteractions
 	total, ftotal := e.total, e.ftotal
 	tscale := float64(1<<53) / ftotal
@@ -404,6 +479,7 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, k cpufeat.Level) error 
 		// adv is how far a lane's round moves the pass on: 0 in the
 		// hand-back, which re-examines the lane.
 		adv := 1
+		e.flushNulls()
 		if k != cpufeat.Portable && !e.kernelTicks(active, k) {
 			adv = 0
 		}
@@ -454,6 +530,9 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, k cpufeat.Level) error 
 				// change again, and the scalar loop would spin to the
 				// budget. Charge the full budget; the next pass retires
 				// the lane undecided.
+				if e.reserve[i] != 0 {
+					e.flushNulls()
+				}
 				l.step[i] = uint64(maxI)
 				li += adv
 				continue
@@ -553,17 +632,47 @@ func (e *lockstepEngine) sweep4(lo, hi int, wins []bool, k cpufeat.Level) error 
 					}
 				} else {
 					// Null-dominated state: one geometric draw replaces
-					// the whole run of null ticks.
-					remaining := maxI - step
-					var nulls int
-					nulls, s0, s1, s2, s3 = rng.GeometricCapped4(s0, s1, s2, s3, float64(w)/ftotal, remaining)
-					if nulls >= remaining {
-						l.step[i] = uint64(maxI)
-						l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
-						li += adv
-						continue
+					// the whole run of null ticks. At AVX512 defer it
+					// when the step word, 1 for the fire, the lane's
+					// reserve and this run's bound stay within the
+					// budget, so that neither the draw's cap nor the
+					// budget binds before the next flush. The bound is
+					// +Inf when q = 1, where GeometricCapped charges the
+					// budget, so that case never defers.
+					if e.pending == nullRecords {
+						e.flushNulls()
+						step = int(l.step[i])
 					}
-					step += nulls
+					p := float64(w) / ftotal
+					q := 1 - p
+					if e.level == cpufeat.AVX512 && nullBound/(1-q) < float64(maxI-1-step-int(e.reserve[i])) {
+						var r uint64
+						r, s0, s1, s2, s3 = rng.Next4(s0, s1, s2, s3)
+						j := e.pending
+						e.nullLane[j] = uint8(i)
+						// 1 − Float64(), with the exact product by 2⁻⁵³
+						// rounded on its own, as everywhere in sweep4.
+						e.nullU[j] = 1 - float64(float64(r>>11)/(1<<53))
+						e.nullQ[j] = q
+						e.pending = j + 1
+						e.reserve[i] += uint64(nullBound/(1-q)) + 1
+					} else {
+						if e.reserve[i] != 0 {
+							e.flushNulls()
+							step = int(l.step[i])
+						}
+						e.inPlace++
+						remaining := maxI - step
+						var nulls int
+						nulls, s0, s1, s2, s3 = rng.GeometricCapped4(s0, s1, s2, s3, p, remaining)
+						if nulls >= remaining {
+							l.step[i] = uint64(maxI)
+							l.s0[i], l.s1[i], l.s2[i], l.s3[i] = s0, s1, s2, s3
+							li += adv
+							continue
+						}
+						step += nulls
+					}
 				}
 			}
 			// The effective interaction itself consumes one tick.

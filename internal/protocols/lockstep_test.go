@@ -100,8 +100,8 @@ func runBatchOracle(t testing.TB, p *PopulationProtocol, n, delta int, seed uint
 // checkLockstepMatchesBatch runs replicates [lo, hi) of p as one lockstep
 // block of the given lane width on every path and checks every lane's win,
 // and the block's tick total, against the batch kernel on the replicate's
-// stream.
-func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budget, n, delta, lanes, lo, hi int, seed uint64) {
+// stream. It returns the engines, in lockstepPaths order.
+func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budget, n, delta, lanes, lo, hi int, seed uint64) []*lockstepEngine {
 	t.Helper()
 	with := func() *PopulationProtocol {
 		p := mk()
@@ -118,12 +118,14 @@ func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budg
 		want[rep-lo] = won
 		wantTicks += int64(steps)
 	}
+	var engines []*lockstepEngine
 	for _, path := range lockstepPaths {
 		p := with()
 		e, err := p.newLockstep(n, delta, lanes)
 		if err != nil {
 			t.Fatal(err)
 		}
+		engines = append(engines, e)
 		wins := make([]bool, hi-lo)
 		if err := e.run(seed, lo, hi, wins, path.k); err != nil {
 			t.Fatal(err)
@@ -139,6 +141,7 @@ func checkLockstepMatchesBatch(t testing.TB, mk func() *PopulationProtocol, budg
 				path.name, p.Name(), n, delta, lanes, budget, lo, hi, seed, e.ticks, wantTicks)
 		}
 	}
+	return engines
 }
 
 // TestLockstepByteIdenticalToBatch is the engine's ground truth: every
@@ -224,6 +227,45 @@ func TestLockstepMatchesBatchInTickRegime(t *testing.T) {
 	}
 }
 
+// TestLockstepDefersNullRuns checks that the null-dominated branch defers
+// its geometric draws at AVX512 and draws them in place at every other
+// level. Under the protocol's own budget, a 3-state approximate majority
+// block at n = 1024, δ = 98 never comes near it, so every path at AVX512
+// must defer every draw. A budget of 20,000 interactions cuts some of the
+// same trials short in their null-dominated tail, where trials of 12,000
+// to 28,000 interactions end: there those paths must also draw in place,
+// where a deferred run could reach the budget, and every path must still
+// match the batch kernel's wins and ticks.
+func TestLockstepDefersNullRuns(t *testing.T) {
+	const n, delta, budget = 1024, 98, 20_000
+	for i, e := range checkLockstepMatchesBatch(t, NewThreeStateAM, 0, n, delta, 128, 0, 256, 41) {
+		if path := lockstepPaths[i]; path.k == cpufeat.AVX512 && (e.deferred == 0 || e.inPlace != 0) {
+			t.Errorf("%s: %d geometric draws deferred, %d in place; want every one deferred",
+				path.name, e.deferred, e.inPlace)
+		} else if path.k != cpufeat.AVX512 && (e.deferred != 0 || e.inPlace == 0) {
+			t.Errorf("%s: %d geometric draws deferred, %d in place; want every one in place",
+				path.name, e.deferred, e.inPlace)
+		}
+	}
+	oracle := NewThreeStateAM()
+	oracle.MaxInteractionsFor = func(int) int { return budget }
+	cut := 0
+	for rep := range 256 {
+		if _, steps := runBatchOracle(t, oracle, n, delta, 41, rep); steps == budget {
+			cut++
+		}
+	}
+	if cut == 0 {
+		t.Fatalf("a budget of %d cut no trial short", budget)
+	}
+	for i, e := range checkLockstepMatchesBatch(t, NewThreeStateAM, budget, n, delta, 128, 0, 256, 41) {
+		if path := lockstepPaths[i]; path.k == cpufeat.AVX512 && (e.deferred == 0 || e.inPlace == 0) {
+			t.Errorf("budget %d, %s: %d geometric draws deferred, %d in place; want both",
+				budget, path.name, e.deferred, e.inPlace)
+		}
+	}
+}
+
 // FuzzLockstepMatchesBatch checks every path of a lockstep block against
 // the batch kernel on the 3-state approximate majority, ternary signaling
 // and the approximate majority decided at the first extinction: every
@@ -236,6 +278,11 @@ func FuzzLockstepMatchesBatch(f *testing.F) {
 	f.Add(uint8(2), uint16(60), uint16(2), uint16(16), uint16(0), uint16(33), uint64(4), uint32(0))
 	f.Add(uint8(3), uint16(30), uint16(6), uint16(3), uint16(1), uint16(12), uint64(5), uint32(0))
 	f.Add(uint8(1), uint16(2), uint16(0), uint16(1), uint16(0), uint16(4), uint64(6), uint32(1))
+	// Budgets near the median trial length, which cut trials short in
+	// their null-dominated tails and make every path draw some null runs
+	// in place.
+	f.Add(uint8(0), uint16(298), uint16(30), uint16(63), uint16(0), uint16(100), uint64(7), uint32(4175))
+	f.Add(uint8(1), uint16(248), uint16(10), uint16(63), uint16(0), uint16(100), uint64(7), uint32(3969))
 	f.Fuzz(func(t *testing.T, proto uint8, n, delta, lanes, lo, width uint16, seed uint64, budget uint32) {
 		mk := []func() *PopulationProtocol{NewThreeStateAM, NewTernarySignaling, newAMFirstExtinction}[proto%3]
 		nn := 2 + int(n)%299
@@ -340,6 +387,78 @@ func finishCrafted(t *testing.T, e *lockstepEngine, k cpufeat.Level) craftedEnd 
 	l := &e.l
 	return craftedEnd{wins[0], e.ticks, [4]uint64{l.s0[0], l.s1[0], l.s2[0], l.s3[0]},
 		[3]uint32{l.counts[0][0], l.counts[1][0], l.counts[2][0]}}
+}
+
+// TestLockstepFlushesBeforeTicks crafts a lane in the tick regime whose
+// step word is 40 ticks from its budget but which holds a pending null run
+// of 30 ticks, so that only 10 remain. Every path must resolve the run,
+// with rng.GeometricBatch at its own level, before its first pass reads
+// the step word, and end the lane exactly as one whose step word already
+// holds the run.
+func TestLockstepFlushesBeforeTicks(t *testing.T) {
+	const n, delta, budget = 1024, 98, 1000
+	counts := [3]uint32{500, 400, 124} // X, Y, blank: w = 511,600 of 1,047,552
+	state := [4]uint64{1, 2, 3, 4}
+	mk := func() *PopulationProtocol {
+		p := NewThreeStateAM()
+		p.MaxInteractionsFor = func(int) int { return budget }
+		return p
+	}
+	for _, path := range lockstepPaths[1:] {
+		t.Run(path.name, func(t *testing.T) {
+			pending := craftedEngine(t, mk(), n, delta, counts, budget-40, state)
+			const q = 0.9
+			pending.nullU[0], pending.nullQ[0] = math.Pow(q, 30.5), q // a run of ⌊30.5⌋ ticks
+			pending.pending, pending.reserve[0] = 1, 1
+			got := finishCrafted(t, pending, path.k)
+			want := finishCrafted(t, craftedEngine(t, mk(), n, delta, counts, budget-10, state), path.k)
+			if got != want || want.won || want.ticks != budget {
+				t.Fatalf("with a pending run the lane ends at %+v, with the run in its step word at %+v; want both undecided at the budget, %d ticks",
+					got, want, budget)
+			}
+		})
+	}
+}
+
+// newStalling is a lockstep table that stalls undecided: an X agent turns
+// blank on meeting a Y and a blank turns X on meeting an X, Y agents never
+// change, and the one DoneWhenZero rule (no Y left) never fires. At δ = 0 a
+// lane's X count drifts to zero, where no pair is effective, and the
+// engines charge the lane its full budget.
+func newStalling() *PopulationProtocol {
+	p := NewThreeStateAM()
+	p.ProtocolName = "stalling X-blank exchange"
+	p.Rule = func(a, b int) (int, int) {
+		switch {
+		case a == amX && b == amY:
+			return amBlank, amY
+		case a == amY && b == amX:
+			return amY, amBlank
+		case a == amX && b == amBlank, a == amBlank && b == amX:
+			return amX, amX
+		default:
+			return a, b
+		}
+	}
+	p.Done = func(counts []int) (bool, int) { return counts[amY] == 0, 0 }
+	p.DoneWhenZero = []DoneRule{{Zero: []int{amY}, Winner: 0}}
+	return p
+}
+
+// TestLockstepFlushesBeforeStallCharge runs newStalling on every path. At
+// AVX512, in the hand-back, a lane that defers a null run and then fires
+// its last X away meets the stall charge with the run pending, and must
+// resolve it first: every lane then ends at the budget, as in the batch
+// kernel.
+func TestLockstepFlushesBeforeStallCharge(t *testing.T) {
+	const n, reps = 64, 256
+	budget := int64(newStalling().maxInteractions(n))
+	for i, e := range checkLockstepMatchesBatch(t, newStalling, 0, n, 0, 64, 0, reps, 9) {
+		if path := lockstepPaths[i]; (path.k == cpufeat.AVX512 && e.deferred == 0) || e.ticks != reps*budget {
+			t.Errorf("%s: %d null runs deferred and %d ticks; want some deferred at avx512 and every lane stalled, %d ticks",
+				path.name, e.deferred, e.ticks, reps*budget)
+		}
+	}
 }
 
 // TestLockstepKernelRefusal crafts a lane whose effective tick draws

@@ -1,6 +1,10 @@
 package rng
 
-import "math/bits"
+import (
+	"math/bits"
+
+	"lvmajority/internal/cpufeat"
+)
 
 // State-passing draw primitives for lockstep simulation kernels.
 //
@@ -65,4 +69,36 @@ func Uint64NRetry4(s0, s1, s2, s3, hi, lo, n uint64) (v, t0, t1, t2, t3 uint64) 
 		hi, lo = bits.Mul64(src.Uint64(), n)
 	}
 	return hi, src.s[0], src.s[1], src.s[2], src.s[3]
+}
+
+// GeometricBatch sets n[i] = int64(log(u[i]) / log(q[i])) for every
+// i < len(u). That is the draw GeometricCapped makes from the uniform
+// u = 1 − Float64() when q = 1 − p and its cap does not bind, so a
+// lockstep kernel can consume each uniform where GeometricCapped would
+// and resolve the logarithms later, many at once. Every u[i] must lie in
+// (0, 1] and every q[i] in (0, 1); n and q must be at least as long as u.
+//
+// k must be a level the CPU runs (cpufeat.Levels). At AVX512 an assembly
+// kernel (geometric512) takes the full groups of eight: it repeats log's
+// operations in the same order, eight draws per instruction with nothing
+// fused, so it gives the same bits. Every other level, and the draws past
+// the last full group, run log in Go.
+func GeometricBatch(n []int64, u, q []float64, k cpufeat.Level) {
+	n, q = n[:len(u)], q[:len(u)]
+	i := 0
+	if k == cpufeat.AVX512 {
+		i = len(u) &^ 7
+		if i > 0 {
+			geometric512(n[:i], u[:i], q[:i])
+		}
+	}
+	geometricGo(n[i:], u[i:], q[i:])
+}
+
+// geometricGo is GeometricBatch in Go, for n, u and q of one length.
+func geometricGo(n []int64, u, q []float64) {
+	n, q = n[:len(u)], q[:len(u)]
+	for i, x := range u {
+		n[i] = int64(log(x) / log(q[i]))
+	}
 }
