@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lvmajority/internal/rng"
+	"lvmajority/internal/testutil"
 )
 
 // BenchmarkRunSD measures a full self-destructive consensus run at n = 1000
@@ -129,22 +130,32 @@ func (c blockBenchCase) events(tb testing.TB) int64 {
 	return events
 }
 
-// benchBlock runs the window through run, Block.Run or an Engine's Run,
-// in blocks of BlockLanes as the Monte-Carlo pool hands them out, and
-// reports ns per event.
-func benchBlock(b *testing.B, c blockBenchCase, events int64, run func(*Block, uint64, int, int, []bool) error) {
+// blockWindows returns an op that runs the window through run, Block.Run
+// or an Engine's Run, in blocks of BlockLanes as the Monte-Carlo pool
+// hands them out, and returns the window's events.
+func blockWindows(tb testing.TB, c blockBenchCase, events int64, run func(*Block, uint64, int, int, []bool) error) func() int64 {
 	blk, err := NewBlock(c.params, c.initial, 0, false)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	wins := make([]bool, BlockLanes)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
+	return func() int64 {
 		for lo := 0; lo < blockBenchWindow; lo += BlockLanes {
 			if err := run(blk, 1, lo, lo+BlockLanes, wins); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
+		return events
+	}
+}
+
+// benchBlock runs blockWindows' windows and reports ns per event.
+func benchBlock(b *testing.B, c blockBenchCase, events int64, run func(*Block, uint64, int, int, []bool) error) {
+	next := blockWindows(b, c, events, run)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		next()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(events*int64(b.N)), "ns/event")
 }
@@ -196,11 +207,11 @@ const maxKernelGoRoundRatio = 0.5
 // widest, against the Go round alone on sd-1024-gap12. Run dispatches to
 // the widest kernel, so it is timed in that kernel's place, and a Run that
 // fell back to the Go round fails. Each engine's ns/event is the minimum
-// of three testing.Benchmark runs, alternating between the engines so that
+// of three testutil.NsPer windows, alternating between the engines so that
 // a slow spell of the machine weighs on all of them. It logs every ratio.
 func TestBlockKernelsCheaperThanGoRound(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times every engine for several seconds; skipped with -short")
+		t.Skip("times every engine for a few seconds; skipped with -short")
 	}
 	engines := Engines()
 	if len(engines) == 1 {
@@ -219,12 +230,7 @@ func TestBlockKernelsCheaperThanGoRound(t *testing.T) {
 	}
 	for range 3 {
 		for i, run := range runs {
-			r := testing.Benchmark(func(b *testing.B) { benchBlock(b, sdGap12, events, run) })
-			v, ok := r.Extra["ns/event"]
-			if !ok || v <= 0 {
-				t.Fatalf("%s benchmark failed or reported no ns/event", names[i])
-			}
-			ns[i] = min(ns[i], v)
+			ns[i] = min(ns[i], testutil.NsPer(blockWindows(t, sdGap12, events, run)))
 		}
 	}
 	goRound := ns[len(ns)-1] // Engines lists the Go round alone last

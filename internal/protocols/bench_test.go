@@ -7,23 +7,34 @@ import (
 
 	"lvmajority/internal/cpufeat"
 	"lvmajority/internal/rng"
+	"lvmajority/internal/testutil"
 )
 
-// benchKernel runs full trials of the 3-state approximate-majority baseline
-// at n = 10⁴ through the given trial runner and reports ns per simulated
-// interaction — skipped null interactions count, since every runner
-// accounts for exactly the same interaction-sequence law.
-func benchKernel(b *testing.B, trial func(n, delta int, src *rng.Source) (bool, int, error)) {
-	b.Helper()
+// kernelTrials returns an op that runs the next full trial of the 3-state
+// approximate-majority baseline at n = 10⁴ through the given trial runner
+// and returns its simulated interactions — skipped null interactions
+// count, since every runner accounts for exactly the same
+// interaction-sequence law.
+func kernelTrials(tb testing.TB, trial func(n, delta int, src *rng.Source) (bool, int, error)) func() int64 {
 	src := rng.New(1)
-	b.ReportAllocs()
-	var events int64
-	for i := 0; i < b.N; i++ {
+	return func() int64 {
 		_, steps, err := trial(10_000, 400, src)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
-		events += int64(steps)
+		return int64(steps)
+	}
+}
+
+// benchEvents runs next, a kernelTrials or lockstepBlocks op, b.N times
+// and reports ns per simulated interaction.
+func benchEvents(b *testing.B, next func() int64) {
+	b.Helper()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var events int64
+	for i := 0; i < b.N; i++ {
+		events += next()
 	}
 	if events == 0 {
 		b.Fatal("no interactions simulated")
@@ -39,48 +50,46 @@ func benchKernel(b *testing.B, trial func(n, delta int, src *rng.Source) (bool, 
 func BenchmarkPopulationKernel(b *testing.B) {
 	b.Run("old", func(b *testing.B) {
 		p := NewThreeStateAM()
-		benchKernel(b, func(n, delta int, src *rng.Source) (bool, int, error) {
+		benchEvents(b, kernelTrials(b, func(n, delta int, src *rng.Source) (bool, int, error) {
 			return historicalTrial(p, n, delta, src)
-		})
+		}))
 	})
 	b.Run("perevent", func(b *testing.B) {
 		p := NewThreeStateAM()
-		benchKernel(b, func(n, delta int, src *rng.Source) (bool, int, error) {
+		benchEvents(b, kernelTrials(b, func(n, delta int, src *rng.Source) (bool, int, error) {
 			return perEventTrial(p, n, delta, src)
-		})
+		}))
 	})
 	b.Run("batch", func(b *testing.B) {
 		p := NewThreeStateAM()
-		benchKernel(b, p.run)
+		benchEvents(b, kernelTrials(b, p.run))
 	})
 	b.Run("lockstep", func(b *testing.B) {
-		benchLockstep(b, DefaultLockstepLanes, cpufeat.Widest())
+		benchEvents(b, lockstepBlocks(b, DefaultLockstepLanes, cpufeat.Widest()))
 	})
 }
 
-// benchLockstep prices the lockstep block engine at level k on the same
-// workload: one op is a full block of `lanes` trials, and ns/event divides
-// by the summed per-lane interaction ticks the engine accounts — the same
-// law (and, lane for lane, the same byte-exact executions) as the batch
-// kernel above. The engine is built once; steady state must not allocate.
-func benchLockstep(b *testing.B, lanes int, k cpufeat.Level) {
-	b.Helper()
+// lockstepBlocks returns an op that runs the next block of `lanes` trials
+// of kernelTrials' workload on the lockstep block engine at level k and
+// returns the block's simulated interactions, the summed per-lane
+// interaction ticks the engine accounts — the same law (and, lane for
+// lane, the same byte-exact executions) as the batch kernel. The engine is
+// built once; steady state must not allocate.
+func lockstepBlocks(tb testing.TB, lanes int, k cpufeat.Level) func() int64 {
 	e, err := NewThreeStateAM().newLockstep(10_000, 400, lanes)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	wins := make([]bool, lanes)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	i := 0
+	return func() int64 {
+		before := e.ticks
 		if err := e.run(1, i*lanes, (i+1)*lanes, wins, k); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
+		i++
+		return e.ticks - before
 	}
-	if e.ticks == 0 {
-		b.Fatal("no interactions simulated")
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(e.ticks), "ns/event")
 }
 
 // maxLockstepBatchRatio bounds the lockstep engine's cost per simulated
@@ -93,28 +102,21 @@ const maxLockstepBatchRatio = 0.829
 // maxTickKernelRatio bounds each tick kernel's cost per simulated
 // interaction as a multiple of the Go rounds' on the same workload, about
 // twice the larger of the ratios recorded on a 2-core Sapphire Rapids VM
-// (0.37 for ticksAVX2, 0.21 for ticks512). The bound against batch cannot
-// tell a tick kernel from the Go rounds alone, which read 0.63x batch;
-// this one can, since the Go rounds alone read about 1.
+// (0.34–0.40 for ticksAVX2, 0.14–0.16 for ticks512). The bound against
+// batch cannot tell a tick kernel from the Go rounds alone, which read
+// 0.63x batch; this one can, since the Go rounds alone read about 1.
 const maxTickKernelRatio = 0.75
 
 // TestLockstepCheaperThanBatch gates the lockstep engine on
 // BenchmarkPopulationKernel's workload, n = 10⁴ and δ = 400: at the widest
 // level the CPU runs, against the batch kernel, and at every level with a
 // tick kernel, against the Go rounds alone. Each engine's ns/event is the
-// minimum of three testing.Benchmark runs, alternating between the engines
+// minimum of three testutil.NsPer windows, alternating between the engines
 // so that a slow spell of the machine weighs on all of them. It logs which
 // tick kernel the dispatching engine ran and every ratio.
 func TestLockstepCheaperThanBatch(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times every engine for several seconds; skipped with -short")
-	}
-	nsPerEvent := func(name string, bench func(b *testing.B)) float64 {
-		ns, ok := testing.Benchmark(bench).Extra["ns/event"]
-		if !ok || ns <= 0 {
-			t.Fatalf("%s benchmark failed or reported no ns/event", name)
-		}
-		return ns
+		t.Skip("times every engine for a few seconds; skipped with -short")
 	}
 	levels := cpufeat.Levels() // the widest first, Portable (the Go rounds alone) last
 	batch, lockstep := math.Inf(1), make([]float64, len(levels))
@@ -122,13 +124,9 @@ func TestLockstepCheaperThanBatch(t *testing.T) {
 		lockstep[i] = math.Inf(1)
 	}
 	for range 3 {
-		batch = min(batch, nsPerEvent("batch", func(b *testing.B) {
-			benchKernel(b, NewThreeStateAM().run)
-		}))
+		batch = min(batch, testutil.NsPer(kernelTrials(t, NewThreeStateAM().run)))
 		for i, k := range levels {
-			lockstep[i] = min(lockstep[i], nsPerEvent(k.String(), func(b *testing.B) {
-				benchLockstep(b, DefaultLockstepLanes, k)
-			}))
+			lockstep[i] = min(lockstep[i], testutil.NsPer(lockstepBlocks(t, DefaultLockstepLanes, k)))
 		}
 	}
 	e, err := NewThreeStateAM().newLockstep(10_000, 400, DefaultLockstepLanes)
@@ -166,7 +164,7 @@ func TestLockstepCheaperThanBatch(t *testing.T) {
 func BenchmarkLockstepLanes(b *testing.B) {
 	for _, lanes := range []int{64, 128, 256} {
 		b.Run(fmt.Sprintf("R%d", lanes), func(b *testing.B) {
-			benchLockstep(b, lanes, cpufeat.Widest())
+			benchEvents(b, lockstepBlocks(b, lanes, cpufeat.Widest()))
 		})
 	}
 }

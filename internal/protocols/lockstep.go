@@ -32,8 +32,9 @@ const (
 // preempts assembly asynchronously, so a call must return within tens of
 // microseconds even when every lane stays eligible, or every
 // stop-the-world would wait for it: on a 2-core Sapphire Rapids VM, 2048
-// visits to 128 eligible lanes take 43–51 µs in ticks512 and 37–52 µs in
-// ticksAVX2.
+// visits to 128 eligible lanes take 64–68 µs at the median in ticks512,
+// which gives a lane up to two ticks per visit, and 37–52 µs in
+// ticksAVX2. A cap of 1024 visits cost ticks512 4–5% more per event.
 const kernelIters = 2048
 
 // nullRecords is the length of the engine's buffer of deferred null runs
@@ -115,27 +116,30 @@ func (p *PopulationProtocol) NewTrialBlock(n, delta int) (func(seed uint64, lo, 
 // n(n−1) < 2³², an assembly tick kernel runs the tick regime instead:
 // ticks512 in groups of eight lanes on CPUs with AVX-512 F and DQ, and
 // ticksAVX2 in groups of four on the others. Each visit to a group gives
-// every eligible lane of it one tick, and a call visits the groups
-// round-robin. The two kernels keep one contract, which the rest of this
-// comment states, so a lane draws the same whichever ran it. A lane is
-// eligible when its step word is below the budget, so that its dirty flag
-// is clear, and w, the sum of its four pair weights, has w < total ≤ 8w;
-// kernelTakes is the same predicate in Go. A clear dirty flag means that
-// no DoneWhenZero rule can have become true: every count update that
-// makes a count zero sets the flag, which keeps the lane away from the
-// kernel until the Go round's decide pass. Each tick draws r₁ and r₂
-// speculatively. r₁ is
-// effective iff (float64(r₁>>11)·2⁻⁵³)·total < float64(w), the negation of
-// the batch loop's null test, computed exactly as Go does: r₁>>11 and w
-// convert exactly, the scaling by 2⁻⁵³ is exact, only the multiply by
-// total rounds, and nothing is fused. A null tick commits the one-draw
-// state; an effective tick commits the two-draw state, picks the pair from
-// the high word of r₂·w (Lemire's fast path, exact because w < 2³²) and
-// applies its net count updates, setting the dirty flag when a count is
-// zero afterwards. Every lane therefore draws exactly what the batch loop
+// every eligible lane of it one tick in ticksAVX2 and up to two in
+// ticks512, and a call visits the groups round-robin. The two kernels keep
+// one contract, which the rest of this comment states, so a lane draws the
+// same whichever ran it. A lane is eligible when its step word is below
+// the budget, so that its dirty flag is clear, and w, the sum of its four
+// pair weights, has w < total ≤ 8w; kernelTakes is the same predicate in
+// Go. A clear dirty flag means that no DoneWhenZero rule can have become
+// true: every count update that makes a count zero sets the flag, which
+// keeps the lane away from the kernel until the Go round's decide pass. A
+// tick draws r and is effective iff (float64(r>>11)·2⁻⁵³)·total <
+// float64(w), the negation of the batch loop's null test, computed exactly
+// as Go does: r>>11 and w convert exactly, the scaling by 2⁻⁵³ is exact,
+// only the multiply by total rounds, and nothing is fused. A null tick
+// advances the state by its one draw; an effective tick takes the next
+// draw as its Lemire draw, picks the pair from the high word of that
+// draw·w (Lemire's fast path, exact because w < 2³²) and applies its net
+// count updates, setting the dirty flag when a count is zero afterwards.
+// ticks512 draws sweep4's speculative pair: where r₁'s tick is null and
+// step + 1 < maxInteractions, r₂ decides a second tick in the same visit,
+// which takes r₃ as its Lemire draw if it fires; the budget stops it
+// otherwise. Every lane therefore draws exactly what the batch loop
 // draws, and the kernel leaves ineligible lanes untouched.
 //
-// Hand-back: if an effective lane's low word of r₂·w is below w, the
+// Hand-back: if a Lemire draw's low word, draw·w mod 2⁶⁴, is below w, the
 // scalar Uint64N would enter its retry loop; the kernel then returns
 // without committing that group (probability ≤ 2⁻³² per draw), and the Go
 // round runs one full round on every lane. Otherwise, after each call the

@@ -268,19 +268,24 @@ refused:
 
 // func ticks512(e *lockstepEngine, groups int) (refused bool)
 //
-// ticksAVX2 in groups of eight, step for step. Each pass of the loop visits
-// the group of lanes BX…BX+7 and gives each eligible lane one tick; R9
-// points at the group's counts in plane 0. A ZMM holds the group's words of
-// one state-word plane or of the step plane, and a YMM its row of one count
-// plane. K1 holds the eligible lanes and K2 the effective ones. Z25–Z31
-// hold constants: the broadcast dirty flag, 4, 1, 2⁻⁵³, ftotal, total and
-// maxInteractions; Z0–Z17 hold temporaries. AVX-512 F and DQ add
-// rotations (VPROLQ), exact conversions from unsigned integers
-// (VCVTUQQ2PD), unsigned compares into mask registers, the low word of a
-// 64×64-bit product (VPMULLQ), qword-to-dword packing (VPMOVQD) and masked
-// stores, so that an ineligible lane is never written. The count rows stay
-// in VEX-encoded YMM instructions, which need no AVX-512 VL. No float
-// operation is fused.
+// Each pass of the loop visits the group of lanes BX…BX+7 and gives each
+// eligible lane up to two ticks, as sweep4's tick loop draws its
+// speculative pair: r₁ decides the first tick, and where that tick is null
+// and step + 1 < maxInteractions, r₂ decides a second one. A tick that
+// fires takes the next draw as its Lemire draw: r₂ after an effective
+// first tick, r₃ after an effective second one. R9 points at the group's
+// counts in plane 0. A ZMM holds the group's words of one state-word plane
+// or of the step plane, and a YMM its row of one count plane. K1 holds the
+// eligible lanes, K2 those whose first tick fires, K4 those that take a
+// second tick, K3 those whose second tick fires, K5 those the budget stops
+// after a null first tick, and K6 the lanes that fire. Z24–Z31 hold
+// constants: maxInteractions − 1, the broadcast dirty flag, 4, 1, 2⁻⁵³,
+// ftotal, total and maxInteractions; Z0–Z19 hold temporaries. AVX-512 F
+// and DQ add rotations (VPROLQ), exact conversions from unsigned integers
+// (VCVTUQQ2PD), unsigned compares into mask registers, qword-to-dword
+// packing (VPMOVQD) and masked stores, so that an ineligible lane is never
+// written. The count rows stay in VEX-encoded YMM instructions, which need
+// no AVX-512 VL. No float operation is fused.
 TEXT ·ticks512(SB), NOSPLIT, $0-17
 	MOVQ         e+0(FP), DI
 	MOVQ         groups+8(FP), R11
@@ -295,6 +300,7 @@ TEXT ·ticks512(SB), NOSPLIT, $0-17
 	VPBROADCASTQ one<>(SB), Z27
 	VPBROADCASTQ four<>(SB), Z26
 	VPBROADCASTQ signBit<>(SB), Z25
+	VPSUBQ       Z27, Z31, Z24                          // maxInteractions − 1
 	MOVQ         $const_kernelIters, CX
 	XORQ         BX, BX                                 // the group's first lane
 	XORQ         R10, R10                               // consecutive visits with no eligible lane
@@ -340,7 +346,7 @@ group512:
 	JEQ      idle512
 	XORQ     R10, R10
 
-	// r₁ = rotl(s0 + s3, 23) + s0. Effective (K2) iff
+	// r₁ = rotl(s0 + s3, 23) + s0. The first tick fires (K2) iff
 	// (k·2⁻⁵³)·total < float64(w) for k = r₁ >> 11: k < 2⁵³ and w < 2³²
 	// convert exactly.
 	VMOVDQU64  lockstepLanes_s0(SI)(BX*8), Z6
@@ -352,8 +358,8 @@ group512:
 	VCVTUQQ2PD Z10, Z10
 	VMULPD     Z28, Z10, Z10
 	VMULPD     Z29, Z10, Z10
-	VCVTUQQ2PD Z4, Z11
-	VCMPPD     $1, Z11, Z10, K1, K2 // u < w on eligible lanes
+	VCVTUQQ2PD Z4, Z5                   // float64(w), for both ticks
+	VCMPPD     $1, Z5, Z10, K1, K2      // u₁ < w on eligible lanes
 
 	// t = next(s) in Z6–Z9.
 	VMOVDQU64 lockstepLanes_s1(SI)(BX*8), Z7
@@ -371,76 +377,113 @@ group512:
 	VPROLQ $23, Z10, Z10
 	VPADDQ Z6, Z10, Z10
 
-	// Lemire: r₂·w = hi·2⁶⁴ + lo. Refuse the group, committing nothing, if
-	// an effective lane has lo < w: Uint64N would draw again. hi is
-	// (p1 + (p0 >> 32)) >> 32 for the 32×32-bit products p0 and p1, exact
-	// because w < 2³².
-	VPMULLQ  Z4, Z10, Z11        // lo
-	VPCMPUQ  $1, Z4, Z11, K2, K3 // lo < w on effective lanes
-	KORTESTB K3, K3
-	JNE      refused512
-	VPMULUDQ Z4, Z10, Z11        // p0 = (r₂ mod 2³²)·w
-	VPSRLQ   $32, Z10, Z10
-	VPMULUDQ Z4, Z10, Z10        // p1 = (r₂ >> 32)·w
-	VPSRLQ   $32, Z11, Z11
-	VPADDQ   Z11, Z10, Z10
-	VPSRLQ   $32, Z10, Z10       // hi
+	// A lane whose first tick is null takes a second tick (K4) while
+	// step + 1 < maxInteractions, and the budget stops the others (K5). r₂
+	// decides the second tick as r₁ decided the first: it fires on K3.
+	KXORB      K2, K1, K5               // null first ticks
+	VPCMPUQ    $1, Z24, Z0, K5, K4      // step < maxInteractions − 1
+	KXORB      K4, K5, K5
+	VPSRLQ     $11, Z10, Z11
+	VCVTUQQ2PD Z11, Z11
+	VMULPD     Z28, Z11, Z11
+	VMULPD     Z29, Z11, Z11
+	VCMPPD     $1, Z5, Z11, K4, K3      // u₂ < w on second ticks
+
+	// v = next(t) in Z12–Z15, and r₃ = rotl(v0 + v3, 23) + v0.
+	VPSLLQ $17, Z7, Z11
+	VPXORQ Z6, Z8, Z14
+	VPXORQ Z7, Z9, Z15
+	VPXORQ Z14, Z7, Z13
+	VPXORQ Z15, Z6, Z12
+	VPXORQ Z11, Z14, Z14
+	VPROLQ $45, Z15, Z15
+	VPADDQ Z12, Z15, Z11
+	VPROLQ $23, Z11, Z11
+	VPADDQ Z12, Z11, Z11
+
+	// Lemire on the firing draw r, r₂ on K2 and r₃ on K3: r·w = hi·2⁶⁴ + lo
+	// from the 32×32-bit products p0 = (r mod 2³²)·w and p1 = (r >> 32)·w,
+	// exact because w < 2³²: lo = p0 + (p1 << 32) mod 2⁶⁴, and
+	// hi = (p1 + (p0 >> 32)) >> 32, which cannot overflow. Refuse the
+	// group, committing nothing, if a lane that fires has lo < w: Uint64N
+	// would draw again.
+	VMOVDQA64 Z11, K3, Z10
+	KORB      K3, K2, K6
+	VPMULUDQ  Z4, Z10, Z11        // p0
+	VPSRLQ    $32, Z10, Z10
+	VPMULUDQ  Z4, Z10, Z10        // p1
+	VPSLLQ    $32, Z10, Z16
+	VPADDQ    Z11, Z16, Z16       // lo
+	VPCMPUQ   $1, Z4, Z16, K6, K7 // lo < w on lanes that fire
+	KORTESTB  K7, K7
+	JNE       refused512
+	VPSRLQ    $32, Z11, Z11
+	VPADDQ    Z11, Z10, Z10
+	VPSRLQ    $32, Z10, Z10       // hi
 
 	// The pair is the number of prefix sums at or below hi. A lane that
 	// does not fire gets index 4, whose table entries are zero.
-	VPCMPUQ   $2, Z10, Z1, K2, K3 // w0 ≤ hi on effective lanes
-	VPCMPUQ   $2, Z10, Z2, K2, K4
-	VPCMPUQ   $2, Z10, Z3, K2, K5
-	VMOVDQA64 Z26, Z12
-	VPXORQ    Z12, Z12, K2, Z12
-	VPADDQ    Z27, Z12, K3, Z12
-	VPADDQ    Z27, Z12, K4, Z12
-	VPADDQ    Z27, Z12, K5, Z12
-	VPMOVQD   Z12, Y12            // indices in dwords 0–7
+	VMOVDQA64 Z26, Z11
+	VPXORQ    Z11, Z11, K6, Z11
+	VPCMPUQ   $2, Z10, Z1, K6, K2 // w0 ≤ hi on lanes that fire
+	VPCMPUQ   $2, Z10, Z2, K6, K7
+	VPADDQ    Z27, Z11, K2, Z11
+	VPADDQ    Z27, Z11, K7, Z11
+	VPCMPUQ   $2, Z10, Z3, K6, K2
+	VPADDQ    Z27, Z11, K2, Z11
+	VPMOVQD   Z11, Y11            // indices in dwords 0–7
 
 	// Apply the pair's net count changes, plane by plane, and find the
 	// smallest new count.
-	VPERMD  lockstepEngine_kdelta+0(DI), Y12, Y13
-	VPADDD  (R9), Y13, Y13
-	VMOVDQU Y13, (R9)
-	VPERMD  lockstepEngine_kdelta+32(DI), Y12, Y14
-	VPADDD  const_planeBytes(R9), Y14, Y14
-	VMOVDQU Y14, const_planeBytes(R9)
-	VPMINUD Y14, Y13, Y13
-	VPERMD  lockstepEngine_kdelta+64(DI), Y12, Y14
-	VPADDD  (2*const_planeBytes)(R9), Y14, Y14
-	VMOVDQU Y14, (2*const_planeBytes)(R9)
-	VPMINUD Y14, Y13, Y13
-	VPERMD  lockstepEngine_kdelta+96(DI), Y12, Y14
-	VPADDD  (3*const_planeBytes)(R9), Y14, Y14
-	VMOVDQU Y14, (3*const_planeBytes)(R9)
-	VPMINUD Y14, Y13, Y13
+	VPERMD  lockstepEngine_kdelta+0(DI), Y11, Y1
+	VPADDD  (R9), Y1, Y1
+	VMOVDQU Y1, (R9)
+	VPERMD  lockstepEngine_kdelta+32(DI), Y11, Y2
+	VPADDD  const_planeBytes(R9), Y2, Y2
+	VMOVDQU Y2, const_planeBytes(R9)
+	VPMINUD Y2, Y1, Y1
+	VPERMD  lockstepEngine_kdelta+64(DI), Y11, Y2
+	VPADDD  (2*const_planeBytes)(R9), Y2, Y2
+	VMOVDQU Y2, (2*const_planeBytes)(R9)
+	VPMINUD Y2, Y1, Y1
+	VPERMD  lockstepEngine_kdelta+96(DI), Y11, Y2
+	VPADDD  (3*const_planeBytes)(R9), Y2, Y2
+	VMOVDQU Y2, (3*const_planeBytes)(R9)
+	VPMINUD Y2, Y1, Y1
 
-	// step + 1 on eligible lanes, and the dirty flag on a lane that fired
-	// and now has a zero count (see ticksAVX2). The VEX-encoded VPMINUD
-	// cleared dwords 8–15 of Z13, which K2 leaves out.
-	VPTESTNMD Z13, Z13, K2, K3
+	// step + 1 on eligible lanes and + 1 more on second ticks, and the
+	// dirty flag on a lane that fired and now has a zero count (see
+	// ticksAVX2). The VEX-encoded VPMINUD cleared dwords 8–15 of Z1, which
+	// K6 leaves out.
+	VPTESTNMD Z1, Z1, K6, K7
 	VPADDQ    Z27, Z0, K1, Z0
-	VPORQ     Z25, Z0, K3, Z0
+	VPADDQ    Z27, Z0, K4, Z0
+	VPORQ     Z25, Z0, K7, Z0
 	VMOVDQU64 Z0, K1, lockstepLanes_step(SI)(BX*8)
 
-	// v = next(t) on effective lanes, t on null ones: t XOR d on K2, with
-	// d = t XOR next(t) = (t1^t3, t0^t2, t0^(t1<<17), t3^rotl(t1^t3, 45)).
+	// The state each lane commits: next(v) where the second tick fired,
+	// t where the budget stopped the second tick, and v on every other
+	// eligible lane. next(v) is v XOR d on K3, with
+	// d = v XOR next(v) = (v1^v3, v0^v2, v0^(v1<<17), v3^rotl(v1^v3, 45)).
 	// The masked stores leave an ineligible lane at s.
-	VPXORQ    Z7, Z9, Z14
-	VPXORQ    Z6, Z8, Z15
-	VPSLLQ    $17, Z7, Z16
-	VPXORQ    Z6, Z16, Z16
-	VPROLQ    $45, Z14, Z17
-	VPXORQ    Z9, Z17, Z17
-	VPXORQ    Z14, Z6, K2, Z6
-	VPXORQ    Z15, Z7, K2, Z7
-	VPXORQ    Z16, Z8, K2, Z8
-	VPXORQ    Z17, Z9, K2, Z9
-	VMOVDQU64 Z6, K1, lockstepLanes_s0(SI)(BX*8)
-	VMOVDQU64 Z7, K1, lockstepLanes_s1(SI)(BX*8)
-	VMOVDQU64 Z8, K1, lockstepLanes_s2(SI)(BX*8)
-	VMOVDQU64 Z9, K1, lockstepLanes_s3(SI)(BX*8)
+	VPXORQ    Z13, Z15, Z16
+	VPXORQ    Z12, Z14, Z17
+	VPSLLQ    $17, Z13, Z18
+	VPXORQ    Z12, Z18, Z18
+	VPROLQ    $45, Z16, Z19
+	VPXORQ    Z15, Z19, Z19
+	VPXORQ    Z16, Z12, K3, Z12
+	VPXORQ    Z17, Z13, K3, Z13
+	VPXORQ    Z18, Z14, K3, Z14
+	VPXORQ    Z19, Z15, K3, Z15
+	VMOVDQA64 Z6, K5, Z12
+	VMOVDQA64 Z7, K5, Z13
+	VMOVDQA64 Z8, K5, Z14
+	VMOVDQA64 Z9, K5, Z15
+	VMOVDQU64 Z12, K1, lockstepLanes_s0(SI)(BX*8)
+	VMOVDQU64 Z13, K1, lockstepLanes_s1(SI)(BX*8)
+	VMOVDQU64 Z14, K1, lockstepLanes_s2(SI)(BX*8)
+	VMOVDQU64 Z15, K1, lockstepLanes_s3(SI)(BX*8)
 
 next512:
 	ADDQ    $8, BX

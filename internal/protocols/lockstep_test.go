@@ -283,6 +283,11 @@ func FuzzLockstepMatchesBatch(f *testing.F) {
 	// in place.
 	f.Add(uint8(0), uint16(298), uint16(30), uint16(63), uint16(0), uint16(100), uint64(7), uint32(4175))
 	f.Add(uint8(1), uint16(248), uint16(10), uint16(63), uint16(0), uint16(100), uint64(7), uint32(3969))
+	// Budgets that bind in the tick regime, where many lanes reach their
+	// last permitted tick on a null first tick: ticks512 must then stop
+	// before the second tick of its visit.
+	f.Add(uint8(0), uint16(200), uint16(10), uint16(63), uint16(0), uint16(100), uint64(8), uint32(150))
+	f.Add(uint8(1), uint16(254), uint16(0), uint16(31), uint16(0), uint16(64), uint64(9), uint32(301))
 	f.Fuzz(func(t *testing.T, proto uint8, n, delta, lanes, lo, width uint16, seed uint64, budget uint32) {
 		mk := []func() *PopulationProtocol{NewThreeStateAM, NewTernarySignaling, newAMFirstExtinction}[proto%3]
 		nn := 2 + int(n)%299
@@ -312,24 +317,46 @@ func xoshiroPrev(n0, n1, n2, n3 uint64) (s0, s1, s2, s3 uint64) {
 	return s0, s1, s2, s3
 }
 
-// craftedLane returns a generator state whose first draw is an effective
-// tick at pair weight w of total and whose second draw is r2: it inverts
-// one xoshiro256++ step from a successor with t0 = 0 and
-// t3 = rotr(r2, 23), which draws rotl(t0 + t3, 23) + t0 = r2, and varies
-// t1 until the first draw is effective.
-func craftedLane(t *testing.T, r2 uint64, w, total int64) [4]uint64 {
+// craftedDraws returns a generator state whose first `draws` draws pass ok
+// and whose next draw is last: it inverts `draws` xoshiro256++ steps from
+// a state x with x0 = 0 and x3 = rotr(last, 23), which draws
+// rotl(x0 + x3, 23) + x0 = last, and varies x1 until ok accepts the draws
+// before it.
+func craftedDraws(t *testing.T, last uint64, draws int, ok func(draws []uint64) bool) [4]uint64 {
 	t.Helper()
-	for t1 := uint64(1); t1 < 1000; t1++ {
-		s0, s1, s2, s3 := xoshiroPrev(0, t1, 0x9e3779b97f4a7c15, bits.RotateLeft64(r2, -23))
-		if u, _, _, _, _ := rng.Next4(s0, s1, s2, s3); float64(u>>11)/(1<<53)*float64(total) < float64(w) {
-			if _, t0, _, _, t3 := rng.Next4(s0, s1, s2, s3); t0 != 0 || t3 != bits.RotateLeft64(r2, -23) {
-				t.Fatalf("inverse step landed on t0 = %x, t3 = %x", t0, t3)
-			}
-			return [4]uint64{s0, s1, s2, s3}
+	d := make([]uint64, draws)
+	for x1 := uint64(1); x1 < 10_000; x1++ {
+		x := [4]uint64{0, x1, 0x9e3779b97f4a7c15, bits.RotateLeft64(last, -23)}
+		s0, s1, s2, s3 := x[0], x[1], x[2], x[3]
+		for range draws {
+			s0, s1, s2, s3 = xoshiroPrev(s0, s1, s2, s3)
+		}
+		state := [4]uint64{s0, s1, s2, s3}
+		for j := range d {
+			d[j], s0, s1, s2, s3 = rng.Next4(s0, s1, s2, s3)
+		}
+		if [4]uint64{s0, s1, s2, s3} != x {
+			t.Fatalf("%d inverse steps landed on %x, want %x", draws, [4]uint64{s0, s1, s2, s3}, x)
+		}
+		if ok(d) {
+			return state
 		}
 	}
-	t.Fatal("no crafted state draws an effective first tick")
+	t.Fatalf("no crafted state draws %d accepted draws before %#x", draws, last)
 	return [4]uint64{}
+}
+
+// fires reports whether draw r makes an effective tick at pair weight w of
+// total, as the batch loop's null test decides it.
+func fires(r uint64, w, total int64) bool {
+	return float64(r>>11)/(1<<53)*float64(total) < float64(w)
+}
+
+// craftedLane returns a generator state whose first draw is an effective
+// tick at pair weight w of total and whose second draw is r2.
+func craftedLane(t *testing.T, r2 uint64, w, total int64) [4]uint64 {
+	t.Helper()
+	return craftedDraws(t, r2, 1, func(d []uint64) bool { return fires(d[0], w, total) })
 }
 
 // startLanes seeds lanes [0, k) of e with replicates [0, k) as run does,
@@ -559,21 +586,173 @@ func TestLockstepKernelMarksZeroCounts(t *testing.T) {
 	}
 }
 
+// ticksPerVisit is the most ticks the tick kernel of level k gives an
+// eligible lane per visit of its group: two in ticks512, which draws
+// sweep4's speculative pair, and one in ticksAVX2.
+func ticksPerVisit(k cpufeat.Level) int {
+	if k == cpufeat.AVX512 {
+		return 2
+	}
+	return 1
+}
+
+// laneWords are one lane's words in the planes a tick kernel writes.
+type laneWords struct {
+	state  [4]uint64
+	step   uint64
+	counts [4]uint32
+}
+
+// lane reads lane li's words.
+func (l *lockstepLanes) lane(li int) laneWords {
+	x := laneWords{state: [4]uint64{l.s0[li], l.s1[li], l.s2[li], l.s3[li]}, step: l.step[li]}
+	for s := range x.counts {
+		x.counts[s] = l.counts[s][li]
+	}
+	return x
+}
+
+// weights returns the pair weights of x's counts under e's table, and
+// their sum w.
+func (x laneWords) weights(e *lockstepEngine) (pw [4]int64, w int64) {
+	for i := range pw {
+		pw[i] = int64(x.counts[e.tab.effS[i]]) * int64(x.counts[e.tab.effT[i]])
+		w += pw[i]
+	}
+	return pw, w
+}
+
+// setLane writes lane li's words.
+func (l *lockstepLanes) setLane(li int, x laneWords) {
+	l.s0[li], l.s1[li], l.s2[li], l.s3[li] = x.state[0], x.state[1], x.state[2], x.state[3]
+	l.step[li] = x.step
+	for s, c := range x.counts {
+		l.counts[s][li] = c
+	}
+}
+
+// modelVisit is one visit of a tick kernel to an eligible lane x of e, in
+// Go: it gives the lane up to m ticks and reports false when the visit
+// would refuse the lane's group. A tick draws r and is effective iff the
+// batch loop's null test says so; an effective tick takes the next draw
+// as its Lemire draw, fires the pair it picks (with the batch loop's
+// table, not the kernels' packed deltas) and ends the visit, and the dirty
+// flag marks a zero count afterwards. A null tick is followed by another
+// while fewer than m ticks have run and the step word stays below the
+// budget.
+func modelVisit(e *lockstepEngine, x laneWords, m int) (laneWords, bool) {
+	w, sum := x.weights(e)
+	s0, s1, s2, s3 := x.state[0], x.state[1], x.state[2], x.state[3]
+	for range m {
+		var r uint64
+		r, s0, s1, s2, s3 = rng.Next4(s0, s1, s2, s3)
+		x.state = [4]uint64{s0, s1, s2, s3}
+		x.step++
+		if fires(r, sum, e.total) {
+			r, s0, s1, s2, s3 = rng.Next4(s0, s1, s2, s3)
+			x.state = [4]uint64{s0, s1, s2, s3}
+			hi, lo := bits.Mul64(r, uint64(sum))
+			if lo < uint64(sum) {
+				return x, false
+			}
+			pair, prefix := 0, int64(0)
+			for _, wi := range w[:3] {
+				if prefix += wi; uint64(prefix) <= hi {
+					pair++
+				}
+			}
+			k := e.tab.eff[pair]
+			x.counts[e.tab.effS[pair]]--
+			x.counts[e.tab.effT[pair]]--
+			x.counts[e.tab.ni[k]]++
+			x.counts[e.tab.nr[k]]++
+			for _, c := range x.counts {
+				if c == 0 {
+					x.step |= dirtyBit
+				}
+			}
+			break
+		}
+		if x.step >= uint64(e.maxInteractions) {
+			break
+		}
+	}
+	return x, true
+}
+
+// modelKernelCall is kernelTicks' call of the tick kernel of level k, with
+// each visit modelled by modelVisit: it pads the lanes as kernelTicks
+// does, visits the groups round-robin and returns after kernelIters
+// visits, after a full circuit of groups with no eligible lane, or when it
+// refuses a group, which it leaves uncommitted.
+func modelKernelCall(e *lockstepEngine, active int, k cpufeat.Level) (refused bool) {
+	l := &e.l
+	for li := active; li&7 != 0; li++ {
+		l.step[li] = dirtyBit
+	}
+	_, group := tickKernel(k)
+	groups := (active + group - 1) / group
+	next := make([]laneWords, group)
+	for visit, g, idle := 0, 0, 0; visit < kernelIters; visit, g = visit+1, (g+1)%groups {
+		eligible := false
+		for j := range next {
+			li := g*group + j
+			next[j] = l.lane(li)
+			if _, w := next[j].weights(e); !l.kernelTakes(li, int64(e.maxInteractions), w, e.total) {
+				continue
+			}
+			eligible = true
+			var ok bool
+			if next[j], ok = modelVisit(e, next[j], ticksPerVisit(k)); !ok {
+				return true
+			}
+		}
+		if !eligible {
+			if idle++; idle == groups {
+				return false
+			}
+			continue
+		}
+		idle = 0
+		for j, x := range next {
+			l.setLane(g*group+j, x)
+		}
+	}
+	return false
+}
+
+// checkKernelCall runs one call of the tick kernel of level k over lanes
+// [0, active) of kernel and the same call's model over those of model, two
+// engines in the same state, and checks that both refused or neither, and
+// that every lane ends with the same words. It returns the lanes' ticks.
+func checkKernelCall(t *testing.T, kernel, model *lockstepEngine, active int, k cpufeat.Level) []uint64 {
+	t.Helper()
+	before := make([]uint64, active)
+	copy(before, kernel.l.step[:active])
+	refused, want := kernel.kernelTicks(active, k), modelKernelCall(model, active, k)
+	if refused != want {
+		t.Fatalf("the kernel refused = %v, its model %v", refused, want)
+	}
+	ticks := make([]uint64, active)
+	for li := range active {
+		if got, want := kernel.l.lane(li), model.l.lane(li); got != want {
+			t.Fatalf("lane %d ends at %+v, in the model at %+v", li, got, want)
+		}
+		ticks[li] = (kernel.l.step[li] &^ dirtyBit) - (before[li] &^ dirtyBit)
+	}
+	return ticks
+}
+
 // TestLockstepKernelEligibility gives one call of each tick kernel eight
 // lanes, each failing at most one condition of the kernels' eligibility
 // test: a dirty step word, the geometric regime and a spent budget. The
-// kernel must leave exactly those lanes untouched and advance every other
-// lane once per visit of its group, kernelIters/groups ticks, a lane with a
-// zero count among them: its clean step word already says that no rule has
-// fired.
+// kernel must leave exactly those lanes untouched, a lane with a zero count
+// among the others: its clean step word already says that no rule has
+// fired. Every other lane must end where modelKernelCall puts it, with
+// ticks512 taking more than one tick per visit.
 func TestLockstepKernelEligibility(t *testing.T) {
 	for _, path := range kernelPaths(t) {
 		t.Run(path.name, func(t *testing.T) {
-			e, err := NewThreeStateAM().newLockstep(60_000, 400, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			startLanes(e, 2, 8)
 			tick := [3]uint32{24_000, 18_000, 18_000}
 			lanes := []struct {
 				name   string
@@ -585,42 +764,169 @@ func TestLockstepKernelEligibility(t *testing.T) {
 				{"zero blank", [3]uint32{30_000, 30_000, 0}, 0, true},
 				{"dirty", tick, dirtyBit | 5, false},
 				{"geometric", [3]uint32{59_000, 1, 999}, 0, false},
-				{"budget spent", tick, uint64(e.maxInteractions), false},
+				{"budget spent", tick, 0, false},
 				{"eligible", tick, 7, true},
 				{"eligible", tick, 0, true},
 				{"eligible", tick, 0, true},
 			}
-			l := &e.l
-			for li, c := range lanes {
-				l.step[li] = c.step
-				for s, v := range c.counts {
-					l.counts[s][li] = v
+			engine := func() *lockstepEngine {
+				e, err := NewThreeStateAM().newLockstep(60_000, 400, 8)
+				if err != nil {
+					t.Fatal(err)
 				}
+				startLanes(e, 2, 8)
+				lanes[4].step = uint64(e.maxInteractions)
+				for li, c := range lanes {
+					e.l.step[li] = c.step
+					for s, v := range c.counts {
+						e.l.counts[s][li] = v
+					}
+				}
+				return e
 			}
-			before := *l
-			before.counts = append([][MaxLockstepLanes]uint32(nil), l.counts...)
-			if e.kernelTicks(len(lanes), path.k) {
-				t.Fatal("the kernel refused a group")
-			}
+			e := engine()
+			before := e.l
+			before.counts = append([][MaxLockstepLanes]uint32(nil), e.l.counts...)
+			ticks := checkKernelCall(t, e, engine(), len(lanes), path.k)
 			_, group := tickKernel(path.k)
-			ticks := uint64(kernelIters / ((len(lanes) + group - 1) / group))
+			visits := uint64(kernelIters / ((len(lanes) + group - 1) / group))
+			perVisit := uint64(ticksPerVisit(path.k))
 			for li, c := range lanes {
-				moved := l.s0[li] != before.s0[li] || l.s3[li] != before.s3[li] || l.step[li] != before.step[li] ||
-					l.counts[0][li] != before.counts[0][li] || l.counts[1][li] != before.counts[1][li] || l.counts[2][li] != before.counts[2][li]
-				if moved != c.takes {
+				if moved := e.l.lane(li) != before.lane(li); moved != c.takes {
 					t.Errorf("lane %d (%s): kernel advanced it = %v, want %v", li, c.name, moved, c.takes)
 				}
-				if c.takes && l.step[li]-before.step[li] != ticks {
-					t.Errorf("lane %d (%s): advanced %d ticks, want %d", li, c.name, l.step[li]-before.step[li], ticks)
+				// One tick per visit in ticksAVX2; in ticks512 one or two,
+				// and two on some of the visits.
+				if c.takes && (ticks[li] < visits || ticks[li] > perVisit*visits || (perVisit > 1) != (ticks[li] > visits)) {
+					t.Errorf("lane %d (%s): %d ticks in %d visits of up to %d ticks", li, c.name, ticks[li], visits, perVisit)
 				}
-				var w int64
-				for k := range 4 {
-					w += int64(c.counts[e.tab.effS[k]]) * int64(c.counts[e.tab.effT[k]])
-				}
+				_, w := before.lane(li).weights(e)
 				if got := before.kernelTakes(li, int64(e.maxInteractions), w, e.total); got != c.takes {
 					t.Errorf("lane %d (%s): kernelTakes = %v, want %v", li, c.name, got, c.takes)
 				}
 			}
+		})
+	}
+}
+
+// TestLockstepKernelSecondTick crafts lanes near their budget of 1000 for
+// each of ticks512's ways through a visit, at n = 1024 and w = 511,600, so
+// that one visit takes each lane to the budget: A, an effective first tick
+// at step 999 (one tick, Lemire on r₂); B, a null then an effective tick
+// at 998 (two ticks, Lemire on r₃: three draws); C, two nulls at 998 (two
+// ticks, counts unchanged); and D, a null at 999, where the budget stops
+// the second tick (one tick, state t). Each kernel's call on A–D must end
+// every lane there: ticksAVX2 on later visits, one tick per visit. With E,
+// a null then an effective tick whose r₃ = 0 makes Lemire's low word 0,
+// in the group, ticks512 must refuse the group at its first visit and
+// commit nothing, while ticksAVX2, one tick per visit, commits every
+// lane's first tick before it refuses at the second.
+func TestLockstepKernelSecondTick(t *testing.T) {
+	const n, delta, budget = 1024, 98, 1000
+	const w, total = 511_600, n * (n - 1)
+	counts := [3]uint32{500, 400, 124} // X, Y, blank
+	p := NewThreeStateAM()
+	p.MaxInteractionsFor = func(int) int { return budget }
+	tab, err := p.compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prefix [4]uint64 // the pair weights' prefix sums, the last w
+	for i, sum := 0, uint64(0); i < 4; i++ {
+		sum += uint64(counts[tab.effS[i]]) * uint64(counts[tab.effT[i]])
+		prefix[i] = sum
+	}
+	pairOf := func(r uint64) int {
+		hi, _ := bits.Mul64(r, w)
+		pair := 0
+		for _, ps := range prefix[:3] {
+			if ps <= hi {
+				pair++
+			}
+		}
+		return pair
+	}
+	// drawFor returns a draw whose Lemire high word is the last in pair i's
+	// range and whose low word draws no retry.
+	drawFor := func(i int) uint64 {
+		hi := prefix[i] - 1
+		for r, _ := bits.Div64(hi, 0, w); ; r++ {
+			if h, lo := bits.Mul64(r, w); h == hi && lo >= w {
+				return r
+			}
+		}
+	}
+	next := func(s [4]uint64, k int) [4]uint64 {
+		for range k {
+			_, s[0], s[1], s[2], s[3] = rng.Next4(s[0], s[1], s[2], s[3])
+		}
+		return s
+	}
+	fired := func(i int) [3]uint32 {
+		c := counts
+		k := tab.eff[i]
+		c[tab.effS[i]]--
+		c[tab.effT[i]]--
+		c[tab.ni[k]]++
+		c[tab.nr[k]]++
+		return c
+	}
+	words := func(state [4]uint64, step uint64, c [3]uint32) laneWords {
+		return laneWords{state, step, [4]uint32{c[0], c[1], c[2], 1}}
+	}
+	eff := func(r uint64) bool { return fires(r, w, total) }
+	// A fires pair 1 on r₂; B fires pair 3 on r₃, where its r₂ would pick
+	// another pair.
+	sA := craftedLane(t, drawFor(1), w, total)
+	sB := craftedDraws(t, drawFor(3), 2, func(d []uint64) bool { return !eff(d[0]) && eff(d[1]) && pairOf(d[1]) != 3 })
+	sC := craftedDraws(t, 1, 2, func(d []uint64) bool { return !eff(d[0]) && !eff(d[1]) })
+	sD := craftedDraws(t, 1, 1, func(d []uint64) bool { return !eff(d[0]) })
+	sE := craftedDraws(t, 0, 2, func(d []uint64) bool { return !eff(d[0]) && eff(d[1]) })
+	type lane struct {
+		name        string
+		start, want laneWords // want: where a call ends the lane
+		firstNull   bool
+	}
+	lanes := []lane{
+		{"A: effective", words(sA, budget-1, counts), words(next(sA, 2), budget, fired(1)), false},
+		{"B: null, effective", words(sB, budget-2, counts), words(next(sB, 3), budget, fired(3)), true},
+		{"C: null, null", words(sC, budget-2, counts), words(next(sC, 2), budget, counts), true},
+		{"D: null at the budget", words(sD, budget-1, counts), words(next(sD, 1), budget, counts), true},
+	}
+	retry := lane{"E: null, effective, retry", words(sE, budget-2, counts), laneWords{}, true}
+	call := func(t *testing.T, k cpufeat.Level, lanes []lane, refuses bool) {
+		t.Helper()
+		e, err := p.newLockstep(n, delta, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		startLanes(e, 1, len(lanes))
+		for li, c := range lanes {
+			e.l.setLane(li, c.start)
+		}
+		if e.kernelTicks(len(lanes), k) != refuses {
+			t.Fatalf("the kernel refused = %v, want %v", !refuses, refuses)
+		}
+		for li, c := range lanes {
+			if got := e.l.lane(li); got != c.want {
+				t.Errorf("lane %d (%s): ends at %+v, want %+v", li, c.name, got, c.want)
+			}
+		}
+	}
+	for _, path := range kernelPaths(t) {
+		t.Run(path.name, func(t *testing.T) {
+			call(t, path.k, lanes, false)
+			// E goes in the first group of either kernel, with A, B and C.
+			withE := append(append([]lane(nil), lanes[:3]...), retry, lanes[3])
+			for li, c := range withE {
+				switch {
+				case path.k == cpufeat.AVX512:
+					withE[li].want = c.start
+				case c.firstNull: // one tick per visit: the null to t
+					withE[li].want = laneWords{next(c.start.state, 1), c.start.step + 1, c.start.counts}
+				}
+			}
+			call(t, path.k, withE, true)
 		})
 	}
 }
@@ -662,12 +968,13 @@ func TestLockstepKernelSelectionBound(t *testing.T) {
 }
 
 // TestLockstepKernelRoundCap checks that one call of each tick kernel
-// advances no lane by more than kernelIters ticks. Every lane starts
+// visits each group at most kernelIters/groups times. Every lane starts
 // mid-run, deep in the tick regime, and stays eligible for the whole call,
-// so a lone group advances exactly kernelIters ticks and 128 lanes
-// kernelIters/groups each, in 16 groups of eight or 32 of four. Both runs
-// then finish on the Go rounds and must agree with runs that never called
-// a kernel.
+// so a lone group gets kernelIters visits and 128 lanes kernelIters/groups
+// each, in 16 groups of eight or 32 of four, and every lane must end where
+// modelKernelCall puts it: one tick per visit in ticksAVX2, and one or two
+// in ticks512. Both runs then finish on the Go rounds and must agree with
+// runs that never called a kernel.
 func TestLockstepKernelRoundCap(t *testing.T) {
 	for _, path := range kernelPaths(t) {
 		t.Run(path.name, func(t *testing.T) {
@@ -686,13 +993,11 @@ func TestLockstepKernelRoundCap(t *testing.T) {
 					return e
 				}
 				e := engine()
-				if e.kernelTicks(lanes, path.k) {
-					t.Fatal("the kernel refused a group")
-				}
-				want := uint64(kernelIters / ((lanes + group - 1) / group))
-				for li := range lanes {
-					if got := e.l.step[li]; got != want || got > kernelIters {
-						t.Fatalf("lanes=%d: one call advanced lane %d by %d ticks, want %d (cap %d)", lanes, li, got, want, kernelIters)
+				visits := uint64(kernelIters / ((lanes + group - 1) / group))
+				for li, ticks := range checkKernelCall(t, e, engine(), lanes, path.k) {
+					if ticks < visits || ticks > visits*uint64(ticksPerVisit(path.k)) {
+						t.Fatalf("lanes=%d: one call advanced lane %d by %d ticks in %d visits of up to %d ticks",
+							lanes, li, ticks, visits, ticksPerVisit(path.k))
 					}
 				}
 				kernelWins := make([]bool, lanes)

@@ -95,7 +95,7 @@ engine costs more than 0.829× batch):
 | Engine | Rule tables | Cost | RNG-stream semantics |
 |---|---|---|---|
 | batch (` + "`Trial`" + `) | every table; the only engine of the 4-state exact majority | 1× | One geometric/Bernoulli draw per null run + one weighted draw per effective interaction |
-| lockstep blocks | the lockstep shape: four effective off-diagonal pairs, each moving one agent between two states, and ` + "`DoneWhenZero`" + ` rules (3-state approximate majority, ternary signaling) | ~0.14× batch with the AVX-512 tick kernel and ~0.24× with the AVX2 one (amd64), ~0.63× on its Go rounds alone (` + "`BenchmarkLockstepBlock`" + `) | Lane i consumes exactly the batch draw sequence of ` + "`rng.NewStream(seed, i)`" + `; with AVX-512 a null-dominated round takes its geometric draw's uniform at once and resolves the logarithms later with ` + "`rng.GeometricBatch`" + `, eight at a time, to the same bits — byte-identical to batch for any lane width or worker count |
+| lockstep blocks | the lockstep shape: four effective off-diagonal pairs, each moving one agent between two states, and ` + "`DoneWhenZero`" + ` rules (3-state approximate majority, ternary signaling) | ~0.10× batch with the AVX-512 tick kernel, which gives a lane up to two ticks per visit, and ~0.24× with the AVX2 one, which gives it one (amd64), ~0.64× on its Go rounds alone (` + "`BenchmarkLockstepBlock`" + `) | Lane i consumes exactly the batch draw sequence of ` + "`rng.NewStream(seed, i)`" + `; with AVX-512 a null-dominated round takes its geometric draw's uniform at once and resolves the logarithms later with ` + "`rng.GeometricBatch`" + `, eight at a time, to the same bits — byte-identical to batch for any lane width or worker count |
 
 The lockstep engine reaches the estimators through a capability
 interface: a protocol reporting ` + "`TrialBlockLanes() > 0`" + ` is run in

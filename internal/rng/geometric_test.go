@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"lvmajority/internal/cpufeat"
+	"lvmajority/internal/testutil"
 )
 
 // geometricInputs fills u and q with draws from GeometricBatch's domain as
@@ -124,12 +125,12 @@ const maxGeometricKernelRatio = 0.5
 
 // TestGeometricKernelCheaperThanGoLoop gates geometric512 against the Go
 // loop on one buffer of flushDraws draws. Each one's ns/draw is the
-// minimum of three testing.Benchmark runs, alternating between the two so
+// minimum of three testutil.NsPer windows, alternating between the two so
 // that a slow spell of the machine weighs on both. It logs both costs and
 // their ratio.
 func TestGeometricKernelCheaperThanGoLoop(t *testing.T) {
 	if testing.Short() {
-		t.Skip("times both loops for a few seconds; skipped with -short")
+		t.Skip("times both loops for a second or two; skipped with -short")
 	}
 	if cpufeat.Widest() != cpufeat.AVX512 {
 		t.Skip("geometric512 needs AVX-512 F and DQ")
@@ -137,15 +138,10 @@ func TestGeometricKernelCheaperThanGoLoop(t *testing.T) {
 	u, q, n := make([]float64, flushDraws), make([]float64, flushDraws), make([]int64, flushDraws)
 	geometricInputs(New(9), u, q)
 	nsPerDraw := func(k cpufeat.Level) float64 {
-		r := testing.Benchmark(func(b *testing.B) {
-			for range b.N {
-				GeometricBatch(n, u, q, k)
-			}
+		return testutil.NsPer(func() int64 {
+			GeometricBatch(n, u, q, k)
+			return flushDraws
 		})
-		if r.N == 0 {
-			t.Fatalf("%v benchmark failed", k)
-		}
-		return float64(r.T.Nanoseconds()) / float64(r.N*flushDraws)
 	}
 	kernel, goLoop := math.Inf(1), math.Inf(1)
 	for range 3 {
