@@ -195,8 +195,9 @@ func BenchmarkLVBlock(b *testing.B) {
 
 // maxKernelGoRoundRatio bounds the cost per event of the dispatching
 // engine and of each round kernel as a multiple of the Go round's on
-// sd-1024-gap12, about twice the ratios recorded on a 2-core Sapphire
-// Rapids VM (0.12 for rounds512, 0.25 for roundsAVX2). A ratio of two
+// sd-1024-gap12, twice the largest ratio recorded in five runs on a
+// 2-core Sapphire Rapids VM (0.08–0.12 for rounds512, 0.19–0.25 for
+// roundsAVX2; the Go round's own cost swings most). A ratio of two
 // engines timed in one process holds across machines, where absolute times
 // do not, and an engine that silently ran the Go round alone would read
 // about 1.
@@ -240,6 +241,53 @@ func TestBlockKernelsCheaperThanGoRound(t *testing.T) {
 			name, ns[i], goRound, ratio, maxKernelGoRoundRatio)
 		if ratio > maxKernelGoRoundRatio {
 			t.Errorf("%s costs %.2fx the Go round per event, bound %.2fx", name, ratio, maxKernelGoRoundRatio)
+		}
+	}
+}
+
+// maxGammaZeroRatio bounds each round kernel's cost per event with both γ
+// +0 as a multiple of its cost with γ = 1, on full calls at (10⁶, 10⁶).
+// Sixteen runs on a 2-core Sapphire Rapids VM read 0.80–0.82 for
+// rounds512 and 0.81–0.85 for roundsAVX2; kernels that always computed the
+// intraspecific terms read 1.00.
+const maxGammaZeroRatio = 0.9
+
+// TestKernelGammaZeroCheaper gates the γ = 0 path of every round kernel
+// the CPU has: NSD calls at (10⁶, 10⁶) with γ = 0 against the same calls
+// with γ = 1. Each call seeds every lane and fires KernelRounds events in
+// each (TestKernelCall pins that count), and each side's cost is its
+// fastest call in testutil.FastestNsPer, which alternates the two call by
+// call. The minimum of three NsPer windows per side, as the other gates
+// take it, read roundsAVX2's ratio anywhere from 0.68 to 0.96 on a 2-core
+// Sapphire Rapids VM, whose AVX2 windows swing by ±20%. The test logs both
+// costs and their ratio.
+func TestKernelGammaZeroCheaper(t *testing.T) {
+	if testing.Short() {
+		t.Skip("times every round kernel for about 1.5 s; skipped with -short")
+	}
+	initial := State{X0: 1_000_000, X1: 1_000_000}
+	for _, e := range Engines() {
+		if e.Group == 0 {
+			continue
+		}
+		calls := func(gamma float64) func() int64 {
+			blk, err := NewBlock(Neutral(1, 1, 1, gamma, NonSelfDestructive), initial, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return func() int64 {
+				for li := range BlockLanes {
+					blk.start(li, 1, li, 0)
+				}
+				e.call(blk, BlockLanes/e.Group)
+				return BlockLanes * kernelRounds
+			}
+		}
+		ns := testutil.FastestNsPer(calls(0), calls(1))
+		ratio := ns[0] / ns[1]
+		t.Logf("%s: γ = 0 %.2f ns/event, γ = 1 %.2f ns/event: %.2fx, bound %.2fx", e.Name, ns[0], ns[1], ratio, maxGammaZeroRatio)
+		if ratio > maxGammaZeroRatio {
+			t.Errorf("%s costs %.2fx as much per event with γ = 0 as with γ = 1, bound %.2fx", e.Name, ratio, maxGammaZeroRatio)
 		}
 	}
 }

@@ -11,17 +11,17 @@ import (
 // BlockLanes is the number of replicates a Block advances in lockstep:
 // two groups of eight for the AVX-512 round kernel, or four groups of four
 // for the AVX2 one. The AVX-512 kernel needs both groups in flight: one
-// alone waits on latency, at 4.4 ns per event against 2.5 for two on a
-// 2-core Sapphire Rapids VM. The AVX2 kernel, bound by its vector µops,
-// runs as fast on four groups as on two.
+// alone waits on latency, at 2.6–2.8 ns per event against 1.4–1.6 for two
+// in full calls at (10⁶, 10⁶) on a 2-core Sapphire Rapids VM. The AVX2
+// kernel, bound by its vector µops, runs as fast on four groups as on two.
 const BlockLanes = 16
 
 // kernelRounds caps the rounds one call of a round kernel runs per group.
 // The runtime never preempts assembly asynchronously, so a call must
 // return within tens of microseconds even when no lane stops, or every
-// stop-the-world would wait for it: 1024 rounds of sixteen events take
-// 40–45 µs in the AVX-512 kernel and 75–90 µs in the AVX2 one on a 2-core
-// Sapphire Rapids VM.
+// stop-the-world would wait for it: 1024 rounds of sixteen events at
+// (10⁶, 10⁶) take 22–27 µs in the AVX-512 kernel and 45–70 µs in the AVX2
+// one on a 2-core Sapphire Rapids VM.
 const kernelRounds = 1024
 
 // Block is the lockstep, winner-only LV engine: it runs many replicates of
@@ -48,9 +48,18 @@ const kernelRounds = 1024
 // the Go round's arithmetic: on a CPU with AVX-512, groups of eight while
 // at least eight lanes are live, and otherwise, with AVX2, groups of four
 // while at least four are. A lane past the last full group waits for the
-// Go round. Before a group fires, a kernel hands back, returning to Go, if
-// a lane has x₀ = 0, x₁ = 0, steps ≥ maxSteps or a count outside
-// [1, 2⁵¹]; after drawing the group's uniforms it hands back without
+// Go round. A kernel fires a lane only from a state the Go round fires
+// from rather than stops at, with x₀ and x₁ in [1, 2⁵¹] and
+// steps < maxSteps, and otherwise hands back, returning to Go.
+// roundsAVX2 tests every lane of a group before the group fires. rounds512
+// holds its one or two groups in registers for the whole call and tests
+// once per run of rounds: before each run it takes R, the fewest rounds
+// after which some lane could fail the test (an event moves a count by −2
+// to +1 and steps by +1), runs R rounds and hands back when R is 0. So it
+// hands back at the same event as a per-group test in the group that holds
+// the stopped lane, and up to one event earlier in the other group, whose
+// lanes the Go round then advances by that same event from the same state.
+// After drawing a group's uniforms, either kernel hands back without
 // committing the group unless every lane has u < total, which fails for a
 // zero total, for a total that overflows to +Inf and for Run's
 // last-non-zero-channel fallback. A group already committed stays

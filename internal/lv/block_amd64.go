@@ -1,9 +1,10 @@
 package lv
 
 // rounds512 is Block's AVX-512 round kernel: it advances the first
-// 8·groups lanes of b, in groups of eight, by up to kernelRounds events
-// each and returns when a lane needs the Go round (see Block). Call it
-// only when cpufeat.Widest reports AVX512 and those lanes are live.
+// 8·groups lanes of b, in groups of eight held in registers, by up to
+// kernelRounds events each and returns when a lane needs the Go round (see
+// Block). groups is 1 or 2. Call it only when cpufeat.Widest reports
+// AVX512 and those lanes are live.
 //
 //go:noescape
 func rounds512(b *Block, groups int)

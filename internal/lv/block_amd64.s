@@ -206,17 +206,180 @@ done:
 	VZEROUPPER
 	RET
 
+// The macros below are rounds512's, in its register map (see its header).
+// LOAD512 and STORE512 move the planes of the group at byte offset OFF
+// between the block (SI) and registers.
+#define LOAD512(OFF, S0, S1, S2, S3, X0, X1, ST) \
+	VMOVDQU64 (blockLanes_s0+OFF)(SI), S0; \
+	VMOVDQU64 (blockLanes_s1+OFF)(SI), S1; \
+	VMOVDQU64 (blockLanes_s2+OFF)(SI), S2; \
+	VMOVDQU64 (blockLanes_s3+OFF)(SI), S3; \
+	VMOVDQU64 (blockLanes_x0+OFF)(SI), X0; \
+	VMOVDQU64 (blockLanes_x1+OFF)(SI), X1; \
+	VMOVDQU64 (blockLanes_steps+OFF)(SI), ST
+
+#define STORE512(OFF, S0, S1, S2, S3, X0, X1, ST) \
+	VMOVDQU64 S0, (blockLanes_s0+OFF)(SI); \
+	VMOVDQU64 S1, (blockLanes_s1+OFF)(SI); \
+	VMOVDQU64 S2, (blockLanes_s2+OFF)(SI); \
+	VMOVDQU64 S3, (blockLanes_s3+OFF)(SI); \
+	VMOVDQU64 X0, (blockLanes_x0+OFF)(SI); \
+	VMOVDQU64 X1, (blockLanes_x1+OFF)(SI); \
+	VMOVDQU64 ST, (blockLanes_steps+OFF)(SI)
+
+// RUNTERMS sets R to the three terms of the run length, lane by lane, and
+// their minimum: ((min(x0, x1) − 1) >> (d − 1)) + 1, which is 0 for a zero
+// count; maxSteps − steps; and 2⁵¹ + 1 − max(x0, x1). Z24, Z25 and Z26
+// hold maxSteps, 2⁵¹ + 1 and d − 1; Z27 is scratch.
+#define RUNTERMS(X0, X1, ST, R) \
+	VPMINSQ X1, X0, R; \
+	VPSUBQ  Z18, R, R; \
+	VPSRAVQ Z26, R, R; \
+	VPADDQ  Z18, R, R; \
+	VPSUBQ  ST, Z24, Z27; \
+	VPMINSQ Z27, R, R; \
+	VPMAXSQ X1, X0, Z27; \
+	VPSUBQ  Z27, Z25, Z27; \
+	VPMINSQ Z27, R, R
+
+// SUMS512 converts one group's counts to float64, x0 in Z22 and x1 in
+// Z23, exactly, and sets Z24–Z28 to the prefix sums c0 = β·x0,
+// c1 = c0 + β·x1, c2 = c1 + δ·x0, c3 = c2 + δ·x1 and
+// c4 = c3 + (α0·x0)·x1.
+#define SUMS512(X0, X1) \
+	VCVTQQ2PD X0, Z22; \
+	VCVTQQ2PD X1, Z23; \
+	VMULPD    Z14, Z22, Z24; \
+	VMULPD    Z14, Z23, Z25; \
+	VADDPD    Z25, Z24, Z25; \
+	VMULPD    Z15, Z22, Z26; \
+	VADDPD    Z26, Z25, Z26; \
+	VMULPD    Z15, Z23, Z27; \
+	VADDPD    Z27, Z26, Z27; \
+	VMULPD    Z16, Z22, Z28; \
+	VMULPD    Z23, Z28, Z28; \
+	VADDPD    Z28, Z27, Z28
+
+// DRAW512 sets Z22 to u = (r·2⁻⁵³)·total for r = rotl(s0 + s3, 23) +
+// s0 >> 11, the xoshiro256++ output, with the total in Z31 (r < 2⁵³
+// converts exactly). It hands back, leaving the group as it was, unless
+// u < total in every lane (see roundsAVX2), and then zeroes k (Z23).
+#define DRAW512(S0, S3) \
+	VPADDQ     S3, S0, Z22; \
+	VPROLQ     $23, Z22, Z22; \
+	VPADDQ     S0, Z22, Z22; \
+	VPSRLQ     $11, Z22, Z22; \
+	VCVTUQQ2PD Z22, Z22; \
+	VMULPD     Z19, Z22, Z22; \
+	VMULPD     Z31, Z22, Z22; \
+	VCMPPD     $1, Z31, Z22, K1; \
+	KORTESTB   K1, K1; \
+	JCC        done512; \
+	VPXORQ     Z23, Z23, Z23
+
+// COUNT512 adds 1 to k (Z23) in the lanes whose prefix sum C is at or
+// below u (Z22): k ends as the count of c0…c6 at or below u, the channel.
+#define COUNT512(C, K) \
+	VCMPPD $2, Z22, C, K; \
+	VPADDQ Z18, Z23, K, Z23
+
+// FIRE512 fires channel k (Z23) in one group, x += dx[k] and steps++, and
+// steps its xoshiro256++ state.
+#define FIRE512(S0, S1, S2, S3, X0, X1, ST) \
+	VPERMQ Z20, Z23, Z24; \
+	VPADDQ Z24, X0, X0; \
+	VPERMQ Z21, Z23, Z25; \
+	VPADDQ Z25, X1, X1; \
+	VPADDQ Z18, ST, ST; \
+	VPSLLQ $17, S1, Z24; \
+	VPXORQ S0, S2, S2; \
+	VPXORQ S1, S3, S3; \
+	VPXORQ S2, S1, S1; \
+	VPXORQ S3, S0, S0; \
+	VPXORQ Z24, S2, S2; \
+	VPROLQ $45, S3, S3
+
+// PLAIN512 runs one round of one group with both γ +0: the total is
+// c5 = c4 + (α1·x0)·x1, and neither c5 nor c6 is at or below u.
+#define PLAIN512(S0, S1, S2, S3, X0, X1, ST) \
+	SUMS512(X0, X1); \
+	VMULPD Z17, Z22, Z31; \
+	VMULPD Z23, Z31, Z31; \
+	VADDPD Z31, Z28, Z31; \
+	DRAW512(S0, S3); \
+	COUNT512(Z24, K1); \
+	COUNT512(Z25, K2); \
+	COUNT512(Z26, K3); \
+	COUNT512(Z27, K4); \
+	COUNT512(Z28, K5); \
+	FIRE512(S0, S1, S2, S3, X0, X1, ST)
+
+// FULL512 runs one round of one group in the full arithmetic:
+// c5 = c4 + (α1·x0)·x1, c6 = c5 + ((γ0·x0)·(x0−1))·0.5 and
+// total = c6 + ((γ1·x1)·(x1−1))·0.5.
+#define FULL512(S0, S1, S2, S3, X0, X1, ST) \
+	SUMS512(X0, X1); \
+	VMULPD      Z17, Z22, Z29; \
+	VMULPD      Z23, Z29, Z29; \
+	VADDPD      Z29, Z28, Z29; \
+	VMULPD.BCST (Block_params+Params_Gamma)(DI), Z22, Z30; \
+	VSUBPD.BCST one<>(SB), Z22, Z22; \
+	VMULPD      Z22, Z30, Z30; \
+	VMULPD.BCST half<>(SB), Z30, Z30; \
+	VADDPD      Z30, Z29, Z30; \
+	VMULPD.BCST (Block_params+Params_Gamma+8)(DI), Z23, Z31; \
+	VSUBPD.BCST one<>(SB), Z23, Z23; \
+	VMULPD      Z23, Z31, Z31; \
+	VMULPD.BCST half<>(SB), Z31, Z31; \
+	VADDPD      Z31, Z30, Z31; \
+	DRAW512(S0, S3); \
+	COUNT512(Z24, K1); \
+	COUNT512(Z25, K2); \
+	COUNT512(Z26, K3); \
+	COUNT512(Z27, K4); \
+	COUNT512(Z28, K5); \
+	COUNT512(Z29, K6); \
+	COUNT512(Z30, K7); \
+	FIRE512(S0, S1, S2, S3, X0, X1, ST)
+
 // func rounds512(b *Block, groups int)
 //
-// roundsAVX2 in groups of eight: BX cycles through 0, 64, …, R8 − 64.
-// Z0–Z5 hold the broadcast rates and Z16–Z23 the other constants; Z6–Z15
-// and Z24–Z28 hold temporaries. AVX-512 adds exact conversions from
-// integers (VCVTQQ2PD, VCVTUQQ2PD), rotations (VPROLQ), compares into mask
-// registers and qword permutes; every float operation is still the Go
-// round's own, in its order, and none is fused.
+// roundsAVX2 in groups of eight, with the lanes held in registers: groups
+// is 1 or 2, and the call loads each group's seven planes once, runs
+// every round on registers and stores the planes once when it returns.
+//
+//	Z0–Z6    group 0's s0, s1, s2, s3, x0, x1, steps
+//	Z7–Z13   group 1's, when groups is 2
+//	Z14–Z17  β, δ, α0, α1, broadcast
+//	Z18–Z21  integer 1s, 2⁻⁵³, and dx0 and dx1 as eight qwords each
+//	Z22–Z31  temporaries: the counts as float64, then u (Z22) and the
+//	         channel k (Z23); the prefix sums c0–c6 (Z24–Z30) and the
+//	         total (Z31)
+//
+// The full arithmetic reads γ0, γ1, 1.0 and 0.5 as broadcast memory
+// operands: no register is left for them. AVX-512 adds exact conversions
+// from integers (VCVTQQ2PD, VCVTUQQ2PD), rotations (VPROLQ), compares
+// into mask registers and qword permutes; every float operation is still
+// the Go round's own, in its order, and none is fused.
+//
+// The stop test runs once per run of rounds, not once per round. Before
+// each run the kernel takes R, the minimum over the call's lanes of
+//
+//	⌊(min(x0, x1) − 1)/d⌋ + 1  (0 for a zero count),
+//	maxSteps − steps,
+//	2⁵¹ + 1 − max(x0, x1),
+//
+// caps it at the rounds the call has left and hands back if R ≤ 0. An
+// event moves a count by at most +1, and by at least −d, where d is 2 for
+// the self-destructive chain with a nonzero γ (an intraspecific event
+// removes two) and 1 otherwise; it moves steps by exactly +1. So in each of
+// the next R rounds every lane fires from counts in [1, 2⁵¹] and
+// steps < maxSteps, the state the per-round test of roundsAVX2 lets fire.
+// Each round keeps only the commit test: it hands back without
+// committing a group unless every lane has u < total (see roundsAVX2).
 //
 // As in roundsAVX2, R10 is zero exactly when both γ are +0, and then the
-// loop skips the two intraspecific terms and the compares of c5 and c6,
+// rounds skip the two intraspecific terms and the compares of c5 and c6,
 // with total = c5: a firing group has every count in [1, 2⁵¹], so both
 // terms are +0 and c6 = total = c5 bit for bit, and a committed group has
 // u < c5 in every lane.
@@ -226,145 +389,95 @@ TEXT ·rounds512(SB), NOSPLIT, $0-16
 	LEAQ         Block_lanes(DI), SI
 	MOVQ         (Block_params+Params_Gamma)(DI), R10
 	ORQ          (Block_params+Params_Gamma+8)(DI), R10 // zero: both γ are +0
-	VBROADCASTSD (Block_params+Params_Beta)(DI), Z0
-	VBROADCASTSD (Block_params+Params_Delta)(DI), Z1
-	VBROADCASTSD (Block_params+Params_Alpha)(DI), Z2
-	VBROADCASTSD (Block_params+Params_Alpha+8)(DI), Z3
-	VBROADCASTSD (Block_params+Params_Gamma)(DI), Z4
-	VBROADCASTSD (Block_params+Params_Gamma+8)(DI), Z5
-	VPBROADCASTQ Block_maxSteps(DI), Z16
-	VPBROADCASTQ ones<>(SB), Z17
-	VPBROADCASTQ hiBits<>(SB), Z18
-	VBROADCASTSD one<>(SB), Z19
-	VBROADCASTSD half<>(SB), Z20
-	VBROADCASTSD twoM53<>(SB), Z21
-	VPMOVSXDQ    Block_dx0(DI), Z22 // dx0 as eight qwords
-	VPMOVSXDQ    Block_dx1(DI), Z23 // dx1 as eight qwords
-	IMUL3Q       $const_kernelRounds, R8, CX // group passes
-	SHLQ         $6, R8                      // end of the last group
-	XORQ         BX, BX
-	XORQ         R9, R9
-	TESTQ        CX, CX
-	JZ           done512
+	XORQ         R11, R11                               // d − 1
+	TESTQ        R10, R10
+	JZ           drop512
+	CMPQ         (Block_params+Params_Competition)(DI), $const_SelfDestructive
+	JNE          drop512
+	MOVQ         $1, R11
+drop512:
+	VBROADCASTSD (Block_params+Params_Beta)(DI), Z14
+	VBROADCASTSD (Block_params+Params_Delta)(DI), Z15
+	VBROADCASTSD (Block_params+Params_Alpha)(DI), Z16
+	VBROADCASTSD (Block_params+Params_Alpha+8)(DI), Z17
+	VPBROADCASTQ ones<>(SB), Z18
+	VBROADCASTSD twoM53<>(SB), Z19
+	VPMOVSXDQ    Block_dx0(DI), Z20
+	VPMOVSXDQ    Block_dx1(DI), Z21
+	LOAD512(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	CMPQ         R8, $2
+	JLT          loaded512
+	LOAD512(64, Z7, Z8, Z9, Z10, Z11, Z12, Z13)
 
-group512:
-	// Hand back if a lane has stopped, spent its budget, or holds a
-	// count outside [1, 2⁵¹].
-	VMOVDQU64 blockLanes_x0(SI)(BX*1), Z26
-	VMOVDQU64 blockLanes_x1(SI)(BX*1), Z27
-	VPCMPQ    $6, blockLanes_steps(SI)(BX*1), Z16, K1 // maxSteps > steps
-	VPSUBQ    Z17, Z26, Z9
-	VPSUBQ    Z17, Z27, Z10
-	VPORQ     Z9, Z10, Z9
-	VPTESTNMQ Z18, Z9, K1, K1                         // and no x − 1 has bits 51–63
-	KORTESTB  K1, K1
-	JCC       done512                                 // CF clear: not every lane
+loaded512:
+	MOVQ $const_kernelRounds, R12 // rounds left
 
-	// The counts as float64, exactly.
-	VCVTQQ2PD Z26, Z7 // x0
-	VCVTQQ2PD Z27, Z8 // x1
+run512:
+	// R: each lane's three terms, then their minimum over the lanes.
+	VPBROADCASTQ Block_maxSteps(DI), Z24
+	MOVQ         $0x0008000000000001, AX // 2⁵¹ + 1
+	VPBROADCASTQ AX, Z25
+	VPBROADCASTQ R11, Z26
+	RUNTERMS(Z4, Z5, Z6, Z22)
+	CMPQ         R8, $2
+	JLT          fold512
+	RUNTERMS(Z11, Z12, Z13, Z23)
+	VPMINSQ      Z23, Z22, Z22
 
-	// Prefix sums of the propensities.
-	VMULPD Z0, Z7, Z6          // c0 = β·x0
-	VMULPD Z0, Z8, Z9
-	VADDPD Z9, Z6, Z9          // c1 = c0 + β·x1
-	VMULPD Z1, Z7, Z10
-	VADDPD Z10, Z9, Z10        // c2 = c1 + δ·x0
-	VMULPD Z1, Z8, Z11
-	VADDPD Z11, Z10, Z11       // c3 = c2 + δ·x1
-	VMULPD Z2, Z7, Z12
-	VMULPD Z8, Z12, Z12
-	VADDPD Z12, Z11, Z12       // c4 = c3 + (α0·x0)·x1
-	VMULPD Z3, Z7, Z13
-	VMULPD Z8, Z13, Z13
-	TESTQ  R10, R10
-	JNZ    intra512
-	VADDPD Z13, Z12, Z15       // total = c5 = c4 + (α1·x0)·x1 (both γ +0)
-	JMP    draw512
+fold512:
+	VSHUFI64X2 $0x4e, Z22, Z22, Z23 // swap the 256-bit halves
+	VPMINSQ    Z23, Z22, Z22
+	VSHUFI64X2 $0xb1, Z22, Z22, Z23 // swap the 128-bit lanes of each half
+	VPMINSQ    Z23, Z22, Z22
+	VPSHUFD    $0x4e, Z22, Z23      // swap the qwords of each 128-bit lane
+	VPMINSQ    Z23, Z22, Z22
+	VMOVQ      X22, CX
+	CMPQ       CX, R12
+	CMOVQGT    R12, CX              // R = min(R, rounds left)
+	TESTQ      CX, CX
+	JLE        done512
+	SUBQ       CX, R12
+	TESTQ      R10, R10
+	JNZ        full512
+	CMPQ       R8, $2
+	JLT        plain1
 
-intra512:
-	VADDPD Z13, Z12, Z13       // c5 = c4 + (α1·x0)·x1
-	VMULPD Z4, Z7, Z14
-	VSUBPD Z19, Z7, Z7
-	VMULPD Z7, Z14, Z14
-	VMULPD Z20, Z14, Z14
-	VADDPD Z14, Z13, Z14       // c6 = c5 + ((γ0·x0)·(x0−1))·0.5
-	VMULPD Z5, Z8, Z15
-	VSUBPD Z19, Z8, Z8
-	VMULPD Z8, Z15, Z15
-	VMULPD Z20, Z15, Z15
-	VADDPD Z15, Z14, Z15       // total = c6 + ((γ1·x1)·(x1−1))·0.5
+plain2:
+	PLAIN512(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	PLAIN512(Z7, Z8, Z9, Z10, Z11, Z12, Z13)
+	DECQ CX
+	JNZ  plain2
+	JMP  run512
 
-draw512:
-	// u = (r·2⁻⁵³)·total for r = rotl(s0 + s3, 23) + s0 >> 11, the
-	// xoshiro256++ output; r < 2⁵³ converts exactly.
-	VMOVDQU64  blockLanes_s0(SI)(BX*1), Z24
-	VMOVDQU64  blockLanes_s3(SI)(BX*1), Z25
-	VPADDQ     Z25, Z24, Z7
-	VPROLQ     $23, Z7, Z7
-	VPADDQ     Z24, Z7, Z7
-	VPSRLQ     $11, Z7, Z7
-	VCVTUQQ2PD Z7, Z7
-	VMULPD     Z21, Z7, Z7
-	VMULPD     Z15, Z7, Z7 // u
+plain1:
+	PLAIN512(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	DECQ CX
+	JNZ  plain1
+	JMP  run512
 
-	// Hand back, leaving the group as it was, unless u < total in every
-	// lane (see roundsAVX2).
-	VCMPPD   $1, Z15, Z7, K2 // u < total
-	KORTESTB K2, K2
-	JCC      done512
+full512:
+	CMPQ R8, $2
+	JLT  full1
 
-	// The channel k is the count of c0…c6 at or below u: +1 per sum. With
-	// both γ +0, c5 = c6 = total > u, so neither counts.
-	VPXORQ  Z28, Z28, Z28 // k
-	VCMPPD  $2, Z7, Z6, K1
-	VPADDQ  Z17, Z28, K1, Z28
-	VCMPPD  $2, Z7, Z9, K2
-	VPADDQ  Z17, Z28, K2, Z28
-	VCMPPD  $2, Z7, Z10, K3
-	VPADDQ  Z17, Z28, K3, Z28
-	VCMPPD  $2, Z7, Z11, K4
-	VPADDQ  Z17, Z28, K4, Z28
-	VCMPPD  $2, Z7, Z12, K5
-	VPADDQ  Z17, Z28, K5, Z28
-	TESTQ   R10, R10
-	JZ      counted512
-	VCMPPD  $2, Z7, Z13, K6
-	VPADDQ  Z17, Z28, K6, Z28
-	VCMPPD  $2, Z7, Z14, K7
-	VPADDQ  Z17, Z28, K7, Z28
+full2:
+	FULL512(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	FULL512(Z7, Z8, Z9, Z10, Z11, Z12, Z13)
+	DECQ CX
+	JNZ  full2
+	JMP  run512
 
-counted512:
-	// Fire channel k: x += dx[k], steps++.
-	VPERMQ    Z22, Z28, Z9
-	VPADDQ    Z26, Z9, Z9
-	VMOVDQU64 Z9, blockLanes_x0(SI)(BX*1)
-	VPERMQ    Z23, Z28, Z10
-	VPADDQ    Z27, Z10, Z10
-	VMOVDQU64 Z10, blockLanes_x1(SI)(BX*1)
-	VPADDQ    blockLanes_steps(SI)(BX*1), Z17, Z11
-	VMOVDQU64 Z11, blockLanes_steps(SI)(BX*1)
-
-	// Step xoshiro256++.
-	VMOVDQU64 blockLanes_s1(SI)(BX*1), Z7
-	VPXORQ    blockLanes_s2(SI)(BX*1), Z24, Z8 // s2 ^= s0
-	VPXORQ    Z25, Z7, Z9                      // s3 ^= s1
-	VPSLLQ    $17, Z7, Z10                     // t = s1 << 17
-	VPXORQ    Z8, Z7, Z7                       // s1 ^= s2
-	VPXORQ    Z9, Z24, Z6                      // s0 ^= s3
-	VPXORQ    Z10, Z8, Z8                      // s2 ^= t
-	VPROLQ    $45, Z9, Z9                      // s3 = rotl(s3, 45)
-	VMOVDQU64 Z6, blockLanes_s0(SI)(BX*1)
-	VMOVDQU64 Z7, blockLanes_s1(SI)(BX*1)
-	VMOVDQU64 Z8, blockLanes_s2(SI)(BX*1)
-	VMOVDQU64 Z9, blockLanes_s3(SI)(BX*1)
-
-	ADDQ    $64, BX
-	CMPQ    BX, R8
-	CMOVQEQ R9, BX
-	DECQ    CX
-	JNZ     group512
+full1:
+	FULL512(Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	DECQ CX
+	JNZ  full1
+	JMP  run512
 
 done512:
+	STORE512(0, Z0, Z1, Z2, Z3, Z4, Z5, Z6)
+	CMPQ R8, $2
+	JLT  stored512
+	STORE512(64, Z7, Z8, Z9, Z10, Z11, Z12, Z13)
+
+stored512:
 	VZEROUPPER
 	RET

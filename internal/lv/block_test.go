@@ -109,15 +109,28 @@ func TestBlockMatchesTrial(t *testing.T) {
 }
 
 // TestKernelCall checks one call of each round kernel the CPU has against
-// Run on each lane's stream. At (10⁶, 10⁶) no lane stops for millions of
-// events, so a call on every group must fire exactly KernelRounds events,
-// the round cap, in every lane and land where Run lands after as many,
-// with γ = 0, where a kernel skips the intraspecific terms, and with
+// Run on each lane's stream: every lane of the call's groups must land
+// where Run lands after as many events as the lane fired, never past the
+// budget and never above 2⁵¹ + 1, and every other lane must stay bit for
+// bit as it was.
+//
+// At (10⁶, 10⁶) no lane stops for millions of events, so a call on every
+// group must fire exactly KernelRounds events, the round cap, in every
+// lane, with γ = 0, where a kernel skips the intraspecific terms, and with
 // γ = 1, where it computes them; a call on the first group alone must do
-// so in that group's lanes and leave every other lane bit for bit as it
-// was. With a budget of 100 events, every lane must stop at exactly 100.
-// With α = 1e300 at (20000, 20000) the total is +Inf from the first event,
-// so a kernel must hand back before it fires any.
+// so in that group's lanes. With a budget of 100 events, every lane must
+// stop at exactly 100. With α = 1e300 at (20000, 20000) the total is +Inf
+// from the first event, so a kernel must hand back before it fires any.
+//
+// The other cases pin the stop test, which rounds512 runs once per run of
+// rounds: it must stop a call only when some lane has stopped, and before
+// any lane fires from a stopped state. SD with γ = 1 from (4, 3), where an
+// intraspecific event removes two, reaches a zero count within a few
+// events. A pure-birth chain from (2⁵¹ − 5, 3) must stop every lane after
+// six events, at 2⁵¹ + 1. Lanes seeded with 0, 20, 40 and 60 events under
+// a budget of 100 reach it in the lanes seeded with 60 only, after 40
+// events, while the others could go on; every group holds such a lane, so
+// every lane fires 40.
 func TestKernelCall(t *testing.T) {
 	var kernels []lv.Engine
 	for _, e := range lv.Engines() {
@@ -128,22 +141,36 @@ func TestKernelCall(t *testing.T) {
 	if len(kernels) == 0 {
 		t.Skip("no round kernel runs on this CPU")
 	}
+	const maxCount = 1<<51 + 1
 	nsd := lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive)
+	var staggered [lv.BlockLanes]int
+	for li := range staggered {
+		staggered[li] = 20 * (li % 4)
+	}
 	for _, tc := range []struct {
 		name     string
 		params   lv.Params
 		initial  lv.State
 		maxSteps int
+		steps    [lv.BlockLanes]int // events already counted in each lane
 		oneGroup bool
-		events   int
+		events   int  // events every lane of the call fires; -1 when they vary
+		stops    bool // the call ends with a lane stopped: a zero count, its budget spent, or a count above 2⁵¹
 	}{
-		{"nsd-1e6", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, false, lv.KernelRounds},
-		{"nsd-1e6-one-group", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, true, lv.KernelRounds},
-		{"nsd-intra-1e6", lv.Neutral(1, 1, 1, 1, lv.NonSelfDestructive), lv.State{X0: 1_000_000, X1: 1_000_000}, 0, false, lv.KernelRounds},
-		{"budget", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 100, false, 100},
-		{"inf-total", lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), lv.State{X0: 20000, X1: 20000}, 0, false, 0},
+		{"nsd-1e6", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, [lv.BlockLanes]int{}, false, lv.KernelRounds, false},
+		{"nsd-1e6-one-group", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 0, [lv.BlockLanes]int{}, true, lv.KernelRounds, false},
+		{"nsd-intra-1e6", lv.Neutral(1, 1, 1, 1, lv.NonSelfDestructive), lv.State{X0: 1_000_000, X1: 1_000_000}, 0, [lv.BlockLanes]int{}, false, lv.KernelRounds, false},
+		{"budget", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 100, [lv.BlockLanes]int{}, false, 100, true},
+		{"inf-total", lv.Neutral(1, 1, 1e300, 0, lv.SelfDestructive), lv.State{X0: 20000, X1: 20000}, 0, [lv.BlockLanes]int{}, false, 0, false},
+		{"sd-intra-4-3", lv.Neutral(1, 1, 1, 1, lv.SelfDestructive), lv.State{X0: 4, X1: 3}, 0, [lv.BlockLanes]int{}, false, -1, true},
+		{"pure-birth-2^51", lv.Neutral(1, 0, 0, 0, lv.SelfDestructive), lv.State{X0: 1<<51 - 5, X1: 3}, 0, [lv.BlockLanes]int{}, false, 6, true},
+		{"budget-staggered", nsd, lv.State{X0: 1_000_000, X1: 1_000_000}, 100, staggered, false, 40, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			maxSteps := tc.maxSteps
+			if maxSteps == 0 {
+				maxSteps = lv.DefaultMaxSteps
+			}
 			for _, e := range kernels {
 				t.Run(e.Name, func(t *testing.T) {
 					blk, err := lv.NewBlock(tc.params, tc.initial, tc.maxSteps, false)
@@ -155,7 +182,8 @@ func TestKernelCall(t *testing.T) {
 						groups = 1
 					}
 					const seed = 5
-					before, after := e.KernelCall(blk, seed, groups)
+					before, after := e.KernelCall(blk, seed, groups, tc.steps)
+					stopped := false
 					for li := range lv.BlockLanes {
 						got := after[li]
 						if li >= groups*e.Group || tc.events == 0 {
@@ -164,13 +192,29 @@ func TestKernelCall(t *testing.T) {
 							}
 							continue
 						}
-						out, err := lv.Run(tc.params, tc.initial, rng.NewStream(seed, uint64(li)), lv.RunOptions{MaxSteps: tc.events})
+						events := got.Steps - before[li].Steps
+						if tc.events >= 0 && events != tc.events {
+							t.Errorf("lane %d: kernel fired %d events, want %d", li, events, tc.events)
+						}
+						if got.Steps > maxSteps || got.X0 > maxCount || got.X1 > maxCount {
+							t.Errorf("lane %d: kernel left steps %d and counts (%d, %d), past the budget %d or above 2⁵¹ + 1",
+								li, got.Steps, got.X0, got.X1, maxSteps)
+						}
+						stopped = stopped || got.X0 == 0 || got.X1 == 0 || got.Steps >= maxSteps || got.X0 >= maxCount || got.X1 >= maxCount
+						if events <= 0 {
+							t.Errorf("lane %d: kernel fired %d events", li, events)
+							continue
+						}
+						out, err := lv.Run(tc.params, tc.initial, rng.NewStream(seed, uint64(li)), lv.RunOptions{MaxSteps: events})
 						if err != nil {
 							t.Fatal(err)
 						}
-						if at := (lv.State{X0: got.X0, X1: got.X1}); got.Steps != tc.events || at != out.Final {
-							t.Errorf("lane %d: kernel at %+v after %d events, want %+v after %d", li, at, got.Steps, out.Final, tc.events)
+						if at := (lv.State{X0: got.X0, X1: got.X1}); out.Steps != events || at != out.Final {
+							t.Errorf("lane %d: kernel at %+v after %d events, Run at %+v after %d", li, at, events, out.Final, out.Steps)
 						}
+					}
+					if stopped != tc.stops {
+						t.Errorf("the call ended with a stopped lane = %v, want %v", stopped, tc.stops)
 					}
 				})
 			}
@@ -248,8 +292,10 @@ func TestBlockAllocationFree(t *testing.T) {
 // FuzzBlockMatchesTrial compares the block engine with Trial on fuzzed
 // chains: every rate drawn from {0, −0.0, the smallest denormal, 1e300,
 // an ordinary value}, states up to 40, both models, both tie rules and a
-// bounded step budget. The last two seeds have γ = (0, 0.125) and
-// (0.125, 0).
+// bounded step budget. Seeds 6 and 7 have γ = (0, 0.125) and (0.125, 0);
+// seeds 8 and 9 are self-destructive chains with both γ nonzero from (4, 3)
+// and (2, 2), where intraspecific events, which remove two, drive lanes
+// extinct within a few events.
 func FuzzBlockMatchesTrial(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint8(4), uint8(4), uint8(0), uint8(0), uint8(30), uint8(20), true, false, uint16(4000))
 	f.Add(uint64(2), uint8(1), uint8(34), uint8(34), uint8(34), uint8(0), uint8(16), uint8(14), true, false, uint16(4000))
@@ -258,6 +304,8 @@ func FuzzBlockMatchesTrial(f *testing.F) {
 	f.Add(uint64(5), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(5), uint8(5), false, false, uint16(0))
 	f.Add(uint64(6), uint8(4), uint8(4), uint8(4), uint8(4), uint8(20), uint8(22), uint8(20), true, false, uint16(4000))
 	f.Add(uint64(7), uint8(4), uint8(4), uint8(4), uint8(4), uint8(4), uint8(22), uint8(20), false, false, uint16(4000))
+	f.Add(uint64(8), uint8(4), uint8(4), uint8(4), uint8(4), uint8(49), uint8(4), uint8(3), true, false, uint16(4000))
+	f.Add(uint64(9), uint8(4), uint8(4), uint8(4), uint8(4), uint8(99), uint8(2), uint8(2), true, true, uint16(4000))
 	f.Fuzz(func(t *testing.T, seed uint64, beta, delta, alpha, alpha1, gamma uint8, a, b uint8, sd, coin bool, budget uint16) {
 		rate := func(sel uint8) float64 {
 			switch sel % 5 {

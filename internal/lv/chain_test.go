@@ -87,6 +87,28 @@ func TestApplyEffects(t *testing.T) {
 	}
 }
 
+// TestApplyMovesCountsByAtMostTwo checks the bounds rounds512's run length
+// rests on: every channel moves each count by −2 to +1, and only an
+// intraspecific event of the self-destructive model moves one by −2.
+func TestApplyMovesCountsByAtMostTwo(t *testing.T) {
+	s := State{X0: 5, X1: 3}
+	for _, c := range []Competition{SelfDestructive, NonSelfDestructive} {
+		p := Neutral(1, 1, 1, 1, c)
+		for k := range EventKind(NumEventKinds) {
+			lo := -1
+			if c == SelfDestructive && (k == Intra0 || k == Intra1) {
+				lo = -2
+			}
+			next := apply(p, s, k)
+			for i, d := range [2]int{next.X0 - s.X0, next.X1 - s.X1} {
+				if d < lo || d > 1 {
+					t.Errorf("%v %v moves x%d by %+d, want %+d to +1", c, k, i, d, lo)
+				}
+			}
+		}
+	}
+}
+
 func TestSDInterLeavesGapUnchanged(t *testing.T) {
 	p := Neutral(0, 0, 1, 0, SelfDestructive)
 	s := State{X0: 9, X1: 4}

@@ -36,21 +36,28 @@ type LaneState struct {
 	X0, X1, Steps int
 }
 
-// KernelCall seeds lane li with replicate li of seed, for every lane, calls
-// e's widest round kernel once on its first groups groups and returns
-// every lane as seeded and as the call left it.
-func (e Engine) KernelCall(b *Block, seed uint64, groups int) (before, after [BlockLanes]LaneState) {
+// KernelCall seeds lane li with replicate li of seed, with steps[li]
+// events already counted, for every lane, calls e's widest round kernel
+// once on its first groups groups and returns every lane as seeded and as
+// the call left it.
+func (e Engine) KernelCall(b *Block, seed uint64, groups int, steps [BlockLanes]int) (before, after [BlockLanes]LaneState) {
 	for li := range BlockLanes {
 		b.start(li, seed, li, 0)
+		b.lanes.steps[li] = steps[li]
 	}
 	before = b.laneStates()
+	e.call(b, groups)
+	return before, b.laneStates()
+}
+
+// call runs e's widest round kernel once on the first groups groups of b.
+func (e Engine) call(b *Block, groups int) {
 	switch e.k {
 	case cpufeat.AVX512:
 		rounds512(b, groups)
 	case cpufeat.AVX2:
 		roundsAVX2(b, groups)
 	}
-	return before, b.laneStates()
 }
 
 func (b *Block) laneStates() (ls [BlockLanes]LaneState) {
