@@ -47,6 +47,7 @@ func TestRunErrors(t *testing.T) {
 	cases := [][]string{
 		{"-competition", "bogus"},
 		{"-tie", "2"},
+		{"-tie", "NaN"},
 		{"-beta", "-1"},
 		{"-zzz"},
 	}

@@ -1,11 +1,16 @@
 // Package exact computes exact (up to truncation and iteration tolerance)
-// absorption quantities of the two-species Lotka–Volterra chains by solving
-// the first-step recurrences on a truncated state grid:
+// absorption quantities of two-species jump chains by solving the
+// first-step recurrences on a truncated state grid:
 //
 //   - Rho(a, b): the probability that species 0 is the sole survivor,
 //     the quantity ρ(S) whose recurrence Eq. (8) of the paper analyzes
 //     (Lemmas 21–22, Theorems 20 and 23); and
 //   - Steps(a, b): the expected consensus time E[T(S)].
+//
+// One Gauss–Seidel solver serves every chain: the paper's Lotka–Volterra
+// chains given as lv.Params (Solve, SolveWithSteps) and any two-species
+// chemical reaction network (SolveNetwork, SolveNetworkWithSteps). Each
+// front end only supplies the transitions out of a grid state.
 //
 // The grid truncates both counts at a ceiling M, disabling birth moves out
 // of the boundary (their probability mass becomes holding, which the jump
@@ -45,7 +50,7 @@ func (o *Options) normalize() error {
 	if o.Max < 1 {
 		return fmt.Errorf("exact: grid ceiling %d < 1", o.Max)
 	}
-	if o.TieValue < 0 || o.TieValue > 1 {
+	if !(o.TieValue >= 0 && o.TieValue <= 1) {
 		return fmt.Errorf("exact: tie value %v outside [0, 1]", o.TieValue)
 	}
 	if o.Tol <= 0 {
@@ -59,9 +64,7 @@ func (o *Options) normalize() error {
 
 // Solution holds the solved grids.
 type Solution struct {
-	params lv.Params
-	max    int
-	tie    float64
+	max int
 	// rho[a][b] = Pr[species 0 wins | start (a, b)].
 	rho [][]float64
 	// steps[a][b] = E[consensus time | start (a, b)]; nil unless solved.
@@ -84,7 +87,7 @@ func (s *Solution) Rho(a, b int) (float64, error) {
 // solve was run without WithSteps or the state is outside the grid.
 func (s *Solution) Steps(a, b int) (float64, error) {
 	if s.steps == nil {
-		return 0, fmt.Errorf("exact: steps grid not solved (use SolveWithSteps)")
+		return 0, fmt.Errorf("exact: steps grid not solved (use SolveWithSteps or SolveNetworkWithSteps)")
 	}
 	if a < 0 || b < 0 || a > s.max || b > s.max {
 		return 0, fmt.Errorf("exact: state (%d, %d) outside grid [0, %d]^2", a, b, s.max)
@@ -129,26 +132,34 @@ func transitionsInto(dst []transition, p lv.Params, a, b, max int) []transition 
 
 // Solve computes the ρ grid for the given chain parameters.
 func Solve(params lv.Params, opts Options) (*Solution, error) {
-	return solve(params, opts, false)
+	return solveLV(params, opts, false)
 }
 
 // SolveWithSteps computes both the ρ grid and the expected consensus-time
 // grid.
 func SolveWithSteps(params lv.Params, opts Options) (*Solution, error) {
-	return solve(params, opts, true)
+	return solveLV(params, opts, true)
 }
 
-func solve(params lv.Params, opts Options, withSteps bool) (*Solution, error) {
+func solveLV(params lv.Params, opts Options, withSteps bool) (*Solution, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
+	return solve(opts, withSteps, func(dst []transition, a, b int) []transition {
+		return transitionsInto(dst, params, a, b, opts.Max)
+	})
+}
+
+// solve is the one solver behind every front end: next fills dst with the
+// truncated, normalized transitions out of grid state (a, b), none when no
+// move is enabled.
+func solve(opts Options, withSteps bool, next func(dst []transition, a, b int) []transition) (*Solution, error) {
 	if err := opts.normalize(); err != nil {
 		return nil, err
 	}
 	m := opts.Max
 
-	sol := &Solution{params: params, max: m, tie: opts.TieValue}
-	sol.rho = newGrid(m)
+	sol := &Solution{max: m, rho: newGrid(m)}
 	// Boundary conditions: species 0 has won on the b = 0 edge (a > 0),
 	// lost on the a = 0 edge, and the double-extinction corner takes the
 	// tie value.
@@ -156,36 +167,13 @@ func solve(params lv.Params, opts Options, withSteps bool) (*Solution, error) {
 		sol.rho[a][0] = 1
 	}
 	sol.rho[0][0] = opts.TieValue
-
-	if err := gaussSeidel(sol.rho, params, m, opts, func(trs []transition, a, b int) (float64, bool) {
-		if len(trs) == 0 {
-			// No enabled moves from an interior state: all rates
-			// zero; the chain never reaches consensus. Treat as
-			// losing (ρ contribution 0) — matches the Monte-Carlo
-			// convention of scoring non-convergence as failure.
-			return 0, true
-		}
-		var v float64
-		for _, tr := range trs {
-			v += tr.prob * sol.rho[tr.a2][tr.b2]
-		}
-		return v, true
-	}); err != nil {
+	if err := gaussSeidel(sol.rho, 0, opts, next); err != nil {
 		return nil, err
 	}
 
 	if withSteps {
 		sol.steps = newGrid(m)
-		if err := gaussSeidel(sol.steps, params, m, opts, func(trs []transition, a, b int) (float64, bool) {
-			if len(trs) == 0 {
-				return 0, false // undefined; leave zero
-			}
-			v := 1.0
-			for _, tr := range trs {
-				v += tr.prob * sol.steps[tr.a2][tr.b2]
-			}
-			return v, true
-		}); err != nil {
+		if err := gaussSeidel(sol.steps, 1, opts, next); err != nil {
 			return nil, err
 		}
 	}
@@ -201,18 +189,29 @@ func newGrid(m int) [][]float64 {
 	return g
 }
 
-// gaussSeidel sweeps the interior states (a, b >= 1) until the update
-// callback's values stabilize.
-func gaussSeidel(grid [][]float64, params lv.Params, m int, opts Options, update func(trs []transition, a, b int) (float64, bool)) error {
+// gaussSeidel sweeps the interior states (a, b >= 1), setting each to
+// base + Σ p·grid(S′) over its transitions, until a sweep moves every cell
+// by less than Tol: base 0 gives the ρ recurrence, base 1 the
+// expected-time one. A state with no enabled move (all rates zero, so the
+// chain never reaches consensus) keeps its zero: ρ scores it as a loss,
+// matching the Monte-Carlo convention for non-convergence, and E[T] leaves
+// it undefined.
+func gaussSeidel(grid [][]float64, base float64, opts Options, next func(dst []transition, a, b int) []transition) error {
+	m := opts.Max
 	scratch := make([]transition, 0, lv.NumEventKinds)
 	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
 		var maxDelta float64
 		for a := 1; a <= m; a++ {
 			for b := 1; b <= m; b++ {
-				scratch = transitionsInto(scratch, params, a, b, m)
-				v, ok := update(scratch, a, b)
-				if !ok {
+				scratch = next(scratch, a, b)
+				if len(scratch) == 0 {
 					continue
+				}
+				v := base
+				for _, tr := range scratch {
+					// The conversion rounds the product on its own,
+					// so no architecture fuses it into the sum.
+					v += float64(tr.prob * grid[tr.a2][tr.b2])
 				}
 				if d := math.Abs(v - grid[a][b]); d > maxDelta {
 					maxDelta = d

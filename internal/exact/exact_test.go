@@ -17,6 +17,9 @@ func TestOptionsValidation(t *testing.T) {
 	if _, err := Solve(params, Options{Max: 10, TieValue: 1.5}); err == nil {
 		t.Error("tie value > 1 accepted")
 	}
+	if _, err := Solve(params, Options{Max: 10, TieValue: math.NaN()}); err == nil {
+		t.Error("NaN tie value accepted")
+	}
 	if _, err := Solve(lv.Params{Beta: -1, Competition: lv.SelfDestructive}, Options{Max: 10}); err == nil {
 		t.Error("invalid params accepted")
 	}

@@ -2,7 +2,6 @@ package exact
 
 import (
 	"fmt"
-	"math"
 
 	"lvmajority/internal/crn"
 )
@@ -39,55 +38,14 @@ func solveNetwork(net *crn.Network, opts Options, withSteps bool) (*Solution, er
 	if net.NumSpecies() != 2 {
 		return nil, fmt.Errorf("exact: grid solver needs exactly 2 species, network has %d", net.NumSpecies())
 	}
-	if err := opts.normalize(); err != nil {
-		return nil, err
-	}
 	for r := 0; r < net.NumReactions(); r++ {
 		if net.Delta(r, 0) == 0 && net.Delta(r, 1) == 0 && net.Reaction(r).Rate > 0 {
 			return nil, fmt.Errorf("exact: reaction %q does not change the state", net.Reaction(r).Name)
 		}
 	}
-	m := opts.Max
-
-	sol := &Solution{max: m, tie: opts.TieValue}
-	sol.rho = newGrid(m)
-	for a := 1; a <= m; a++ {
-		sol.rho[a][0] = 1
-	}
-	sol.rho[0][0] = opts.TieValue
-
-	trans := func(dst []transition, a, b int) []transition {
-		return networkTransitionsInto(dst, net, a, b, m)
-	}
-	if err := sweepGrid(sol.rho, m, opts, trans, func(trs []transition, a, b int) (float64, bool) {
-		if len(trs) == 0 {
-			return 0, true
-		}
-		var v float64
-		for _, tr := range trs {
-			v += tr.prob * sol.rho[tr.a2][tr.b2]
-		}
-		return v, true
-	}); err != nil {
-		return nil, err
-	}
-
-	if withSteps {
-		sol.steps = newGrid(m)
-		if err := sweepGrid(sol.steps, m, opts, trans, func(trs []transition, a, b int) (float64, bool) {
-			if len(trs) == 0 {
-				return 0, false
-			}
-			v := 1.0
-			for _, tr := range trs {
-				v += tr.prob * sol.steps[tr.a2][tr.b2]
-			}
-			return v, true
-		}); err != nil {
-			return nil, err
-		}
-	}
-	return sol, nil
+	return solve(opts, withSteps, func(dst []transition, a, b int) []transition {
+		return networkTransitionsInto(dst, net, a, b, opts.Max)
+	})
 }
 
 // networkTransitionsInto fills dst with the truncated jump-chain
@@ -116,30 +74,4 @@ func networkTransitionsInto(dst []transition, net *crn.Network, a, b, max int) [
 		dst[i].prob /= total
 	}
 	return dst
-}
-
-// sweepGrid is the Gauss–Seidel iteration shared by the network solver; it
-// mirrors gaussSeidel but takes an explicit transition generator.
-func sweepGrid(grid [][]float64, m int, opts Options, trans func(dst []transition, a, b int) []transition, update func(trs []transition, a, b int) (float64, bool)) error {
-	scratch := make([]transition, 0, 16)
-	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
-		var maxDelta float64
-		for a := 1; a <= m; a++ {
-			for b := 1; b <= m; b++ {
-				scratch = trans(scratch, a, b)
-				v, ok := update(scratch, a, b)
-				if !ok {
-					continue
-				}
-				if d := math.Abs(v - grid[a][b]); d > maxDelta {
-					maxDelta = d
-				}
-				grid[a][b] = v
-			}
-		}
-		if maxDelta < opts.Tol {
-			return nil
-		}
-	}
-	return fmt.Errorf("exact: Gauss–Seidel did not converge within %d sweeps", opts.MaxSweeps)
 }

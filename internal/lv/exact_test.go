@@ -194,43 +194,3 @@ func TestTheorem13BadEventsLogarithmic(t *testing.T) {
 		}
 	}
 }
-
-func TestCrossValidationAgainstCRN(t *testing.T) {
-	// The fast direct sampler and the generic CRN engine implement the
-	// same jump chain; their majority-win probabilities must agree.
-	if testing.Short() {
-		t.Skip("statistical test")
-	}
-	p := Neutral(1, 0.5, 1, 0.5, NonSelfDestructive)
-	initial := State{X0: 14, X1: 7}
-	const trials = 8000
-
-	direct := estimateMajorityWin(t, p, initial, trials, 83)
-
-	net, err := ToNetwork(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	src := rng.New(89)
-	wins := 0
-	for i := 0; i < trials; i++ {
-		sim, err := newCRNSim(net, initial, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		winner, err := runCRNToConsensus(sim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if winner == 0 {
-			wins++
-		}
-	}
-	viaCRN, err := stats.WilsonInterval(wins, trials, stats.Z999)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if direct.Lo > viaCRN.Hi || viaCRN.Lo > direct.Hi {
-		t.Errorf("direct %v and CRN %v estimates disagree", direct, viaCRN)
-	}
-}

@@ -5,6 +5,7 @@ import (
 
 	"lvmajority/internal/crn"
 	"lvmajority/internal/lv"
+	"lvmajority/internal/protocols"
 	"lvmajority/internal/rng"
 )
 
@@ -20,7 +21,7 @@ func benchOptions() Options {
 
 func lvWorkload(tb testing.TB) (*crn.Network, []int) {
 	tb.Helper()
-	net, err := lv.ToNetwork(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive))
+	net, err := protocols.FromNeutral(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)).Network()
 	if err != nil {
 		tb.Fatal(err)
 	}

@@ -7,6 +7,7 @@ import (
 
 	"lvmajority/internal/crn"
 	"lvmajority/internal/lv"
+	"lvmajority/internal/protocols"
 	"lvmajority/internal/rng"
 	"lvmajority/internal/stats"
 )
@@ -75,7 +76,7 @@ func TestRunDefaults(t *testing.T) {
 // worker through Reset gives exactly the results of constructing a fresh
 // engine per replicate — the reuse is purely an allocation optimization.
 func TestRunEngineMatchesFreshEngines(t *testing.T) {
-	net, err := lv.ToNetwork(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive))
+	net, err := protocols.FromNeutral(lv.Neutral(1, 1, 1, 0, lv.SelfDestructive)).Network()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"lvmajority/internal/consensus"
+	"lvmajority/internal/crn"
 	"lvmajority/internal/lv"
 	"lvmajority/internal/rng"
 	"lvmajority/internal/stats"
@@ -27,14 +28,49 @@ func TestGeneralLVParamsValidate(t *testing.T) {
 	}
 }
 
+// TestGeneralLVNetworkShape checks the network's layout against the lv
+// package's channels: species X0 and X1, and eight uniquely named
+// reactions, each of which leads from (6, 4) to the state lv.ApplyEvent
+// gives for the channel of the same name.
 func TestGeneralLVNetworkShape(t *testing.T) {
+	kinds := map[string]lv.EventKind{}
+	for k := lv.EventKind(0); int(k) < lv.NumEventKinds; k++ {
+		kinds[k.String()] = k
+	}
 	for _, comp := range []lv.Competition{lv.SelfDestructive, lv.NonSelfDestructive} {
-		net, err := neutralGeneral(comp).Network()
+		params := lv.Neutral(1, 1, 1, 0, comp)
+		net, err := FromNeutral(params).Network()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if net.NumSpecies() != 2 || net.NumReactions() != 8 {
 			t.Fatalf("%s: %d species, %d reactions", comp, net.NumSpecies(), net.NumReactions())
+		}
+		for i, want := range []string{"X0", "X1"} {
+			if got := net.SpeciesName(crn.Species(i)); got != want {
+				t.Errorf("%s: species %d named %q, want %q", comp, i, got, want)
+			}
+		}
+		start := lv.State{X0: 6, X1: 4}
+		seen := map[string]bool{}
+		for r := 0; r < net.NumReactions(); r++ {
+			name := net.Reaction(r).Name
+			if seen[name] {
+				t.Errorf("%s: duplicate reaction name %q", comp, name)
+			}
+			seen[name] = true
+			kind, ok := kinds[name]
+			if !ok {
+				t.Errorf("%s: reaction %q names no lv channel", comp, name)
+				continue
+			}
+			state := []int{start.X0, start.X1}
+			if err := net.Apply(r, state); err != nil {
+				t.Fatalf("%s/%s: %v", comp, name, err)
+			}
+			if got, want := (lv.State{X0: state[0], X1: state[1]}), lv.ApplyEvent(params, start, kind); got != want {
+				t.Errorf("%s/%s: network gives %+v, lv gives %+v", comp, name, got, want)
+			}
 		}
 	}
 }
@@ -44,16 +80,32 @@ func TestGeneralLVNetworkShape(t *testing.T) {
 // propensity of the generalized network with neutral rates must equal the
 // specialized sampler's total.
 func TestGeneralLVPropensitiesMatchSpecializedEngine(t *testing.T) {
-	params := lv.Neutral(1.5, 0.5, 2, 0.25, lv.NonSelfDestructive)
-	net, err := FromNeutral(params).Network()
-	if err != nil {
-		t.Fatal(err)
+	cfgs := []lv.Params{
+		lv.Neutral(1.5, 0.5, 2, 0.25, lv.NonSelfDestructive),
+		lv.Neutral(1.5, 0.5, 0.75, 0.25, lv.SelfDestructive),
+		lv.Neutral(1.5, 0.5, 0.75, 0.25, lv.NonSelfDestructive),
+		{
+			Beta: 1, Delta: 2,
+			Alpha:       [2]float64{0.5, 1.5},
+			Gamma:       [2]float64{2, 0.5},
+			Competition: lv.NonSelfDestructive,
+		},
 	}
-	for _, s := range []lv.State{{X0: 10, X1: 7}, {X0: 1, X1: 1}, {X0: 0, X1: 5}, {X0: 3, X1: 0}} {
-		_, wantTotal := lv.PropensitiesFor(params, s)
-		gotTotal := net.TotalPropensity([]int{s.X0, s.X1})
-		if diff := gotTotal - wantTotal; diff > 1e-9 || diff < -1e-9 {
-			t.Errorf("state %+v: total propensity %v vs lv engine %v", s, gotTotal, wantTotal)
+	states := []lv.State{
+		{X0: 10, X1: 7}, {X0: 1, X1: 1}, {X0: 0, X1: 5}, {X0: 3, X1: 0},
+		{X0: 0, X1: 0}, {X0: 1, X1: 0}, {X0: 5, X1: 3}, {X0: 17, X1: 29},
+	}
+	for _, params := range cfgs {
+		net, err := FromNeutral(params).Network()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range states {
+			_, wantTotal := lv.PropensitiesFor(params, s)
+			gotTotal := net.TotalPropensity([]int{s.X0, s.X1})
+			if diff := gotTotal - wantTotal; diff > 1e-9 || diff < -1e-9 {
+				t.Errorf("%+v in state %+v: total propensity %v vs lv engine %v", params, s, gotTotal, wantTotal)
+			}
 		}
 	}
 }
@@ -67,21 +119,25 @@ func TestGeneralLVAgreesWithSpecializedEngine(t *testing.T) {
 		n     = 256
 		delta = 16
 	)
-	params := lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive)
-	general := &GeneralLVProtocol{Params: FromNeutral(params)}
-	specialized := &consensus.LVProtocol{Params: params}
-	opts := consensus.EstimateOptions{Trials: 2000, Seed: 11}
-	got, err := consensus.EstimateWinProbability(general, n, delta, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := consensus.EstimateWinProbability(specialized, n, delta, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Lo > want.Hi || want.Lo > got.Hi {
-		t.Errorf("engines disagree: general [%.3f, %.3f] vs specialized [%.3f, %.3f]",
-			got.Lo, got.Hi, want.Lo, want.Hi)
+	for _, params := range []lv.Params{
+		lv.Neutral(1, 1, 1, 0, lv.NonSelfDestructive),
+		lv.Neutral(1, 0.5, 1, 0.5, lv.NonSelfDestructive),
+	} {
+		general := &GeneralLVProtocol{Params: FromNeutral(params)}
+		specialized := &consensus.LVProtocol{Params: params}
+		opts := consensus.EstimateOptions{Trials: 2000, Seed: 11}
+		got, err := consensus.EstimateWinProbability(general, n, delta, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := consensus.EstimateWinProbability(specialized, n, delta, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Lo > want.Hi || want.Lo > got.Hi {
+			t.Errorf("%+v: engines disagree: general [%.3f, %.3f] vs specialized [%.3f, %.3f]",
+				params, got.Lo, got.Hi, want.Lo, want.Hi)
+		}
 	}
 }
 

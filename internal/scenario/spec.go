@@ -456,7 +456,7 @@ func (s *Spec) Validate() error {
 		if e.Table == 0 && (e.A < 1 || e.B < 1) {
 			return fmt.Errorf("scenario: exact state (%d, %d) needs positive counts", e.A, e.B)
 		}
-		if e.Tie < 0 || e.Tie > 1 {
+		if !(e.Tie >= 0 && e.Tie <= 1) {
 			return fmt.Errorf("scenario: exact tie value %v outside [0, 1]", e.Tie)
 		}
 		if s.Model.Kind == ModelProtocol {

@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -251,6 +252,12 @@ func TestSpecValidateRejects(t *testing.T) {
 			s := New(TaskSimulate)
 			s.Model = lvModel
 			s.Simulate = &SimulateSpec{A: 10, B: 10}
+			return s
+		},
+		"exact tie NaN": func() Spec {
+			s := New(TaskExact)
+			s.Model = lvModel
+			s.Exact = &ExactSpec{A: 5, B: 5, Tie: math.NaN()}
 			return s
 		},
 		"exact on protocol model": func() Spec {
